@@ -57,6 +57,8 @@ print(f"MPJPE over cloth-marker joints: {mpjpe(joint_pos, est_pos, cloth_mask[No
 print(f"CRMSE {value:.4f} (degree equivalent {degrees:.2f} deg, swing-only convention)")
 
 sequence = reconstruct_pose_from_markers(noisy, body.skeleton)
+print(f"reconstructed clip: root translations {sequence.root_translations.shape}, "
+      f"local rotations {sequence.local_rotations.shape}")
 from drapebench.bvh import write_bvh
 
 with open("/tmp/estimated_motion.bvh", "w") as fh:

@@ -10,11 +10,10 @@ __version__ = "0.1.0"
 
 from .kinematics import (
     MotionSequence,
-    Pose,
     Skeleton,
     default_skeleton,
-    forward_kinematics,
     procedural_motion,
+    sequence_transforms,
     rescale_to_height,
 )
 from .bvh import BvhParseError, parse_bvh, write_bvh

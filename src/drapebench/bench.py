@@ -26,8 +26,6 @@ from .estimates import ingest_estimates, normalize_estimate, surrogate_estimator
 from .garment import DrapeClassTable, Garment, GarmentSpec, generate_garment, merge_garments
 from .kinematics import (
     MotionSequence,
-    Pose,
-    forward_kinematics,
     procedural_motion,
     rescale_to_height,
     sequence_transforms,
@@ -199,8 +197,8 @@ def _build_garment(config: BenchConfig, body: SkinnedBody, drape: int) -> Garmen
 
 def _simulate_garment(config, body, garment: Garment, seq, joint_pos, joint_orient):
     sk = body.skeleton
-    rest_pos, _ = forward_kinematics(sk, Pose.rest(sk))
-    t_count = len(seq.frames)
+    rest_pos = sk.rest_positions()
+    t_count = seq.num_frames
     collider_frames = [
         body_capsules(sk, body.build_label, joint_positions=joint_pos[t]) for t in range(t_count)
     ]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rotations as rot
-from .kinematics import Pose, Skeleton, default_skeleton, forward_kinematics
+from .kinematics import Skeleton, default_skeleton
 from .mesh import TriMesh, merge_meshes
 from .primitives import capsule_mesh
 
@@ -104,7 +104,9 @@ class SkinnedBody:
             raise ValueError("at most 4 joint influences per vertex")
 
     def rest_transforms(self) -> tuple[np.ndarray, np.ndarray]:
-        return forward_kinematics(self.skeleton, Pose.rest(self.skeleton))
+        orientations = np.zeros((self.skeleton.num_joints, 4))
+        orientations[:, 0] = 1.0
+        return self.skeleton.rest_positions(), orientations
 
     @property
     def height(self) -> float:
@@ -143,7 +145,7 @@ def body_capsules(
 ) -> list[Capsule]:
     """One capsule per bone at the given (default: rest) joint positions."""
     if joint_positions is None:
-        joint_positions, _ = forward_kinematics(skeleton, Pose.rest(skeleton))
+        joint_positions = skeleton.rest_positions()
     caps = []
     for j in range(1, skeleton.num_joints):
         p = skeleton.parents[j]
@@ -199,7 +201,7 @@ def build_parametric_body(build_label: str, skeleton: Skeleton | None = None) ->
 def skin_lbs(body: SkinnedBody, positions: np.ndarray, orientations: np.ndarray) -> TriMesh:
     """Linear blend skinning of the template under posed joint transforms.
 
-    positions (J, 3) and orientations (J, 4) come from forward_kinematics on
+    positions (J, 3) and orientations (J, 4) come from one frame of FK on
     the body's skeleton. At the rest pose the template is returned unchanged.
     """
     sk = body.skeleton

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import rotations as rot
-from .kinematics import MotionSequence, Pose, Skeleton
+from .kinematics import MotionSequence, Skeleton
 
 _POSITION_CHANNELS = {"Xposition": 0, "Yposition": 1, "Zposition": 2}
 _ROTATION_CHANNELS = {"Xrotation": "X", "Yrotation": "Y", "Zrotation": "Z"}
@@ -156,10 +156,11 @@ def parse_bvh(text: str, motion_class: str = "basic") -> MotionSequence:
 
     if n_channels == 0:
         # Channel-less file: every frame is the rest pose.
-        rest = [Pose.rest(skeleton) for _ in range(max(declared_frames, 1))]
-        return MotionSequence(skeleton, 1.0 / frame_time, tuple(rest), motion_class)
+        return MotionSequence.rest(
+            skeleton, 1.0 / frame_time, max(declared_frames, 1), motion_class=motion_class
+        )
 
-    frames: list[Pose] = []
+    rows: list[list[float]] = []
     while True:
         item = cur.peek()
         if item is None:
@@ -172,37 +173,36 @@ def parse_bvh(text: str, motion_class: str = "basic") -> MotionSequence:
                 num,
             )
         try:
-            row = [float(v) for v in values]
+            rows.append([float(v) for v in values])
         except ValueError:
             raise BvhParseError("frame values must be numbers", num) from None
-        root_t = np.zeros(3)
-        quats = np.zeros((skeleton.num_joints, 4))
-        quats[:, 0] = 1.0
-        k = 0
-        for j, chans in enumerate(channels):
-            order = ""
-            angles = []
-            for c in chans:
-                v = row[k]
-                k += 1
-                if c in _POSITION_CHANNELS:
-                    if j == 0:
-                        root_t[_POSITION_CHANNELS[c]] = v
-                else:
-                    order += _ROTATION_CHANNELS[c]
-                    angles.append(v)
-            if order:
-                quats[j] = rot.from_euler(order, np.array(angles), degrees=True)
-        frames.append(Pose(root_t, quats))
 
-    if len(frames) != declared_frames:
+    if len(rows) != declared_frames:
         raise BvhParseError(
-            f"MOTION declares {declared_frames} frames but {len(frames)} data rows found",
+            f"MOTION declares {declared_frames} frames but {len(rows)} data rows found",
             len(cur.raw),
         )
-    if not frames:
+    if not rows:
         raise BvhParseError("no frame data", len(cur.raw))
-    return MotionSequence(skeleton, 1.0 / frame_time, tuple(frames), motion_class)
+    values = np.array(rows)
+    root_t = np.zeros((len(rows), 3))
+    quats = np.zeros((len(rows), skeleton.num_joints, 4))
+    quats[..., 0] = 1.0
+    k = 0
+    for j, chans in enumerate(channels):
+        order = ""
+        columns = []
+        for c in chans:
+            if c in _POSITION_CHANNELS:
+                if j == 0:
+                    root_t[:, _POSITION_CHANNELS[c]] = values[:, k]
+            else:
+                order += _ROTATION_CHANNELS[c]
+                columns.append(k)
+            k += 1
+        if order:
+            quats[:, j] = rot.from_euler(order, values[:, columns], degrees=True)
+    return MotionSequence(skeleton, 1.0 / frame_time, root_t, quats, motion_class)
 
 
 def _fmt(v: float) -> str:
@@ -246,10 +246,9 @@ def write_bvh(seq: MotionSequence) -> str:
     lines.append("MOTION")
     lines.append(f"Frames: {seq.num_frames}")
     lines.append(f"Frame Time: {1.0 / seq.fps:.7f}")
-    for frame in seq.frames:
-        vals = [_fmt(v) for v in frame.root_translation]
-        eul = rot.to_euler_zxy(frame.local_rotations, degrees=True)
-        for j in traversal:
-            vals.extend(_fmt(v) for v in eul[j])
+    eul = rot.to_euler_zxy(seq.local_rotations, degrees=True)[:, traversal]
+    for root_t, angles in zip(seq.root_translations, eul):
+        vals = [_fmt(v) for v in root_t]
+        vals.extend(_fmt(v) for v in angles.ravel())
         lines.append(" ".join(vals))
     return "\n".join(lines) + "\n"

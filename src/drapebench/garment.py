@@ -16,7 +16,6 @@ import numpy as np
 
 from . import rotations as rot
 from .body import Capsule, SkinnedBody, body_capsules
-from .kinematics import Pose, forward_kinematics
 from .mesh import TriMesh, cap_boundaries, enclosed_volume, merge_meshes
 from .primitives import _orthonormal_frame, tube_from_rings
 
@@ -320,7 +319,7 @@ def generate_garment(
     strictly increasing in slack. Deterministic for identical inputs.
     """
     table = table or DrapeClassTable()
-    joint_pos, _ = forward_kinematics(body.skeleton, Pose.rest(body.skeleton))
+    joint_pos = body.skeleton.rest_positions()
     name_to_index = {n: i for i, n in enumerate(body.skeleton.joint_names)}
     capsules = body_capsules(body.skeleton, body.build_label)
     caps_by_bone = {

@@ -119,8 +119,19 @@ class Skeleton:
         lengths = [np.linalg.norm(self.rest_offsets[c]) for c in kids]
         return kids[int(np.argmax(lengths))]
 
+    def rest_positions(self) -> np.ndarray:
+        """Joint positions (J, 3) at the rest pose, root at the origin.
+
+        Every rest orientation is the identity, so FK reduces to summing the
+        rest offsets down the chain.
+        """
+        pos = np.zeros((self.num_joints, 3))
+        for i in range(1, self.num_joints):
+            pos[i] = pos[self.parents[i]] + self.rest_offsets[i]
+        return pos
+
     def rest_height(self) -> float:
-        pos, _ = forward_kinematics(self, Pose.rest(self))
+        pos = self.rest_positions()
         return float(pos[:, 1].max() - pos[:, 1].min())
 
     def scaled(self, factor: float) -> "Skeleton":
@@ -128,89 +139,75 @@ class Skeleton:
 
 
 @dataclass(frozen=True)
-class Pose:
-    """One frame: world root translation plus per-joint local rotations."""
-
-    root_translation: np.ndarray  # (3,)
-    local_rotations: np.ndarray   # (J, 4) unit quaternions, w first
-
-    def __post_init__(self):
-        object.__setattr__(self, "root_translation", np.asarray(self.root_translation, dtype=float))
-        q = np.asarray(self.local_rotations, dtype=float)
-        object.__setattr__(self, "local_rotations", q)
-        norms = np.linalg.norm(q, axis=-1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("local rotations must be unit quaternions (within 1e-9)")
-
-    @staticmethod
-    def rest(skeleton: Skeleton, root_translation=(0.0, 0.0, 0.0)) -> "Pose":
-        q = np.zeros((skeleton.num_joints, 4))
-        q[:, 0] = 1.0
-        return Pose(np.asarray(root_translation, dtype=float), q)
-
-    @property
-    def num_joints(self) -> int:
-        return self.local_rotations.shape[0]
-
-
-@dataclass(frozen=True)
 class MotionSequence:
+    """A clip held as arrays: world root translations and local rotations.
+
+    root_translations is (T, 3); local_rotations is (T, J, 4), parent-relative
+    unit quaternions, w first.
+    """
+
     skeleton: Skeleton
     fps: float
-    frames: tuple[Pose, ...]
+    root_translations: np.ndarray
+    local_rotations: np.ndarray
     motion_class: str = "basic"
 
     def __post_init__(self):
         if self.fps <= 0:
             raise ValueError("fps must be positive")
-        if len(self.frames) < 1:
-            raise ValueError("a motion sequence needs at least one frame")
         if self.motion_class not in MOTION_CLASSES:
             raise ValueError(f"motion_class must be one of {MOTION_CLASSES}")
+        root = np.asarray(self.root_translations, dtype=float)
+        q = np.asarray(self.local_rotations, dtype=float)
         j = self.skeleton.num_joints
-        for k, f in enumerate(self.frames):
-            if f.num_joints != j:
-                raise ValueError(f"frame {k} has {f.num_joints} joints, skeleton has {j}")
-        object.__setattr__(self, "frames", tuple(self.frames))
+        if q.ndim != 3 or q.shape[1:] != (j, 4):
+            raise ValueError(f"local rotations have shape {q.shape}, skeleton needs (frames, {j}, 4)")
+        if len(q) < 1:
+            raise ValueError("a motion sequence needs at least one frame")
+        if root.shape != (len(q), 3):
+            raise ValueError(f"root translations have shape {root.shape}, need ({len(q)}, 3)")
+        if np.any(np.abs(np.linalg.norm(q, axis=-1) - 1.0) > 1e-9):
+            raise ValueError("local rotations must be unit quaternions (within 1e-9)")
+        object.__setattr__(self, "root_translations", root)
+        object.__setattr__(self, "local_rotations", q)
+
+    @staticmethod
+    def rest(
+        skeleton: Skeleton,
+        fps: float = 30.0,
+        num_frames: int = 1,
+        root_translation=(0.0, 0.0, 0.0),
+        motion_class: str = "basic",
+    ) -> "MotionSequence":
+        """A clip that holds the rest pose for num_frames frames."""
+        q = np.zeros((num_frames, skeleton.num_joints, 4))
+        q[..., 0] = 1.0
+        root = np.tile(np.asarray(root_translation, dtype=float), (num_frames, 1))
+        return MotionSequence(skeleton, fps, root, q, motion_class)
 
     @property
     def num_frames(self) -> int:
-        return len(self.frames)
-
-    def joint_positions(self) -> np.ndarray:
-        """Ground-truth joint positions for every frame, shape (T, J, 3)."""
-        return np.stack([forward_kinematics(self.skeleton, f)[0] for f in self.frames])
-
-
-def forward_kinematics(skeleton: Skeleton, pose: Pose) -> tuple[np.ndarray, np.ndarray]:
-    """Global joint positions (J, 3) and orientations (J, 4) for one pose.
-
-    Child position = parent position + parent orientation applied to the rest
-    offset; orientations compose down the chain.
-    """
-    j = skeleton.num_joints
-    if pose.num_joints != j:
-        raise ValueError(f"pose has {pose.num_joints} joints, skeleton has {j}")
-    positions = np.empty((j, 3))
-    orientations = np.empty((j, 4))
-    positions[0] = pose.root_translation
-    orientations[0] = pose.local_rotations[0]
-    for i in range(1, j):
-        p = skeleton.parents[i]
-        positions[i] = positions[p] + rot.rotate(orientations[p], skeleton.rest_offsets[i])
-        orientations[i] = rot.multiply(orientations[p], pose.local_rotations[i])
-    return positions, orientations
+        return len(self.local_rotations)
 
 
 def sequence_transforms(seq: MotionSequence) -> tuple[np.ndarray, np.ndarray]:
-    """FK over all frames: positions (T, J, 3) and orientations (T, J, 4)."""
-    pos = []
-    orient = []
-    for f in seq.frames:
-        p, q = forward_kinematics(seq.skeleton, f)
-        pos.append(p)
-        orient.append(q)
-    return np.stack(pos), np.stack(orient)
+    """FK over all frames: positions (T, J, 3) and orientations (T, J, 4).
+
+    Child position = parent position + parent orientation applied to the rest
+    offset; orientations compose down the chain. Loops over joints, each step
+    vectorised over frames.
+    """
+    sk = seq.skeleton
+    q = seq.local_rotations
+    positions = np.empty(q.shape[:2] + (3,))
+    orientations = np.empty_like(q)
+    positions[:, 0] = seq.root_translations
+    orientations[:, 0] = q[:, 0]
+    for i in range(1, sk.num_joints):
+        p = sk.parents[i]
+        positions[:, i] = positions[:, p] + rot.rotate(orientations[:, p], sk.rest_offsets[i])
+        orientations[:, i] = rot.multiply(orientations[:, p], q[:, i])
+    return positions, orientations
 
 
 def default_skeleton(height: float = 1.70) -> Skeleton:
@@ -225,16 +222,14 @@ def rescale_to_height(seq: MotionSequence, target_height: float) -> MotionSequen
     if current <= 0.0:
         raise ValueError("skeleton rest height is zero; cannot rescale")
     factor = target_height / current
-    skeleton = seq.skeleton.scaled(factor)
-    frames = tuple(
-        Pose(f.root_translation * factor, f.local_rotations) for f in seq.frames
+    return MotionSequence(
+        seq.skeleton.scaled(factor), seq.fps, seq.root_translations * factor,
+        seq.local_rotations, seq.motion_class,
     )
-    return MotionSequence(skeleton, seq.fps, frames, seq.motion_class)
 
 
 def _standing_root_height(skeleton: Skeleton) -> float:
-    pos, _ = forward_kinematics(skeleton, Pose.rest(skeleton))
-    return float(-pos[:, 1].min())
+    return float(-skeleton.rest_positions()[:, 1].min())
 
 
 def procedural_motion(
@@ -314,29 +309,33 @@ def procedural_motion(
             [np.zeros_like(t), root_y - 0.35 * root_y * ramp, np.zeros_like(t)], axis=-1
         )
 
-    frames = []
-    for k in range(n_frames):
-        q = np.zeros((skeleton.num_joints, 4))
-        q[:, 0] = 1.0
-        for j, (axis, angles) in joint_angle.items():
-            q[j] = rot.from_axis_angle(axis, float(angles[k]))
-        frames.append(Pose(root[k], q))
-    return MotionSequence(skeleton, fps, tuple(frames), motion_class)
+    q = np.zeros((n_frames, skeleton.num_joints, 4))
+    q[..., 0] = 1.0
+    for j, (axis, angles) in joint_angle.items():
+        q[:, j] = rot.from_axis_angle(axis, angles)
+    return MotionSequence(skeleton, fps, root, q, motion_class)
 
 
 def _fit_rotation(rest_dirs: np.ndarray, obs_dirs: np.ndarray) -> np.ndarray:
-    """Orthogonal Procrustes fit mapping unit rest directions onto observed ones."""
-    h = obs_dirs.T @ rest_dirs
+    """Orthogonal Procrustes fits mapping unit rest directions (K, 3) onto
+    observed ones (N, K, 3); one quaternion per frame, (N, 4)."""
+    h = obs_dirs.swapaxes(-1, -2) @ rest_dirs
     u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(u @ vt))
-    return rot.from_matrix(u @ np.diag([1.0, 1.0, d]) @ vt)
+    flip = np.zeros_like(h)
+    flip[:, 0, 0] = flip[:, 1, 1] = 1.0
+    flip[:, 2, 2] = np.sign(np.linalg.det(u @ vt))
+    return rot.from_matrix(u @ flip @ vt)
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def poses_from_joint_positions(
     skeleton: Skeleton,
     positions: np.ndarray,
     valid: np.ndarray | None = None,
-) -> tuple[list[Pose], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Recover parent-relative swing poses from per-frame joint positions.
 
     Each joint's local rotation is the minimal rotation (in its parent's
@@ -345,8 +344,10 @@ def poses_from_joint_positions(
     the world, is fit over all of its child bones so the recovery is
     equivariant under rigid motions of the input.
 
-    Returns the poses plus an (T, J) mask of joints whose rotation was
-    actually observed (invalid or leaf joints fall back to identity).
+    A bone is usable in a frame when both of its joints are valid and it is
+    longer than 1e-12. Returns root translations (T, 3), local rotations
+    (T, J, 4) and a (T, J) mask of joints whose rotation was actually
+    observed (invalid or leaf joints fall back to identity).
     """
     positions = np.asarray(positions, dtype=float)
     t_count, j_count = positions.shape[0], positions.shape[1]
@@ -356,54 +357,56 @@ def poses_from_joint_positions(
         valid = np.ones((t_count, j_count), dtype=bool)
     else:
         valid = np.broadcast_to(np.asarray(valid, dtype=bool), (t_count, j_count))
-    primary = [skeleton.primary_child(j) for j in range(j_count)]
-    root_kids = skeleton.children(0)
-    poses = []
+    locals_q = np.zeros((t_count, j_count, 4))
+    locals_q[..., 0] = 1.0
     observed = np.zeros((t_count, j_count), dtype=bool)
-    for t in range(t_count):
-        p = positions[t]
-        ok = valid[t]
-        locals_q = np.zeros((j_count, 4))
-        locals_q[:, 0] = 1.0
-        globals_q = np.zeros((j_count, 4))
-        # Root: all usable child bones vote for its orientation.
-        kids = [c for c in root_kids if ok[0] and ok[c] and np.linalg.norm(p[c] - p[0]) > 1e-12]
-        if len(kids) >= 2:
-            rest = np.stack([skeleton.rest_offsets[c] for c in kids])
-            rest /= np.linalg.norm(rest, axis=1, keepdims=True)
-            obs = np.stack([p[c] - p[0] for c in kids])
-            obs /= np.linalg.norm(obs, axis=1, keepdims=True)
-            locals_q[0] = _fit_rotation(rest, obs)
-            observed[t, 0] = True
-        elif len(kids) == 1:
-            c = kids[0]
-            locals_q[0] = rot.between(skeleton.rest_offsets[c], p[c] - p[0])
-            observed[t, 0] = True
-        globals_q[0] = locals_q[0]
-        for j in range(1, j_count):
-            parent = skeleton.parents[j]
-            c = primary[j]
-            if c is not None and ok[j] and ok[c]:
-                d_obs = p[c] - p[j]
-                if np.linalg.norm(d_obs) > 1e-12:
-                    d_parent = rot.rotate(rot.conjugate(globals_q[parent]), d_obs)
-                    locals_q[j] = rot.between(skeleton.rest_offsets[c], d_parent)
-                    observed[t, j] = True
-            globals_q[j] = rot.multiply(globals_q[parent], locals_q[j])
-        root_t = p[0] if ok[0] else np.zeros(3)
-        poses.append(Pose(root_t, locals_q))
-    return poses, observed
+
+    def usable_bones(j: int, children: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Bones j -> children per frame, (T, K, 3), and where each is usable."""
+        bones = positions[:, children] - positions[:, j, None]
+        ok = valid[:, j, None] & valid[:, children] & (np.sqrt(rot.dot(bones, bones)) > 1e-12)
+        return bones, ok
+
+    # Root: all usable child bones vote for its orientation. Frames are
+    # grouped by which child bones they can use.
+    kids = skeleton.children(0)
+    bones, use = usable_bones(0, kids)
+    rest = skeleton.rest_offsets[kids]
+    for pattern in np.unique(use, axis=0):
+        if not pattern.any():
+            continue
+        frames = (use == pattern).all(axis=1)
+        if pattern.sum() == 1:
+            c = int(np.argmax(pattern))
+            locals_q[frames, 0] = rot.between(rest[c], bones[frames, c])
+        else:
+            locals_q[frames, 0] = _fit_rotation(
+                _unit_rows(rest[pattern]), _unit_rows(bones[frames][:, pattern])
+            )
+        observed[frames, 0] = True
+    globals_q = np.empty_like(locals_q)
+    globals_q[:, 0] = locals_q[:, 0]
+    for j in range(1, j_count):
+        parent = skeleton.parents[j]
+        c = skeleton.primary_child(j)
+        if c is not None:
+            bone, ok = usable_bones(j, [c])
+            ok = ok[:, 0]
+            d_parent = rot.rotate(rot.conjugate(globals_q[ok, parent]), bone[ok, 0])
+            locals_q[ok, j] = rot.between(skeleton.rest_offsets[c], d_parent)
+            observed[ok, j] = True
+        globals_q[:, j] = rot.multiply(globals_q[:, parent], locals_q[:, j])
+    root_translations = np.where(valid[:, :1], positions[:, 0], 0.0)
+    return root_translations, locals_q, observed
 
 
 def max_joint_speed(seq: MotionSequence) -> float:
     """Largest per-joint angular speed (rad/s) between consecutive frames."""
-    best = 0.0
-    for a, b in zip(seq.frames, seq.frames[1:]):
-        dq = rot.multiply(rot.conjugate(a.local_rotations), b.local_rotations)
-        best = max(best, float(rot.angle_of(dq).max()) * seq.fps)
-    return best
+    q = seq.local_rotations
+    dq = rot.multiply(rot.conjugate(q[:-1]), q[1:])
+    return float(rot.angle_of(dq).max(initial=0.0)) * seq.fps
 
 
 def max_joint_angle(seq: MotionSequence) -> float:
     """Largest per-joint rotation angle (radians) over the clip."""
-    return max(float(rot.angle_of(f.local_rotations).max()) for f in seq.frames)
+    return float(rot.angle_of(seq.local_rotations).max())

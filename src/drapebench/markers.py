@@ -16,7 +16,7 @@ import numpy as np
 from . import rotations as rot
 from .body import SkinnedBody
 from .cloth import ClothState
-from .kinematics import MotionSequence, Pose, Skeleton, forward_kinematics, poses_from_joint_positions
+from .kinematics import MotionSequence, Skeleton, poses_from_joint_positions
 from .mesh import TriMesh, SurfacePoint, face_components, ray_union_exit, surface_point_position
 
 MARKER_BASE_HEIGHT = 0.005  # marker center sits 5 mm off the skin
@@ -78,7 +78,7 @@ def place_markers(body: SkinnedBody, garment: TriMesh | None = None) -> list[Mar
     misses both surfaces (malformed garment or body).
     """
     sk = body.skeleton
-    joint_pos, _ = forward_kinematics(sk, Pose.rest(sk))
+    joint_pos = sk.rest_positions()
     body_comps = face_components(body.template)
     garment_comps = face_components(garment) if garment is not None else None
     specs: list[MarkerSpec] = []
@@ -183,8 +183,8 @@ def reconstruct_pose_from_markers(
             f"need {2 * skeleton.num_joints} markers for this skeleton, got {traj.num_markers}"
         )
     midpoints = marker_pair_midpoints(traj)
-    poses, _ = poses_from_joint_positions(skeleton, midpoints)
-    return MotionSequence(skeleton, traj.fps, tuple(poses), motion_class)
+    root, local_rotations, _ = poses_from_joint_positions(skeleton, midpoints)
+    return MotionSequence(skeleton, traj.fps, root, local_rotations, motion_class)
 
 
 def trajectory_to_csv(traj: MarkerTrajectory) -> str:

@@ -70,6 +70,5 @@ def angles_from_positions(
     The same hierarchical swing recovery the marker reconstruction uses; the
     returned mask excludes leaves and joints whose bone was unobservable.
     """
-    poses, observed = poses_from_joint_positions(skeleton, positions, valid)
-    angles = np.stack([rot.angle_of(p.local_rotations) for p in poses])
-    return angles, observed
+    _, local_rotations, observed = poses_from_joint_positions(skeleton, positions, valid)
+    return rot.angle_of(local_rotations), observed

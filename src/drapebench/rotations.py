@@ -12,6 +12,18 @@ import numpy as np
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over the last axis, broadcast over the leading ones.
+
+    Taken as a stack of (1, n) @ (n, 1) products, which reproduces the 1-D
+    np.dot bit for bit; einsum and (a * b).sum(-1) differ from it in the
+    last bit on some inputs.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     n = np.linalg.norm(q, axis=-1, keepdims=True)
@@ -93,48 +105,65 @@ def to_matrix(q: np.ndarray) -> np.ndarray:
 
 
 def from_matrix(m: np.ndarray) -> np.ndarray:
-    """Unit quaternion from a 3x3 rotation matrix (Shepperd's method)."""
+    """Unit quaternion(s) from 3x3 rotation matrices (Shepperd's method).
+
+    m has shape (..., 3, 3). A positive trace takes the w-led branch;
+    otherwise the branch is led by the largest diagonal element.
+    """
     m = np.asarray(m, dtype=float)
-    t = np.trace(m)
-    if t > 0.0:
-        s = np.sqrt(t + 1.0) * 2.0
-        return normalize(
-            np.array(
-                [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
-            )
-        )
-    i = int(np.argmax(np.diag(m)))
+    flat = m.reshape(-1, 3, 3)
+    t = np.trace(flat, axis1=1, axis2=2)
+    q = np.empty((len(flat), 4))
+    pos = t > 0.0
+    a = flat[pos]
+    s = np.sqrt(t[pos] + 1.0) * 2.0
+    q[pos] = np.stack(
+        [0.25 * s, (a[:, 2, 1] - a[:, 1, 2]) / s, (a[:, 0, 2] - a[:, 2, 0]) / s, (a[:, 1, 0] - a[:, 0, 1]) / s],
+        axis=-1,
+    )
+    b = flat[~pos]
+    n = np.arange(len(b))
+    i = np.argmax(np.diagonal(b, axis1=1, axis2=2), axis=1)
     j, k = (i + 1) % 3, (i + 2) % 3
-    s = np.sqrt(max(m[i, i] - m[j, j] - m[k, k] + 1.0, 0.0)) * 2.0
-    q = np.empty(4)
-    q[0] = (m[k, j] - m[j, k]) / s
-    q[1 + i] = 0.25 * s
-    q[1 + j] = (m[j, i] + m[i, j]) / s
-    q[1 + k] = (m[k, i] + m[i, k]) / s
-    return normalize(q)
+    s = np.sqrt(np.maximum(b[n, i, i] - b[n, j, j] - b[n, k, k] + 1.0, 0.0)) * 2.0
+    r = np.empty((len(b), 4))
+    r[:, 0] = (b[n, k, j] - b[n, j, k]) / s
+    r[n, 1 + i] = 0.25 * s
+    r[n, 1 + j] = (b[n, j, i] + b[n, i, j]) / s
+    r[n, 1 + k] = (b[n, k, i] + b[n, i, k]) / s
+    q[~pos] = r
+    return normalize(q).reshape(m.shape[:-2] + (4,))
 
 
 def between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Minimal rotation taking direction u onto direction v (a pure swing)."""
+    """Minimal rotation(s) taking direction(s) u onto v (pure swings).
+
+    u and v broadcast against each other over leading axes.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+    shape = np.broadcast_shapes(u.shape, v.shape)
+    u = np.broadcast_to(u, shape).reshape(-1, 3)
+    v = np.broadcast_to(v, shape).reshape(-1, 3)
+    nu = np.sqrt(dot(u, u))
+    nv = np.sqrt(dot(v, v))
+    if np.any(nu == 0.0) or np.any(nv == 0.0):
         raise ValueError("directions must be non-zero")
-    u = u / nu
-    v = v / nv
-    d = float(np.dot(u, v))
-    if d < -1.0 + 1e-12:
-        # Antipodal: rotate pi about any axis perpendicular to u.
-        axis = np.cross(u, [1.0, 0.0, 0.0])
-        if np.linalg.norm(axis) < 1e-8:
-            axis = np.cross(u, [0.0, 1.0, 0.0])
-        return from_axis_angle(axis, np.pi)
-    q = np.empty(4)
-    q[0] = 1.0 + d
-    q[1:] = np.cross(u, v)
-    return normalize(q)
+    u = u / nu[:, None]
+    v = v / nv[:, None]
+    d = dot(u, v)
+    q = np.empty((len(u), 4))
+    # Antipodal: rotate pi about any axis perpendicular to u.
+    anti = d < -1.0 + 1e-12
+    axis = np.cross(u[anti], [1.0, 0.0, 0.0])
+    near_x = np.sqrt(dot(axis, axis)) < 1e-8
+    axis[near_x] = np.cross(u[anti][near_x], [0.0, 1.0, 0.0])
+    q[anti] = from_axis_angle(axis, np.full(len(axis), np.pi))
+    swing = np.empty((len(u) - len(axis), 4))
+    swing[:, 0] = 1.0 + d[~anti]
+    swing[:, 1:] = np.cross(u[~anti], v[~anti])
+    q[~anti] = normalize(swing)
+    return q.reshape(shape[:-1] + (4,))
 
 
 # BVH-style Euler angles. Channel order ZXY means the matrix Rz @ Rx @ Ry,

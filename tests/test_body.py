@@ -11,7 +11,7 @@ from drapebench.body import (
     build_parametric_body,
     skin_lbs,
 )
-from drapebench.kinematics import Pose, Skeleton, forward_kinematics
+from drapebench.kinematics import MotionSequence, Skeleton, sequence_transforms
 from drapebench.mesh import enclosed_volume
 from drapebench.primitives import capsule_mesh
 
@@ -61,9 +61,8 @@ def test_skin_lbs_single_joint_rigid():
     weights[:, 0] = 1.0
     body = SkinnedBody(mesh, sk, weights, "female_average")
     q = np.stack([rot.from_axis_angle([0, 0, 1], np.pi / 2), rot.IDENTITY])
-    pose = Pose(np.zeros(3), q)
-    pos, orient = forward_kinematics(sk, pose)
-    out = skin_lbs(body, pos, orient)
+    pos, orient = sequence_transforms(MotionSequence(sk, 30.0, np.zeros((1, 3)), q[None]))
+    out = skin_lbs(body, pos[0], orient[0])
     expected = rot.rotate(q[0], mesh.vertices)
     assert np.abs(out.vertices - expected).max() < 1e-9
 

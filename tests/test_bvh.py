@@ -30,7 +30,7 @@ def test_minimal_zero_channel_file():
     seq = parse_bvh(MINIMAL)
     assert seq.skeleton.num_joints == 2
     assert seq.num_frames == 1
-    assert np.allclose(seq.frames[0].local_rotations[:, 0], 1.0)
+    assert np.allclose(seq.local_rotations[..., 0], 1.0)
     assert np.allclose(seq.skeleton.rest_offsets[1], [0.0, 0.3, 0.0])
 
 
@@ -43,9 +43,9 @@ def test_write_has_frame_time_line(skeleton):
 
 
 def test_rest_pose_writes_zero_rotations(skeleton):
-    from drapebench.kinematics import MotionSequence, Pose
+    from drapebench.kinematics import MotionSequence
 
-    seq = MotionSequence(skeleton, 30.0, (Pose.rest(skeleton),))
+    seq = MotionSequence.rest(skeleton)
     text = write_bvh(seq)
     data = text.strip().splitlines()[-1].split()
     assert len(data) == 3 + 3 * skeleton.num_joints
@@ -54,11 +54,9 @@ def test_rest_pose_writes_zero_rotations(skeleton):
 
 def _channels(seq):
     """Per-frame root translation and per-joint euler channels keyed by name."""
-    out = {}
-    for j, name in enumerate(seq.skeleton.joint_names):
-        eul = np.stack([rot.to_euler_zxy(f.local_rotations[j], degrees=True) for f in seq.frames])
-        out[name] = eul
-    out["__root__"] = np.stack([f.root_translation for f in seq.frames])
+    eul = rot.to_euler_zxy(seq.local_rotations, degrees=True)
+    out = {name: eul[:, j] for j, name in enumerate(seq.skeleton.joint_names)}
+    out["__root__"] = seq.root_translations
     return out
 
 
@@ -153,7 +151,7 @@ Frame Time: 0.04
 1.0 2.0 3.0 10.0 20.0 30.0
 """
     seq = parse_bvh(text)
-    assert np.allclose(seq.frames[0].root_translation, [1.0, 2.0, 3.0])
+    assert np.allclose(seq.root_translations[0], [1.0, 2.0, 3.0])
     expected = rot.from_euler("XYZ", np.array([10.0, 20.0, 30.0]), degrees=True)
-    got = seq.frames[0].local_rotations[0]
+    got = seq.local_rotations[0, 0]
     assert min(np.abs(got - expected).max(), np.abs(got + expected).max()) < 1e-12

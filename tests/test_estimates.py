@@ -13,7 +13,7 @@ from drapebench.estimates import (
     normalize_estimate,
     surrogate_estimator,
 )
-from drapebench.kinematics import MotionSequence, Pose, procedural_motion, sequence_transforms
+from drapebench.kinematics import MotionSequence, procedural_motion, sequence_transforms
 from drapebench.metrics import mpjpe
 
 
@@ -22,9 +22,7 @@ def rest_sequence(skeleton, frames=5, root_y=None):
         from drapebench.kinematics import _standing_root_height
 
         root_y = _standing_root_height(skeleton)
-    return MotionSequence(
-        skeleton, 30.0, tuple(Pose.rest(skeleton, (0.0, root_y, 0.0)) for _ in range(frames))
-    )
+    return MotionSequence.rest(skeleton, num_frames=frames, root_translation=(0.0, root_y, 0.0))
 
 
 def test_ingest_valid_h36m17_file(tmp_path):

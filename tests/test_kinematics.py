@@ -5,9 +5,7 @@ from scipy.spatial.transform import Rotation as R
 from drapebench import rotations as rot
 from drapebench.kinematics import (
     MotionSequence,
-    Pose,
     Skeleton,
-    forward_kinematics,
     max_joint_angle,
     max_joint_speed,
     poses_from_joint_positions,
@@ -17,28 +15,31 @@ from drapebench.kinematics import (
 )
 
 
-def matrix_chain_fk(skeleton, pose):
-    """Independent FK oracle: homogeneous 4x4 transforms chained with scipy."""
+def matrix_chain_fk(skeleton, root_translation, local_rotations):
+    """Independent FK oracle for one frame: 4x4 transforms chained with scipy."""
     j = skeleton.num_joints
     transforms = np.zeros((j, 4, 4))
     for i in range(j):
-        q = pose.local_rotations[i]
+        q = local_rotations[i]
         local = np.eye(4)
         local[:3, :3] = R.from_quat([q[1], q[2], q[3], q[0]]).as_matrix()
-        local[:3, 3] = pose.root_translation if i == 0 else skeleton.rest_offsets[i]
+        local[:3, 3] = root_translation if i == 0 else skeleton.rest_offsets[i]
         p = skeleton.parents[i]
         transforms[i] = local if p < 0 else transforms[p] @ local
     return transforms[:, :3, 3]
 
 
-def random_pose(skeleton, rng):
-    q = rng.normal(size=(skeleton.num_joints, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    return Pose(rng.normal(size=3), q)
+def random_motion(skeleton, rng, frames):
+    q = rng.normal(size=(frames, skeleton.num_joints, 4))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    return MotionSequence(skeleton, 30.0, rng.normal(size=(frames, 3)), q)
 
 
 def test_fk_identity_is_cumulative_offsets(skeleton):
-    pos, orient = forward_kinematics(skeleton, Pose.rest(skeleton))
+    pos, orient = sequence_transforms(MotionSequence.rest(skeleton, num_frames=2))
+    assert np.array_equal(pos[0], pos[1])
+    assert np.array_equal(pos[0], skeleton.rest_positions())
+    pos = pos[0]
     for j in range(skeleton.num_joints):
         expected = np.zeros(3)
         i = j
@@ -46,38 +47,36 @@ def test_fk_identity_is_cumulative_offsets(skeleton):
             expected += skeleton.rest_offsets[i]
             i = skeleton.parents[i]
         assert np.allclose(pos[j], expected, atol=1e-12)
-    assert np.allclose(orient[:, 0], 1.0)
+    assert np.allclose(orient[..., 0], 1.0)
 
 
 def test_fk_two_joint_rotation():
     sk = Skeleton(("root", "tip"), (-1, 0), np.array([[0.0, 0, 0], [1.0, 0, 0]]))
     q = np.stack([rot.from_axis_angle([0, 0, 1], np.pi / 2), rot.IDENTITY])
-    pos, _ = forward_kinematics(sk, Pose(np.zeros(3), q))
-    assert np.allclose(pos[1], [0.0, 1.0, 0.0], atol=1e-12)
+    pos, _ = sequence_transforms(MotionSequence(sk, 30.0, np.zeros((1, 3)), q[None]))
+    assert np.allclose(pos[0, 1], [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_fk_matches_matrix_chain_oracle(skeleton, rng):
-    for _ in range(100):
-        pose = random_pose(skeleton, rng)
-        ours, _ = forward_kinematics(skeleton, pose)
-        oracle = matrix_chain_fk(skeleton, pose)
-        assert np.abs(ours - oracle).max() < 1e-9
+    seq = random_motion(skeleton, rng, 100)
+    ours, _ = sequence_transforms(seq)
+    for t in range(seq.num_frames):
+        oracle = matrix_chain_fk(skeleton, seq.root_translations[t], seq.local_rotations[t])
+        assert np.abs(ours[t] - oracle).max() < 1e-9
 
 
 def test_fk_preserves_bone_lengths(skeleton, rng):
-    for _ in range(20):
-        pose = random_pose(skeleton, rng)
-        pos, _ = forward_kinematics(skeleton, pose)
-        for j in range(1, skeleton.num_joints):
-            p = skeleton.parents[j]
-            length = np.linalg.norm(pos[j] - pos[p])
-            assert abs(length - np.linalg.norm(skeleton.rest_offsets[j])) < 1e-9
+    pos, _ = sequence_transforms(random_motion(skeleton, rng, 20))
+    for j in range(1, skeleton.num_joints):
+        p = skeleton.parents[j]
+        length = np.linalg.norm(pos[:, j] - pos[:, p], axis=-1)
+        assert np.abs(length - np.linalg.norm(skeleton.rest_offsets[j])).max() < 1e-9
 
 
 def test_fk_rejects_topology_mismatch(skeleton):
-    small = Pose.rest(Skeleton(("a", "b"), (-1, 0), np.array([[0.0, 0, 0], [1.0, 0, 0]])))
-    with pytest.raises(ValueError):
-        forward_kinematics(skeleton, small)
+    small = MotionSequence.rest(Skeleton(("a", "b"), (-1, 0), np.array([[0.0, 0, 0], [1.0, 0, 0]])))
+    with pytest.raises(ValueError, match="skeleton needs"):
+        MotionSequence(skeleton, 30.0, small.root_translations, small.local_rotations)
 
 
 def test_default_skeleton_shape(skeleton):
@@ -104,7 +103,8 @@ def test_rescale_doubles(skeleton):
     seq = procedural_motion("basic", 1.0, 30, 5, skeleton)
     half = rescale_to_height(seq, 0.85)
     assert np.abs(half.skeleton.rest_offsets * 2 - skeleton.rest_offsets).max() < 1e-12
-    assert np.abs(half.frames[3].root_translation * 2 - seq.frames[3].root_translation).max() < 1e-12
+    assert np.abs(half.root_translations * 2 - seq.root_translations).max() < 1e-12
+    assert np.array_equal(half.local_rotations, seq.local_rotations)
 
 
 def test_rescale_round_trip_positions(skeleton):
@@ -118,9 +118,8 @@ def test_rescale_round_trip_positions(skeleton):
 def test_procedural_deterministic(skeleton):
     a = procedural_motion("basic", 2.0, 30, 7, skeleton)
     b = procedural_motion("basic", 2.0, 30, 7, skeleton)
-    for fa, fb in zip(a.frames, b.frames):
-        assert np.array_equal(fa.local_rotations, fb.local_rotations)
-        assert np.array_equal(fa.root_translation, fb.root_translation)
+    assert np.array_equal(a.local_rotations, b.local_rotations)
+    assert np.array_equal(a.root_translations, b.root_translations)
 
 
 def test_fast_is_faster_than_basic(skeleton):
@@ -146,9 +145,10 @@ def test_procedural_amplitude_bounds(skeleton):
 def test_swing_recovery_round_trip(skeleton):
     seq = procedural_motion("basic", 1.0, 30, 17, skeleton)
     positions, _ = sequence_transforms(seq)
-    poses, observed = poses_from_joint_positions(skeleton, positions)
-    redone = np.stack([forward_kinematics(skeleton, p)[0] for p in poses])
+    root, local_rotations, observed = poses_from_joint_positions(skeleton, positions)
+    redone, _ = sequence_transforms(MotionSequence(skeleton, seq.fps, root, local_rotations))
     assert np.abs(redone - positions).max() < 1e-9
+    assert observed[:, 0].all()
 
 
 def test_swing_recovery_equivariance(skeleton, rng):
@@ -158,17 +158,80 @@ def test_swing_recovery_equivariance(skeleton, rng):
     q /= np.linalg.norm(q)
     t = rng.normal(size=3)
     moved = rot.rotate(q, positions) + t
-    base_poses, _ = poses_from_joint_positions(skeleton, positions)
-    moved_poses, _ = poses_from_joint_positions(skeleton, moved)
-    base_fk = np.stack([forward_kinematics(skeleton, p)[0] for p in base_poses])
-    moved_fk = np.stack([forward_kinematics(skeleton, p)[0] for p in moved_poses])
+    base_fk = _recovered_fk(skeleton, positions)
+    moved_fk = _recovered_fk(skeleton, moved)
     assert np.abs(moved_fk - (rot.rotate(q, base_fk) + t)).max() < 1e-9
 
 
+def _recovered_fk(skeleton, positions, valid=None):
+    root, local_rotations, _ = poses_from_joint_positions(skeleton, positions, valid)
+    return sequence_transforms(MotionSequence(skeleton, 30.0, root, local_rotations))[0]
+
+
 def test_motion_sequence_validation(skeleton):
-    with pytest.raises(ValueError):
-        MotionSequence(skeleton, 0.0, (Pose.rest(skeleton),))
-    with pytest.raises(ValueError):
-        MotionSequence(skeleton, 30.0, ())
-    with pytest.raises(ValueError):
-        MotionSequence(skeleton, 30.0, (Pose.rest(skeleton),), "jogging")
+    rest = MotionSequence.rest(skeleton, num_frames=3)
+    root, q = rest.root_translations, rest.local_rotations
+    with pytest.raises(ValueError, match="fps"):
+        MotionSequence(skeleton, 0.0, root, q)
+    with pytest.raises(ValueError, match="at least one frame"):
+        MotionSequence(skeleton, 30.0, root[:0], q[:0])
+    with pytest.raises(ValueError, match="motion_class"):
+        MotionSequence(skeleton, 30.0, root, q, "jogging")
+    with pytest.raises(ValueError, match="root translations"):
+        MotionSequence(skeleton, 30.0, root[:2], q)
+    bad = q.copy()
+    bad[1, 5, 0] += 1e-8
+    with pytest.raises(ValueError, match="unit quaternions"):
+        MotionSequence(skeleton, 30.0, root, bad)
+    bad[1, 5, 0] = 1.0 + 5e-10
+    assert MotionSequence(skeleton, 30.0, root, bad).num_frames == 3
+
+
+def test_rest_positions_match_fk_bit_for_bit():
+    from drapebench.body import BUILD_CATALOG, body_skeleton
+
+    for label in BUILD_CATALOG:
+        sk = body_skeleton(label)
+        pos, _ = sequence_transforms(MotionSequence.rest(sk))
+        assert np.array_equal(sk.rest_positions(), pos[0]), label
+
+
+def test_swing_recovery_masks_unusable_bones(skeleton, rng):
+    """Invalid joints and degenerate bones fall back to identity, frame by frame."""
+    seq = procedural_motion("fast", 1.0, 30, 8, skeleton)
+    positions, _ = sequence_transforms(seq)
+    valid = rng.uniform(size=positions.shape[:2]) > 0.25
+    knee = skeleton.joint_names.index("left_knee")
+    hip = skeleton.joint_names.index("left_hip")
+    positions[3, knee] = positions[3, hip]  # a zero-length bone in frame 3
+    root, local_rotations, observed = poses_from_joint_positions(skeleton, positions, valid)
+    assert not observed[3, hip]
+    assert np.array_equal(root[~valid[:, 0]], np.zeros(((~valid[:, 0]).sum(), 3)))
+    unobserved = local_rotations[~observed]
+    assert np.array_equal(unobserved, np.tile([1.0, 0.0, 0.0, 0.0], (len(unobserved), 1)))
+    for j in range(1, skeleton.num_joints):
+        c = skeleton.primary_child(j)
+        want = np.zeros(len(valid), dtype=bool) if c is None else valid[:, j] & valid[:, c]
+        if j == hip:
+            want[3] = False
+        assert np.array_equal(observed[:, j], want), skeleton.joint_names[j]
+    # The root is fit from every usable child bone: 2 or more vote through
+    # the Procrustes fit, 1 gives a swing, 0 leaves it unobserved.
+    kids = skeleton.children(0)
+    n_usable = (valid[:, :1] & valid[:, kids]).sum(axis=1)
+    assert np.array_equal(observed[:, 0], n_usable >= 1)
+    assert {0, 1, 2, 3} <= set(n_usable.tolist())
+
+
+def test_swing_recovery_root_fit_matches_each_frame(skeleton, rng):
+    """Frames recovered together equal frames recovered one at a time."""
+    seq = procedural_motion("extreme", 1.0, 30, 3, skeleton)
+    positions, _ = sequence_transforms(seq)
+    positions = positions + rng.normal(0.0, 0.01, positions.shape)
+    valid = rng.uniform(size=positions.shape[:2]) > 0.3
+    root, q, observed = poses_from_joint_positions(skeleton, positions, valid)
+    for t in range(len(positions)):
+        r1, q1, o1 = poses_from_joint_positions(skeleton, positions[t:t + 1], valid[t:t + 1])
+        assert np.array_equal(r1[0], root[t])
+        assert np.array_equal(q1[0], q[t])
+        assert np.array_equal(o1[0], observed[t])

@@ -61,9 +61,9 @@ def test_tshirt_coverage_split(body):
 
 
 def test_static_skin_markers_constant(body, unclothed_specs):
-    from drapebench.kinematics import MotionSequence, Pose
+    from drapebench.kinematics import MotionSequence
 
-    seq = MotionSequence(body.skeleton, 30.0, tuple(Pose.rest(body.skeleton) for _ in range(4)))
+    seq = MotionSequence.rest(body.skeleton, num_frames=4)
     jp, jq = sequence_transforms(seq)
     traj = track_markers(unclothed_specs, jp, jq, 30.0)
     assert np.abs(traj.positions - traj.positions[0]).max() < 1e-15

@@ -84,14 +84,14 @@ def test_angles_from_positions_round_trip(skeleton):
     seq = procedural_motion("extreme", 1.0, 30, 13, skeleton)
     positions, _ = sequence_transforms(seq)
     angles, mask = angles_from_positions(skeleton, positions)
-    true_angles = np.stack([rot.angle_of(f.local_rotations) for f in seq.frames])
+    true_angles = rot.angle_of(seq.local_rotations)
     assert np.abs((angles - true_angles)[mask]).max() < 1e-9
 
 
 def test_angles_rest_pose_zero(skeleton):
-    from drapebench.kinematics import MotionSequence, Pose
+    from drapebench.kinematics import MotionSequence
 
-    seq = MotionSequence(skeleton, 30.0, (Pose.rest(skeleton),))
+    seq = MotionSequence.rest(skeleton)
     positions, _ = sequence_transforms(seq)
     angles, mask = angles_from_positions(skeleton, positions)
     assert np.abs(angles[mask]).max() < 1e-12

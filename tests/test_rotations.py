@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from scipy.spatial.transform import Rotation as R
 
 from drapebench import rotations as rot
@@ -72,3 +73,76 @@ def test_angle_of():
     q = rot.from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.3)
     assert abs(rot.angle_of(q) - 0.3) < 1e-12
     assert rot.angle_of(rot.IDENTITY) == 0.0
+
+
+def _between_one(u, v):
+    """Per-pair reference for the batched between: the 1-D formulas."""
+    u = u / np.linalg.norm(u)
+    v = v / np.linalg.norm(v)
+    d = float(np.dot(u, v))
+    if d < -1.0 + 1e-12:
+        axis = np.cross(u, [1.0, 0.0, 0.0])
+        if np.linalg.norm(axis) < 1e-8:
+            axis = np.cross(u, [0.0, 1.0, 0.0])
+        return rot.from_axis_angle(axis, np.pi)
+    q = np.empty(4)
+    q[0] = 1.0 + d
+    q[1:] = np.cross(u, v)
+    return rot.normalize(q)
+
+
+def _from_matrix_one(m):
+    """Per-matrix reference for the batched from_matrix: Shepperd's branches."""
+    t = np.trace(m)
+    if t > 0.0:
+        s = np.sqrt(t + 1.0) * 2.0
+        return rot.normalize(
+            np.array([0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s])
+        )
+    i = int(np.argmax(np.diag(m)))
+    j, k = (i + 1) % 3, (i + 2) % 3
+    s = np.sqrt(max(m[i, i] - m[j, j] - m[k, k] + 1.0, 0.0)) * 2.0
+    q = np.empty(4)
+    q[0] = (m[k, j] - m[j, k]) / s
+    q[1 + i] = 0.25 * s
+    q[1 + j] = (m[j, i] + m[i, j]) / s
+    q[1 + k] = (m[k, i] + m[i, k]) / s
+    return rot.normalize(q)
+
+
+def test_dot_matches_1d_dot_bit_for_bit(rng):
+    a = rng.normal(size=(2000, 3))
+    b = rng.normal(size=(2000, 3))
+    assert np.array_equal(rot.dot(a, b), np.array([np.dot(x, y) for x, y in zip(a, b)]))
+
+
+def test_between_batched_matches_per_pair_bit_for_bit(rng):
+    u = rng.normal(size=(2000, 3))
+    v = rng.normal(size=(2000, 3))
+    v[:20] = -u[:20] * rng.uniform(0.5, 2.0, size=(20, 1))  # antipodal
+    u[20:30] = [2.0, 0.0, 0.0]  # antipodal along x: the y fallback axis
+    v[20:30] = [-1.0, 0.0, 0.0]
+    batched = rot.between(u, v)
+    assert np.array_equal(batched, np.stack([_between_one(a, b) for a, b in zip(u, v)]))
+    assert np.allclose(rot.rotate(batched[:30], u[:30] / np.linalg.norm(u[:30], axis=1, keepdims=True)),
+                       v[:30] / np.linalg.norm(v[:30], axis=1, keepdims=True), atol=1e-9)
+    # One direction against many, and a single pair, broadcast the same way.
+    assert np.array_equal(rot.between(u[0], v), np.stack([_between_one(u[0], b) for b in v]))
+    assert rot.between(u[0], v[0]).shape == (4,)
+
+
+def test_between_rejects_zero_direction():
+    with pytest.raises(ValueError):
+        rot.between(np.array([[1.0, 0, 0], [0.0, 0, 0]]), np.array([0.0, 1.0, 0]))
+
+
+def test_from_matrix_batched_matches_per_matrix_bit_for_bit(rng):
+    q = _random_quats(rng, 2000)
+    q[:10] = rot.from_axis_angle(rng.normal(size=(10, 3)), np.full(10, np.pi))  # trace -1
+    m = rot.to_matrix(q)
+    traces = np.trace(m, axis1=1, axis2=2)
+    assert (traces > 0).any() and (traces <= 0).sum() > 500
+    batched = rot.from_matrix(m)
+    assert np.array_equal(batched, np.stack([_from_matrix_one(x) for x in m]))
+    assert rot.from_matrix(m.reshape(40, 50, 3, 3)).shape == (40, 50, 4)
+    assert np.array_equal(rot.from_matrix(m[3]), batched[3])
