@@ -18,7 +18,7 @@ from .kinematics import (
 )
 from .bvh import BvhParseError, parse_bvh, write_bvh
 from .mesh import SurfacePoint, TriMesh, cap_boundaries, enclosed_volume, surface_point_position
-from .body import BUILD_CATALOG, Capsule, SkinnedBody, build_parametric_body, skin_lbs
+from .body import BUILD_CATALOG, Capsule, SkinnedBody, build_parametric_body
 from .cloth import ClothParams, ClothState, SpringNetwork, build_spring_network, simulate_sequence, step
 from .garment import (
     DrapeClassTable,

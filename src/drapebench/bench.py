@@ -3,7 +3,9 @@
 A run sweeps (motion x build x drape class x method) cells. Every cell is
 pure given the global seed: per-cell seeds derive from the cell coordinates,
 so any subset of cells, in any order or process layout, reproduces the rows
-of the full sweep bit for bit.
+of the full sweep bit for bit. A cell's coordinates are its motion class,
+build, drape class and method label; a config whose cells would share
+coordinates is refused.
 """
 
 from __future__ import annotations
@@ -95,6 +97,24 @@ class BenchConfig:
         object.__setattr__(self, "garment_categories", tuple(self.garment_categories))
         if self.drape_thresholds is not None:
             object.__setattr__(self, "drape_thresholds", tuple(self.drape_thresholds))
+        for what, labels in (
+            ("motions share the motion_class", [m.motion_class for m in self.motions]),
+            ("methods share the label", [self.method_label(m) for m in self.methods]),
+        ):
+            repeated = sorted({x for x in labels if labels.count(x) > 1})
+            if repeated:
+                raise ValueError(f"{what} {', '.join(repeated)}; their rows would collide")
+
+    def method_label(self, method: MethodSpec) -> str:
+        """The method's row label: its kind, qualified by the field that
+        tells it apart when the kind recurs in this config."""
+        if sum(m.kind == method.kind for m in self.methods) == 1:
+            return method.kind
+        if method.kind == "marker_based":
+            return "marker_based[noise]" if method.noise else "marker_based[no_noise]"
+        if method.kind == "markerless_surrogate":
+            return f"markerless_surrogate[{method.profile}]"
+        return f"markerless_ingest[{method.path}]"
 
     def cloth_params(self) -> ClothParams:
         return ClothParams(**self.cloth)
@@ -130,8 +150,8 @@ def cell_coordinates(config: BenchConfig) -> list[tuple[MotionSpec, str, int, Me
     ]
 
 
-def cell_id(motion: MotionSpec, build: str, drape: int, method: MethodSpec) -> str:
-    return f"{motion.motion_class}/{build}/{drape}/{method.kind}"
+def cell_id(motion: MotionSpec, build: str, drape: int, method_label: str) -> str:
+    return f"{motion.motion_class}/{build}/{drape}/{method_label}"
 
 
 def _derive_seed(*parts) -> int:
@@ -198,19 +218,13 @@ def _build_garment(config: BenchConfig, body: SkinnedBody, drape: int) -> Garmen
 def _simulate_garment(config, body, garment: Garment, seq, joint_pos, joint_orient):
     sk = body.skeleton
     rest_pos = sk.rest_positions()
-    t_count = seq.num_frames
-    collider_frames = [
-        body_capsules(sk, body.build_label, joint_positions=joint_pos[t]) for t in range(t_count)
-    ]
+    collider_frames = [body_capsules(sk, body.build_label, joint_positions=p) for p in joint_pos]
     # Rigid pose targets: pinned vertices follow their binding joint's frame.
     pin_idx = np.nonzero(garment.pinned)[0]
     pin_joints = garment.binding_joint[pin_idx]
     v_rest = garment.mesh.vertices[pin_idx]
     local = v_rest - rest_pos[pin_joints]
-    pin_frames = np.empty((t_count, len(pin_idx), 3))
-    for t in range(t_count):
-        q = joint_orient[t, pin_joints]
-        pin_frames[t] = joint_pos[t, pin_joints] + rot.rotate(q, local)
+    pin_frames = joint_pos[:, pin_joints] + rot.rotate(joint_orient[:, pin_joints], local)
     # Initial guess: every vertex rides its binding joint into frame 0.
     all_local = garment.mesh.vertices - rest_pos[garment.binding_joint]
     q0 = joint_orient[0, garment.binding_joint]
@@ -235,8 +249,9 @@ def run_cell(
     artifacts_dir: str | None = None,
 ) -> CellResult:
     """Execute one benchmark cell; deterministic given config.seed."""
-    result = CellResult(motion.motion_class, build, drape, method.kind)
-    cell_seed = _derive_seed(config.seed, motion.motion_class, build, drape, method.kind)
+    label = config.method_label(method)
+    result = CellResult(motion.motion_class, build, drape, label)
+    cell_seed = _derive_seed(config.seed, motion.motion_class, build, drape, label)
     body = build_parametric_body(build)
     sk = body.skeleton
     seq = _load_motion(config, motion, sk, build)
@@ -279,7 +294,7 @@ def run_cell(
         result.source_label = "virtual_markers"
         if config.export_bvh and artifacts_dir:
             est_seq = reconstruct_pose_from_markers(traj, sk, seq.motion_class)
-            name = cell_id(motion, build, drape, method).replace("/", "_") + ".bvh"
+            name = cell_id(motion, build, drape, label).replace("/", "_") + ".bvh"
             with open(os.path.join(artifacts_dir, name), "w") as fh:
                 fh.write(write_bvh(est_seq))
     else:
@@ -294,18 +309,19 @@ def run_cell(
                 raise ValueError(
                     f"estimate fps {est.fps} does not match motion fps {seq.fps}"
                 )
+            if len(est.positions) != seq.num_frames:
+                raise ValueError(
+                    f"estimate has {len(est.positions)} frames, motion has {seq.num_frames}"
+                )
         norm = normalize_estimate(est, target_height=body.height)
-        t = min(len(norm.absolute), len(joint_pos))
-        gt_p = joint_pos[:t]
-        est_ang, est_ang_mask = angles_from_positions(sk, norm.absolute[:t], norm.valid)
-        ang_mask = gt_ang_mask[:t] & est_ang_mask
-        pos_valid = np.broadcast_to(norm.valid, (t, sk.num_joints))
-        result.frames = t
+        est_ang, est_ang_mask = angles_from_positions(sk, norm.absolute, norm.valid)
+        ang_mask = gt_ang_mask & est_ang_mask
+        pos_valid = np.broadcast_to(norm.valid, (seq.num_frames, sk.num_joints))
         result.variants["absolute"] = _metric_row(
-            gt_p, norm.absolute[:t], pos_valid, gt_ang[:t], est_ang, ang_mask
+            joint_pos, norm.absolute, pos_valid, gt_ang, est_ang, ang_mask
         )
         result.variants["root_aligned"] = _metric_row(
-            gt_p - gt_p[:, :1], norm.root_aligned[:t], pos_valid, gt_ang[:t], est_ang, ang_mask
+            joint_pos - joint_pos[:, :1], norm.root_aligned, pos_valid, gt_ang, est_ang, ang_mask
         )
         result.source_label = est.source_label
     return result
@@ -313,14 +329,13 @@ def run_cell(
 
 def _cell_worker(args) -> tuple[str, dict, float]:
     config, motion, build, drape, method, artifacts_dir = args
+    label = config.method_label(method)
     tic = time.perf_counter()
     try:
         cell = run_cell(config, motion, build, drape, method, artifacts_dir)
     except Exception as exc:  # cell isolation: a blow-up must not kill the sweep
-        cell = CellResult(
-            motion.motion_class, build, drape, method.kind, status="error", error=f"{exc}"
-        )
-    return cell_id(motion, build, drape, method), cell.to_dict(), time.perf_counter() - tic
+        cell = CellResult(motion.motion_class, build, drape, label, status="error", error=f"{exc}")
+    return cell_id(motion, build, drape, label), cell.to_dict(), time.perf_counter() - tic
 
 
 def run_benchmark(config: BenchConfig, artifacts_dir: str | None = None) -> BenchmarkReport:
@@ -349,7 +364,7 @@ def run_benchmark(config: BenchConfig, artifacts_dir: str | None = None) -> Benc
     cells = []
     wall_times = {}
     for m, b, d, meth in coords:
-        cid = cell_id(m, b, d, meth)
+        cid = cell_id(m, b, d, config.method_label(meth))
         cell_dict, wall = results[cid]
         cells.append(CellResult.from_dict(cell_dict))
         wall_times[cid] = round(wall, 3)
@@ -405,7 +420,7 @@ def read_report(path: str) -> BenchmarkReport:
 
 
 def emit_plot_data(report: BenchmarkReport, out_dir: str) -> list[str]:
-    """One plot-ready CSV per (motion class, metric): drape class vs series.
+    """One plot-ready CSV per (motion class, build, metric): drape class vs series.
 
     Columns are method:variant series; a missing cell leaves an empty field
     rather than a zero.
@@ -414,6 +429,7 @@ def emit_plot_data(report: BenchmarkReport, out_dir: str) -> list[str]:
         raise ValueError("report has no cells to plot")
     os.makedirs(out_dir, exist_ok=True)
     motions = sorted({c.motion_class for c in report.cells})
+    builds = sorted({c.build for c in report.cells})
     classes = sorted({c.drape_class for c in report.cells})
     series = sorted(
         {
@@ -423,22 +439,23 @@ def emit_plot_data(report: BenchmarkReport, out_dir: str) -> list[str]:
             for v in c.variants
         }
     )
-    by_key = {(c.motion_class, c.drape_class, c.method): c for c in report.cells if c.status == "ok"}
+    by_key = {c.key(): c for c in report.cells if c.status == "ok"}
     written = []
     for metric in ("mpjpe_m", "crmse_deg"):
         for motion in motions:
-            lines = ["drape_class," + ",".join(f"{m}:{v}" for m, v in series)]
-            for drape in classes:
-                fields = [str(drape)]
-                for m, v in series:
-                    cell = by_key.get((motion, drape, m))
-                    if cell is not None and v in cell.variants:
-                        fields.append(repr(cell.variants[v][metric]))
-                    else:
-                        fields.append("")
-                lines.append(",".join(fields))
-            path = os.path.join(out_dir, f"plot_{motion}_{metric}.csv")
-            with open(path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-            written.append(path)
+            for build in builds:
+                lines = ["drape_class," + ",".join(f"{m}:{v}" for m, v in series)]
+                for drape in classes:
+                    fields = [str(drape)]
+                    for m, v in series:
+                        cell = by_key.get((motion, build, drape, m))
+                        if cell is not None and v in cell.variants:
+                            fields.append(repr(cell.variants[v][metric]))
+                        else:
+                            fields.append("")
+                    lines.append(",".join(fields))
+                path = os.path.join(out_dir, f"plot_{motion}_{build}_{metric}.csv")
+                with open(path, "w") as fh:
+                    fh.write("\n".join(lines) + "\n")
+                written.append(path)
     return written

@@ -1,7 +1,9 @@
-"""Parametric capsule bodies, linear blend skinning, and bone colliders.
+"""Parametric capsule bodies and bone colliders.
 
 The six build labels are engine constants for desk-scale benchmarking; they
-are not measurements of any particular person or dataset.
+are not measurements of any particular person or dataset. The body surface
+is never posed: skin markers ride their joint's bone frame and collisions
+use per-bone capsules, so only the rest-pose template is built.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rotations as rot
 from .kinematics import Skeleton, default_skeleton
 from .mesh import TriMesh, merge_meshes
 from .primitives import capsule_mesh
@@ -84,29 +85,11 @@ _TORSO_BONES = {
 
 @dataclass(frozen=True)
 class SkinnedBody:
-    """Rest-pose template mesh bound to a skeleton by per-vertex weights."""
+    """Rest-pose template mesh of a build over its skeleton."""
 
     template: TriMesh
     skeleton: Skeleton
-    weights: np.ndarray  # (V, J), rows sum to 1, at most 4 non-zeros per row
     build_label: str
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if w.shape != (self.template.num_vertices, self.skeleton.num_joints):
-            raise ValueError("weights must be (num_vertices, num_joints)")
-        if np.any(w < 0):
-            raise ValueError("skinning weights must be non-negative")
-        if np.any(np.abs(w.sum(axis=1) - 1.0) > 1e-6):
-            raise ValueError("skinning weights must sum to 1 per vertex")
-        if np.any((w > 0).sum(axis=1) > 4):
-            raise ValueError("at most 4 joint influences per vertex")
-
-    def rest_transforms(self) -> tuple[np.ndarray, np.ndarray]:
-        orientations = np.zeros((self.skeleton.num_joints, 4))
-        orientations[:, 0] = 1.0
-        return self.skeleton.rest_positions(), orientations
 
     @property
     def height(self) -> float:
@@ -154,69 +137,11 @@ def body_capsules(
     return caps
 
 
-def _segment_distances(points: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    d = p1 - p0
-    denom = float(d @ d)
-    if denom < 1e-18:
-        return np.linalg.norm(points - p0, axis=-1)
-    t = np.clip(((points - p0) @ d) / denom, 0.0, 1.0)
-    closest = p0 + t[:, None] * d[None, :]
-    return np.linalg.norm(points - closest, axis=-1)
-
-
-def _falloff_weights(vertices: np.ndarray, skeleton: Skeleton, capsules: list[Capsule], sigma: float = 0.04) -> np.ndarray:
-    """Nearest-bone weights with gaussian falloff, 4 influences, normalized.
-
-    Bone j's influence is credited to the parent joint of bone (parent -> j),
-    which is the joint whose transform moves that bone under FK.
-    """
-    n = len(vertices)
-    j_count = skeleton.num_joints
-    dist = np.full((n, j_count), np.inf)
-    for bone_child, cap in enumerate(capsules, start=1):
-        owner = skeleton.parents[bone_child]
-        d = _segment_distances(vertices, cap.p0, cap.p1) - cap.radius
-        dist[:, owner] = np.minimum(dist[:, owner], d)
-    order = np.argsort(dist, axis=1)[:, :4]
-    picked = np.take_along_axis(dist, order, axis=1)
-    scores = np.exp(-((picked - picked[:, :1]) / sigma) ** 2)
-    scores /= scores.sum(axis=1, keepdims=True)
-    weights = np.zeros((n, j_count))
-    np.put_along_axis(weights, order, scores, axis=1)
-    return weights
-
-
 def build_parametric_body(build_label: str, skeleton: Skeleton | None = None) -> SkinnedBody:
-    """Capsule-per-bone body template with smooth nearest-bone skin weights."""
+    """Capsule-per-bone body template (one capsule mesh per bone, merged)."""
     skeleton = skeleton if skeleton is not None else body_skeleton(build_label)
     if build_label not in BUILD_CATALOG:
         raise ValueError(f"unknown build label {build_label!r}; choose from {sorted(BUILD_CATALOG)}")
     capsules = body_capsules(skeleton, build_label)
     pieces = [capsule_mesh(c.p0, c.p1, c.radius, n_theta=14, n_axial=3, n_cap=3) for c in capsules]
-    template = merge_meshes(pieces)
-    weights = _falloff_weights(template.vertices, skeleton, capsules)
-    return SkinnedBody(template, skeleton, weights, build_label)
-
-
-def skin_lbs(body: SkinnedBody, positions: np.ndarray, orientations: np.ndarray) -> TriMesh:
-    """Linear blend skinning of the template under posed joint transforms.
-
-    positions (J, 3) and orientations (J, 4) come from one frame of FK on
-    the body's skeleton. At the rest pose the template is returned unchanged.
-    """
-    sk = body.skeleton
-    if positions.shape != (sk.num_joints, 3) or orientations.shape != (sk.num_joints, 4):
-        raise ValueError("transforms do not match the body's skeleton")
-    rest_pos, rest_orient = body.rest_transforms()
-    out = np.zeros_like(body.template.vertices)
-    v = body.template.vertices
-    for j in range(sk.num_joints):
-        w = body.weights[:, j]
-        idx = np.nonzero(w)[0]
-        if len(idx) == 0:
-            continue
-        # x -> R_j R_rest^-1 (x - p_rest) + p_j
-        q = rot.multiply(orientations[j], rot.conjugate(rest_orient[j]))
-        moved = rot.rotate(q, v[idx] - rest_pos[j]) + positions[j]
-        out[idx] += w[idx, None] * moved
-    return body.template.with_vertices(out)
+    return SkinnedBody(merge_meshes(pieces), skeleton, build_label)

@@ -212,6 +212,9 @@ def _fmt(v: float) -> str:
 def write_bvh(seq: MotionSequence) -> str:
     """Serialize a MotionSequence: ZXY rotation channels, frame time 1/fps.
 
+    The frame time is written as the shortest decimal that reads back as the
+    same float, so the frame rate survives a write/parse round trip.
+
     Frame values follow the hierarchy's depth-first traversal, as BVH requires.
     """
     sk = seq.skeleton
@@ -245,7 +248,7 @@ def write_bvh(seq: MotionSequence) -> str:
     emit(0, 0)
     lines.append("MOTION")
     lines.append(f"Frames: {seq.num_frames}")
-    lines.append(f"Frame Time: {1.0 / seq.fps:.7f}")
+    lines.append(f"Frame Time: {1.0 / seq.fps!r}")
     eul = rot.to_euler_zxy(seq.local_rotations, degrees=True)[:, traversal]
     for root_t, angles in zip(seq.root_translations, eul):
         vals = [_fmt(v) for v in root_t]

@@ -9,6 +9,7 @@ import sys
 
 from .bench import (
     BenchConfig,
+    cell_coordinates,
     cell_id,
     emit_plot_data,
     read_report,
@@ -52,14 +53,11 @@ def _cmd_drape(args) -> int:
 def _cmd_simulate(args) -> int:
     config = BenchConfig.load(args.config)
     want = args.cell
-    for motion in config.motions:
-        for build in config.builds:
-            for drape in config.drape_classes:
-                for method in config.methods:
-                    if cell_id(motion, build, drape, method) == want:
-                        cell = run_cell(config, motion, build, drape, method)
-                        print(json.dumps(cell.to_dict(), sort_keys=True, indent=1))
-                        return 0 if cell.status == "ok" else 1
+    for motion, build, drape, method in cell_coordinates(config):
+        if cell_id(motion, build, drape, config.method_label(method)) == want:
+            cell = run_cell(config, motion, build, drape, method)
+            print(json.dumps(cell.to_dict(), sort_keys=True, indent=1))
+            return 0 if cell.status == "ok" else 1
     print(f"cell {want!r} not in the configured matrix", file=sys.stderr)
     return 2
 
@@ -96,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sim = sub.add_parser("simulate", help="run a single cell of the matrix")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--cell", required=True,
-                       help="cell coordinates motion_class/build/drape_class/method")
+                       help="cell coordinates motion_class/build/drape_class/method_label")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_rep = sub.add_parser("report", help="re-emit CSV (and plot tables) from a report.json")

@@ -206,15 +206,6 @@ def ray_hits(
     return np.stack([t[idx], idx.astype(float), u[idx], v[idx]], axis=-1) if len(idx) else np.zeros((0, 4))
 
 
-def ray_surface_point(origin, direction, mesh: TriMesh, farthest: bool = True) -> SurfacePoint | None:
-    """SurfacePoint at the nearest (or farthest) ray crossing, or None."""
-    hits = ray_hits(origin, direction, mesh)
-    if len(hits) == 0:
-        return None
-    row = hits[np.argmax(hits[:, 0])] if farthest else hits[np.argmin(hits[:, 0])]
-    return _hit_to_surface_point(row)
-
-
 def _hit_to_surface_point(row: np.ndarray) -> SurfacePoint:
     _, face, u, v = row
     u = min(max(u, 0.0), 1.0)

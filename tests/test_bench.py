@@ -108,7 +108,7 @@ def test_empty_report_headers_only(tmp_path):
 
 def test_plot_data_layout(small_report, tmp_path):
     files = emit_plot_data(small_report, str(tmp_path))
-    assert len(files) == 2  # one motion class x two metrics
+    assert len(files) == 2  # one motion class x one build x two metrics
     path = [f for f in files if "mpjpe" in f][0]
     lines = open(path).read().strip().splitlines()
     header = lines[0].split(",")
@@ -238,3 +238,121 @@ def test_cli_exit_code_on_failure(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(cfg.to_json())
     assert cli_main(["run", "--config", str(cfg_path)]) == 1
+
+
+def _unclothed(**overrides):
+    return tiny_config(drape_classes=(1,), garment_categories=(), **overrides)
+
+
+def test_recurring_method_kinds_get_their_own_rows():
+    cfg = _unclothed(methods=(
+        MethodSpec("marker_based", noise=True),
+        MethodSpec("marker_based", noise=False),
+        MethodSpec("markerless_surrogate", profile="basic_err"),
+        MethodSpec("markerless_surrogate", profile="extreme_err"),
+    ))
+    report = run_benchmark(cfg)
+    rows = {c.method: c for c in report.cells}
+    assert list(rows) == [
+        "marker_based[noise]", "marker_based[no_noise]",
+        "markerless_surrogate[basic_err]", "markerless_surrogate[extreme_err]",
+    ]
+    assert not report.failed_cells
+    # 5 mm marker noise: midpoint error (5 mm / sqrt 3 / sqrt 2) x 2 sqrt(2 / pi) = 3.257 mm.
+    assert abs(rows["marker_based[noise]"].variants["all_markers"]["mpjpe_m"] - 0.003257) < 0.0003
+    assert rows["marker_based[no_noise]"].variants["all_markers"]["mpjpe_m"] < 1e-6
+    basic = rows["markerless_surrogate[basic_err]"].variants
+    extreme = rows["markerless_surrogate[extreme_err]"].variants
+    assert basic != extreme
+    assert extreme["root_aligned"]["mpjpe_m"] > basic["root_aligned"]["mpjpe_m"]
+    assert sorted(report.metadata["cell_wall_times_s"]) == sorted(
+        f"basic/female_average/1/{label}" for label in rows
+    )
+    # A rerun of one cell alone reproduces its row.
+    alone = run_cell(cfg, cfg.motions[0], "female_average", 1, cfg.methods[0])
+    assert alone.to_dict() == rows["marker_based[noise]"].to_dict()
+
+
+def test_unique_method_kind_keeps_its_label():
+    cfg = tiny_config()
+    assert [cfg.method_label(m) for m in cfg.methods] == ["marker_based", "markerless_surrogate"]
+
+
+def test_config_refuses_colliding_cells():
+    with pytest.raises(ValueError, match="marker_based"):
+        tiny_config(methods=(MethodSpec("marker_based"), MethodSpec("marker_based")))
+    with pytest.raises(ValueError, match="basic"):
+        tiny_config(motions=(MotionSpec("basic", duration_s=1.0), MotionSpec("basic", duration_s=2.0)))
+
+
+def test_cli_simulate_selects_a_labelled_cell(tmp_path, capsys):
+    cfg = _unclothed(methods=(MethodSpec("marker_based", noise=True),
+                              MethodSpec("marker_based", noise=False)))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(cfg.to_json())
+    rc = cli_main(["simulate", "--config", str(cfg_path),
+                   "--cell", "basic/female_average/1/marker_based[no_noise]"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert out["method"] == "marker_based[no_noise]"
+    assert out["variants"]["all_markers"]["mpjpe_m"] < 1e-6
+
+
+def _ground_truth_estimate(tmp_path, seq, fps, frames=None):
+    from drapebench.estimates import ExternalEstimate, export_estimate
+    from drapebench.kinematics import sequence_transforms
+
+    joints, _ = sequence_transforms(seq)
+    path = tmp_path / "estimate.json"
+    path.write_text(export_estimate(ExternalEstimate("smpl24", fps, joints[:frames])))
+    return str(path)
+
+
+def test_ingest_refuses_frame_count_mismatch(tmp_path):
+    from drapebench.bench import _load_motion
+    from drapebench.body import body_skeleton
+
+    cfg = _unclothed()
+    seq = _load_motion(cfg, cfg.motions[0], body_skeleton("female_average"), "female_average")
+    path = _ground_truth_estimate(tmp_path, seq, seq.fps, frames=seq.num_frames - 1)
+    cfg = _unclothed(methods=(MethodSpec("markerless_ingest", path=path),))
+    cell = run_benchmark(cfg).cells[0]
+    assert cell.status == "error"
+    assert cell.error == "estimate has 29 frames, motion has 30"
+
+
+def test_ingest_of_a_written_30_fps_clip(tmp_path):
+    from drapebench.bench import _load_motion
+    from drapebench.body import body_skeleton
+    from drapebench.bvh import write_bvh
+    from drapebench.kinematics import procedural_motion
+
+    sk = body_skeleton("female_average")
+    clip = tmp_path / "clip.bvh"
+    clip.write_text(write_bvh(procedural_motion("basic", 1.0, 30.0, 4, sk)))
+    motion = MotionSpec("basic", source=str(clip), duration_s=1.0, fps=30.0)
+    seq = _load_motion(_unclothed(), motion, sk, "female_average")
+    assert seq.fps == 30.0
+    path = _ground_truth_estimate(tmp_path, seq, 30.0)
+    cfg = _unclothed(motions=(motion,), methods=(MethodSpec("markerless_ingest", path=path),))
+    cell = run_benchmark(cfg).cells[0]
+    assert cell.status == "ok", cell.error
+    assert cell.frames == 30
+    assert cell.variants["root_aligned"]["crmse_deg"] < 0.01
+
+
+def test_plot_tables_are_per_build(tmp_path):
+    def cell(build, value):
+        return CellResult("basic", build, 1, "marker_based", frames=10, variants={
+            "all_markers": {"mpjpe_m": value, "crmse": 0.1, "crmse_deg": 5.0}})
+
+    report = BenchmarkReport([cell("female_small", 0.008), cell("male_large", 0.0094)], {})
+    files = emit_plot_data(report, str(tmp_path))
+    names = sorted(os.path.basename(f) for f in files)
+    assert names == [
+        "plot_basic_female_small_crmse_deg.csv", "plot_basic_female_small_mpjpe_m.csv",
+        "plot_basic_male_large_crmse_deg.csv", "plot_basic_male_large_mpjpe_m.csv",
+    ]
+    for build, value in (("female_small", 0.008), ("male_large", 0.0094)):
+        rows = (tmp_path / f"plot_basic_{build}_mpjpe_m.csv").read_text().strip().splitlines()
+        assert rows[1] == f"1,{value!r}"

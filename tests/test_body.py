@@ -1,19 +1,14 @@
 import numpy as np
 import pytest
 
-from drapebench import rotations as rot
 from drapebench.body import (
     BUILD_CATALOG,
     Capsule,
-    SkinnedBody,
     body_capsules,
     body_skeleton,
     build_parametric_body,
-    skin_lbs,
 )
-from drapebench.kinematics import MotionSequence, Skeleton, sequence_transforms
 from drapebench.mesh import enclosed_volume
-from drapebench.primitives import capsule_mesh
 
 
 def test_all_builds_watertight_and_normalized():
@@ -21,9 +16,6 @@ def test_all_builds_watertight_and_normalized():
         b = build_parametric_body(label)
         assert b.template.is_watertight, label
         assert enclosed_volume(b.template) > 0, label
-        sums = b.weights.sum(axis=1)
-        assert np.abs(sums - 1.0).max() < 1e-6
-        assert ((b.weights > 0).sum(axis=1) <= 4).all()
         assert abs(b.skeleton.rest_height() - BUILD_CATALOG[label].height) < 1e-9
 
 
@@ -38,7 +30,7 @@ def test_build_deterministic():
     a = build_parametric_body("male_small")
     b = build_parametric_body("male_small")
     assert np.array_equal(a.template.vertices, b.template.vertices)
-    assert np.array_equal(a.weights, b.weights)
+    assert np.array_equal(a.template.faces, b.template.faces)
 
 
 def test_unknown_label_rejected():
@@ -46,51 +38,6 @@ def test_unknown_label_rejected():
         build_parametric_body("giant")
     with pytest.raises(ValueError):
         body_skeleton("giant")
-
-
-def test_skin_lbs_rest_identity(body):
-    pos, orient = body.rest_transforms()
-    out = skin_lbs(body, pos, orient)
-    assert np.abs(out.vertices - body.template.vertices).max() < 1e-9
-
-
-def test_skin_lbs_single_joint_rigid():
-    sk = Skeleton(("root", "tip"), (-1, 0), np.array([[0.0, 0, 0], [0.0, 0.4, 0]]))
-    mesh = capsule_mesh(np.zeros(3), np.array([0.0, 0.4, 0.0]), 0.05)
-    weights = np.zeros((mesh.num_vertices, 2))
-    weights[:, 0] = 1.0
-    body = SkinnedBody(mesh, sk, weights, "female_average")
-    q = np.stack([rot.from_axis_angle([0, 0, 1], np.pi / 2), rot.IDENTITY])
-    pos, orient = sequence_transforms(MotionSequence(sk, 30.0, np.zeros((1, 3)), q[None]))
-    out = skin_lbs(body, pos[0], orient[0])
-    expected = rot.rotate(q[0], mesh.vertices)
-    assert np.abs(out.vertices - expected).max() < 1e-9
-
-
-def test_skin_lbs_blend_is_half_translation():
-    sk = Skeleton(("root", "tip"), (-1, 0), np.array([[0.0, 0, 0], [0.0, 0.4, 0]]))
-    mesh = capsule_mesh(np.zeros(3), np.array([0.0, 0.4, 0.0]), 0.05)
-    weights = np.full((mesh.num_vertices, 2), 0.5)
-    body = SkinnedBody(mesh, sk, weights, "female_average")
-    rest_pos, rest_orient = body.rest_transforms()
-    # Translate the whole skeleton: joint 0 fixed via identity, joint 1 moved.
-    pos = rest_pos.copy()
-    pos[1] = pos[1] + np.array([0.2, 0.0, 0.0])
-    out = skin_lbs(body, pos, rest_orient)
-    shift = out.vertices - mesh.vertices
-    assert np.abs(shift - np.array([0.1, 0.0, 0.0])).max() < 1e-9
-
-
-def test_skin_lbs_rejects_mismatched_transforms(body):
-    with pytest.raises(ValueError):
-        skin_lbs(body, np.zeros((3, 3)), np.zeros((3, 4)))
-
-
-def test_weight_validation(body):
-    bad = body.weights.copy()
-    bad[0] *= 2.0
-    with pytest.raises(ValueError, match="sum to 1"):
-        SkinnedBody(body.template, body.skeleton, bad, body.build_label)
 
 
 def test_body_capsules_cover_every_bone(body):

@@ -155,3 +155,9 @@ Frame Time: 0.04
     expected = rot.from_euler("XYZ", np.array([10.0, 20.0, 30.0]), degrees=True)
     got = seq.local_rotations[0, 0]
     assert min(np.abs(got - expected).max(), np.abs(got + expected).max()) < 1e-12
+
+
+@pytest.mark.parametrize("fps", [24.0, 25.0, 30.0, 60.0, 120.0])
+def test_frame_rate_round_trips_exactly(skeleton, fps):
+    seq = procedural_motion("basic", 0.5, fps, 1, skeleton)
+    assert parse_bvh(write_bvh(seq)).fps == fps

@@ -223,15 +223,67 @@ def test_swing_recovery_masks_unusable_bones(skeleton, rng):
     assert {0, 1, 2, 3} <= set(n_usable.tolist())
 
 
-def test_swing_recovery_root_fit_matches_each_frame(skeleton, rng):
-    """Frames recovered together equal frames recovered one at a time."""
+def _loop_fk(seq):
+    """Reference FK: one frame and one joint at a time."""
+    sk = seq.skeleton
+    positions = np.empty(seq.local_rotations.shape[:2] + (3,))
+    orientations = np.empty_like(seq.local_rotations)
+    for t in range(seq.num_frames):
+        positions[t, 0] = seq.root_translations[t]
+        orientations[t, 0] = seq.local_rotations[t, 0]
+        for i in range(1, sk.num_joints):
+            p = sk.parents[i]
+            positions[t, i] = positions[t, p] + rot.rotate(orientations[t, p], sk.rest_offsets[i])
+            orientations[t, i] = rot.multiply(orientations[t, p], seq.local_rotations[t, i])
+    return positions, orientations
+
+
+def _loop_swing_recovery(skeleton, positions, valid):
+    """Reference swing recovery: one frame and one joint at a time."""
+    t_count, j_count = valid.shape
+    root = np.zeros((t_count, 3))
+    locals_q = np.tile([1.0, 0.0, 0.0, 0.0], (t_count, j_count, 1))
+    observed = np.zeros((t_count, j_count), dtype=bool)
+    for t in range(t_count):
+        p, ok = positions[t], valid[t]
+        kids = [c for c in skeleton.children(0)
+                if ok[0] and ok[c] and np.linalg.norm(p[c] - p[0]) > 1e-12]
+        if len(kids) >= 2:
+            rest = skeleton.rest_offsets[kids]
+            rest = rest / np.linalg.norm(rest, axis=1, keepdims=True)
+            obs = p[kids] - p[0]
+            obs = obs / np.linalg.norm(obs, axis=1, keepdims=True)
+            u, _, vt = np.linalg.svd(obs.T @ rest)
+            d = np.sign(np.linalg.det(u @ vt))
+            locals_q[t, 0] = rot.from_matrix(u @ np.diag([1.0, 1.0, d]) @ vt)
+        elif len(kids) == 1:
+            locals_q[t, 0] = rot.between(skeleton.rest_offsets[kids[0]], p[kids[0]] - p[0])
+        observed[t, 0] = len(kids) > 0
+        globals_q = np.empty((j_count, 4))
+        globals_q[0] = locals_q[t, 0]
+        for j in range(1, j_count):
+            parent, c = skeleton.parents[j], skeleton.primary_child(j)
+            if c is not None and ok[j] and ok[c] and np.linalg.norm(p[c] - p[j]) > 1e-12:
+                d_parent = rot.rotate(rot.conjugate(globals_q[parent]), p[c] - p[j])
+                locals_q[t, j] = rot.between(skeleton.rest_offsets[c], d_parent)
+                observed[t, j] = True
+            globals_q[j] = rot.multiply(globals_q[parent], locals_q[t, j])
+        if ok[0]:
+            root[t] = p[0]
+    return root, locals_q, observed
+
+
+def test_fk_matches_per_frame_loop_bit_for_bit(skeleton, rng):
+    seq = random_motion(skeleton, rng, 50)
+    for ours, loop in zip(sequence_transforms(seq), _loop_fk(seq)):
+        assert np.array_equal(ours, loop)
+
+
+def test_swing_recovery_matches_per_frame_loop_bit_for_bit(skeleton, rng):
     seq = procedural_motion("extreme", 1.0, 30, 3, skeleton)
     positions, _ = sequence_transforms(seq)
     positions = positions + rng.normal(0.0, 0.01, positions.shape)
     valid = rng.uniform(size=positions.shape[:2]) > 0.3
-    root, q, observed = poses_from_joint_positions(skeleton, positions, valid)
-    for t in range(len(positions)):
-        r1, q1, o1 = poses_from_joint_positions(skeleton, positions[t:t + 1], valid[t:t + 1])
-        assert np.array_equal(r1[0], root[t])
-        assert np.array_equal(q1[0], q[t])
-        assert np.array_equal(o1[0], observed[t])
+    ours = poses_from_joint_positions(skeleton, positions, valid)
+    for got, want in zip(ours, _loop_swing_recovery(skeleton, positions, valid)):
+        assert np.array_equal(got, want)
