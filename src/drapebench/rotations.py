@@ -118,7 +118,12 @@ def from_matrix(m: np.ndarray) -> np.ndarray:
     a = flat[pos]
     s = np.sqrt(t[pos] + 1.0) * 2.0
     q[pos] = np.stack(
-        [0.25 * s, (a[:, 2, 1] - a[:, 1, 2]) / s, (a[:, 0, 2] - a[:, 2, 0]) / s, (a[:, 1, 0] - a[:, 0, 1]) / s],
+        [
+            0.25 * s,
+            (a[:, 2, 1] - a[:, 1, 2]) / s,
+            (a[:, 0, 2] - a[:, 2, 0]) / s,
+            (a[:, 1, 0] - a[:, 0, 1]) / s,
+        ],
         axis=-1,
     )
     b = flat[~pos]
