@@ -302,7 +302,7 @@ def run_cell(
             profile = method.profile
             if profile == "auto":
                 profile = _AUTO_PROFILE[motion.motion_class]
-            est = surrogate_estimator(seq, profile, cell_seed)
+            est = surrogate_estimator(joint_pos, seq.fps, profile, cell_seed)
         else:
             est = ingest_estimates(method.path)
             if abs(est.fps - seq.fps) > 1e-9:

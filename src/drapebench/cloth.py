@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rotations as rot
 from .body import Capsule
 from .mesh import TriMesh
 
@@ -29,6 +30,10 @@ COLLISION_OFFSET = 0.003  # cloth thickness folded into the collision radius
 # without drag a hanging garment swings as an undamped pendulum and a static
 # scene never settles. Fabric motion in air is drag-dominated anyway.
 AIR_DRAG = 4.0
+# Two hops from a vertex make a bend spring when the angle between them
+# exceeds this, i.e. the path through the vertex is nearly straight.
+BEND_STRAIGHT_DEG = 150.0
+_BEND_COS = np.cos(np.deg2rad(BEND_STRAIGHT_DEG))
 
 
 class ClothSimulationError(RuntimeError):
@@ -106,12 +111,13 @@ class ClothState:
         )
 
 
-def build_spring_network(mesh: TriMesh, straight_threshold_deg: float = 150.0) -> SpringNetwork:
+def build_spring_network(mesh: TriMesh) -> SpringNetwork:
     """Derive springs from mesh topology.
 
     structural: unique mesh edges. shear: the opposite-vertex pair of each
     interior edge (two triangles sharing it). bend: second structural
-    neighbors whose two hops are within straight_threshold_deg of collinear.
+    neighbors whose two hops are within BEND_STRAIGHT_DEG of collinear.
+    Every pair array is sorted by row.
     """
     faces = mesh.faces
     edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
@@ -122,33 +128,32 @@ def build_spring_network(mesh: TriMesh, straight_threshold_deg: float = 150.0) -
         raise ValueError("non-manifold edge (more than two incident faces)")
     structural = uniq
 
-    shear_pairs = []
-    by_edge: dict[int, list[int]] = {}
-    for row, e in enumerate(inverse):
-        by_edge.setdefault(int(e), []).append(int(opposite[row]))
-    for e, opp in by_edge.items():
-        if len(opp) == 2 and opp[0] != opp[1]:
-            shear_pairs.append(sorted(opp))
-    shear = np.array(sorted(map(tuple, shear_pairs)), dtype=np.int64) if shear_pairs else np.zeros((0, 2), dtype=np.int64)
+    # Group the opposite vertices by edge; an interior edge owns two in a row.
+    opp = opposite[np.argsort(inverse, kind="stable")]
+    first = (np.cumsum(counts) - counts)[counts == 2]
+    o1, o2 = opp[first], opp[first + 1]
+    distinct = o1 != o2
+    lo, hi = np.minimum(o1, o2)[distinct], np.maximum(o1, o2)[distinct]
+    order = np.lexsort((hi, lo))
+    shear = np.stack([lo[order], hi[order]], axis=-1)
 
-    neighbors: dict[int, set[int]] = {}
-    for a, b in structural:
-        neighbors.setdefault(int(a), set()).add(int(b))
-        neighbors.setdefault(int(b), set()).add(int(a))
-    cos_thresh = np.cos(np.deg2rad(straight_threshold_deg))
-    bend_set = set()
+    # Every vertex's neighbors, ascending, and all pairs a < b among them.
+    hub = np.concatenate([structural[:, 0], structural[:, 1]])
+    nbr = np.concatenate([structural[:, 1], structural[:, 0]])
+    order = np.lexsort((nbr, hub))
+    hub, nbr = hub[order], nbr[order]
+    group_end = np.searchsorted(hub, hub, side="right")
+    # Entry p pairs with each of the `later[p]` entries after it in its group.
+    later = group_end - np.arange(len(hub)) - 1
+    a_idx = np.repeat(np.arange(len(hub)), later)
+    b_idx = a_idx + 1 + np.arange(len(a_idx)) - np.repeat(np.cumsum(later) - later, later)
     verts = mesh.vertices
-    for v, nbrs in neighbors.items():
-        nbrs = sorted(nbrs)
-        for ii in range(len(nbrs)):
-            for jj in range(ii + 1, len(nbrs)):
-                a, b = nbrs[ii], nbrs[jj]
-                da = verts[a] - verts[v]
-                db = verts[b] - verts[v]
-                cos_ab = float(da @ db / (np.linalg.norm(da) * np.linalg.norm(db)))
-                if cos_ab < cos_thresh:  # nearly opposite directions: straight path
-                    bend_set.add((a, b) if a < b else (b, a))
-    bend = np.array(sorted(bend_set), dtype=np.int64) if bend_set else np.zeros((0, 2), dtype=np.int64)
+    center = verts[hub[a_idx]]
+    da = verts[nbr[a_idx]] - center
+    db = verts[nbr[b_idx]] - center
+    cos_ab = rot.dot(da, db) / (np.sqrt(rot.dot(da, da)) * np.sqrt(rot.dot(db, db)))
+    straight = cos_ab < _BEND_COS  # nearly opposite directions: straight path
+    bend = np.unique(np.stack([nbr[a_idx][straight], nbr[b_idx][straight]], axis=-1), axis=0)
 
     def rest(pairs):
         if len(pairs) == 0:

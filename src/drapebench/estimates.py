@@ -245,9 +245,9 @@ SURROGATE_PROFILES = {
 
 
 def surrogate_estimator(
-    gt: MotionSequence, profile: str | SurrogateProfile, seed: int
+    positions: np.ndarray, fps: float, profile: str | SurrogateProfile, seed: int
 ) -> ExternalEstimate:
-    """Ground truth corrupted by a configurable error model.
+    """Ground-truth joint positions (T, 24, 3) corrupted by a configurable error model.
 
     Clearly labeled "surrogate:<profile>" so it can never be mistaken for a
     real estimator's output in any report.
@@ -257,9 +257,8 @@ def surrogate_estimator(
         profile = SURROGATE_PROFILES[profile]
     else:
         name = "custom"
-    positions, _ = sequence_transforms(gt)
     rng = np.random.default_rng(seed)
-    t = np.arange(positions.shape[0]) / gt.fps
+    t = np.arange(positions.shape[0]) / fps
     noisy = positions + rng.normal(0.0, profile.noise_sigma, size=positions.shape)
     if profile.drift_amplitude > 0.0:
         phase = rng.uniform(0.0, 2.0 * np.pi, size=(1, positions.shape[1], 3))
@@ -267,4 +266,4 @@ def surrogate_estimator(
             2.0 * np.pi * profile.drift_hz * t[:, None, None] + phase
         )
         noisy = noisy + drift
-    return ExternalEstimate("smpl24", gt.fps, noisy, f"surrogate:{name}")
+    return ExternalEstimate("smpl24", fps, noisy, f"surrogate:{name}")

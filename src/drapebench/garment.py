@@ -16,8 +16,10 @@ import numpy as np
 
 from . import rotations as rot
 from .body import Capsule, SkinnedBody, body_capsules
-from .mesh import TriMesh, cap_boundaries, enclosed_volume, merge_meshes
-from .primitives import _orthonormal_frame, tube_from_rings
+from .mesh import (
+    TriMesh, boundary_caps, cap_vertices, enclosed_volume, is_closed, merge_meshes, signed_volume,
+)
+from .primitives import _grid_tube_faces, _orthonormal_frame
 
 GARMENT_CATEGORIES = ("tshirt", "trousers", "unicloth")
 
@@ -29,6 +31,7 @@ DEFAULT_DRAPE_THRESHOLDS = (0.05, 0.15, 0.30, 0.60, 1.00)
 _MIN_RING_RADIUS = 0.02
 _MIN_SLACK = 0.002
 _MAX_SLACK = 0.80
+_BISECTION_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -214,7 +217,8 @@ _SLEEVES: dict[str, tuple[_SleeveSpec, ...]] = {
 
 
 class _SleeveGeometry:
-    """Slack-independent ring layout: stations, frames, base radii."""
+    """Slack-independent ring layout and topology: stations, frames, base
+    radii, tube faces and their end-capped closure."""
 
     def __init__(
         self,
@@ -288,9 +292,27 @@ class _SleeveGeometry:
         self.n_theta = n_theta
         self.n_rings = n_rings
 
-    def mesh(self, slack: float) -> TriMesh:
+        # Slack moves ring vertices only, so the capped topology is derived
+        # and checked once rather than at every drape evaluation.
+        self.faces = _grid_tube_faces(n_rings, n_theta)
+        self.cap_loops, self.capped_faces = boundary_caps(self.faces, n_rings * n_theta)
+        if not is_closed(self.capped_faces):
+            raise ValueError("sleeve tube does not close with end caps")
+
+    def vertices(self, slack: float) -> np.ndarray:
         rings = self.stations[:, None, :] + (self.base_radii[:, :, None] + slack) * self.dirs
-        return tube_from_rings(rings)
+        return rings.reshape(-1, 3)
+
+    def mesh(self, slack: float) -> TriMesh:
+        return TriMesh(self.vertices(slack), self.faces)
+
+    def capped(self, slack: float) -> TriMesh:
+        """The tube at this slack with its ring ends fanned shut."""
+        return TriMesh(cap_vertices(self.vertices(slack), self.cap_loops), self.capped_faces)
+
+    def capped_volume(self, slack: float) -> float:
+        capped = self.capped(slack)
+        return signed_volume(capped.vertices, capped.faces)
 
     def vertex_joints(self) -> np.ndarray:
         return np.repeat(self.ring_joint, self.n_theta)
@@ -302,23 +324,7 @@ class _SleeveGeometry:
         return mask
 
 
-def _capped_volume(mesh: TriMesh) -> float:
-    return enclosed_volume(cap_boundaries(mesh))
-
-
-def generate_garment(
-    body: SkinnedBody,
-    spec: GarmentSpec,
-    table: DrapeClassTable | None = None,
-    resolution_scale: float = 1.0,
-    max_iterations: int = 40,
-) -> Garment:
-    """Build a garment whose measured drape classifies to the target class.
-
-    A single radial slack is bisected against the drape ratio, which is
-    strictly increasing in slack. Deterministic for identical inputs.
-    """
-    table = table or DrapeClassTable()
+def _sleeves(body: SkinnedBody, category: str, resolution_scale: float) -> list[_SleeveGeometry]:
     joint_pos = body.skeleton.rest_positions()
     name_to_index = {n: i for i, n in enumerate(body.skeleton.joint_names)}
     capsules = body_capsules(body.skeleton, body.build_label)
@@ -328,22 +334,33 @@ def generate_garment(
     n_theta_torso = max(8, int(round(22 * resolution_scale)))
     n_theta_limb = max(6, int(round(14 * resolution_scale)))
     spacing = 0.045 / max(resolution_scale, 1e-6)
-
-    sleeves = []
-    for sl in _SLEEVES[spec.category]:
-        wide = sl.chain[0] == "pelvis"
-        sleeves.append(
-            _SleeveGeometry(
-                sl, joint_pos, name_to_index, caps_by_bone,
-                n_theta_torso if wide else n_theta_limb, spacing,
-            )
+    return [
+        _SleeveGeometry(
+            sl, joint_pos, name_to_index, caps_by_bone,
+            n_theta_torso if sl.chain[0] == "pelvis" else n_theta_limb, spacing,
         )
+        for sl in _SLEEVES[category]
+    ]
 
-    covered = merge_meshes([cap_boundaries(s.mesh(0.0)) for s in sleeves])
+
+def generate_garment(
+    body: SkinnedBody,
+    spec: GarmentSpec,
+    table: DrapeClassTable | None = None,
+    resolution_scale: float = 1.0,
+) -> Garment:
+    """Build a garment whose measured drape classifies to the target class.
+
+    A single radial slack is bisected against the drape ratio, which is
+    strictly increasing in slack. Deterministic for identical inputs.
+    """
+    table = table or DrapeClassTable()
+    sleeves = _sleeves(body, spec.category, resolution_scale)
+    covered = merge_meshes([s.capped(0.0) for s in sleeves])
     v_body = enclosed_volume(covered)
 
     def ratio_at(slack: float) -> float:
-        v = sum(_capped_volume(s.mesh(slack)) for s in sleeves)
+        v = sum(s.capped_volume(slack) for s in sleeves)
         return (v - v_body) / v_body
 
     target = table.target_ratio(spec.target_class)
@@ -357,7 +374,7 @@ def generate_garment(
             f"[{r_lo:.4f}, {r_hi:.4f}], target {target:.4f}"
         )
     else:
-        for _ in range(max_iterations):
+        for _ in range(_BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
             if ratio_at(mid) < target:
                 lo = mid

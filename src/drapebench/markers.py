@@ -17,7 +17,7 @@ from . import rotations as rot
 from .body import SkinnedBody
 from .cloth import ClothState
 from .kinematics import MotionSequence, Skeleton, poses_from_joint_positions
-from .mesh import TriMesh, SurfacePoint, face_components, ray_union_exit, surface_point_position
+from .mesh import TriMesh, SurfacePoint, ray_union_exits, surface_point_position
 
 MARKER_BASE_HEIGHT = 0.005  # marker center sits 5 mm off the skin
 DEFAULT_NOISE_RMS_M = 0.005  # RMS 3D displacement of the added noise
@@ -79,32 +79,39 @@ def place_markers(body: SkinnedBody, garment: TriMesh | None = None) -> list[Mar
     """
     sk = body.skeleton
     joint_pos = sk.rest_positions()
-    body_comps = face_components(body.template)
-    garment_comps = face_components(garment) if garment is not None else None
-    specs: list[MarkerSpec] = []
+    rays = []  # (joint, slot, direction)
     for j in range(sk.num_joints):
         c = sk.primary_child(j)
         bone = sk.rest_offsets[c] if c is not None else sk.rest_offsets[j]
         lateral = _lateral_axis(bone)
         for sign, slot in ((1.0, "A"), (-1.0, "B")):
-            direction = sign * lateral
-            cloth_sp = (
-                ray_union_exit(joint_pos[j], direction, garment, garment_comps)
-                if garment is not None
-                else None
+            rays.append((j, slot, sign * lateral))
+    origins = joint_pos[[j for j, _, _ in rays]]
+    directions = np.array([d for _, _, d in rays])
+    if garment is not None:
+        cloth_sps = ray_union_exits(origins, directions, garment)
+    else:
+        cloth_sps = [None] * len(rays)
+    uncovered = [i for i, sp in enumerate(cloth_sps) if sp is None]
+    skin_sps = {}
+    if uncovered:
+        skin = ray_union_exits(origins[uncovered], directions[uncovered], body.template)
+        skin_sps = dict(zip(uncovered, skin))
+    specs: list[MarkerSpec] = []
+    for i, (j, slot, direction) in enumerate(rays):
+        cloth_sp = cloth_sps[i]
+        if cloth_sp is not None:
+            marker_pos = surface_point_position(garment, cloth_sp)
+            specs.append(MarkerSpec(j, slot, "cloth", cloth_sp, marker_pos - joint_pos[j]))
+            continue
+        skin_sp = skin_sps[i]
+        if skin_sp is None:
+            raise ValueError(
+                f"marker ray at joint {sk.joint_names[j]} ({slot}) misses both surfaces"
             )
-            if cloth_sp is not None:
-                marker_pos = surface_point_position(garment, cloth_sp)
-                specs.append(MarkerSpec(j, slot, "cloth", cloth_sp, marker_pos - joint_pos[j]))
-                continue
-            skin_sp = ray_union_exit(joint_pos[j], direction, body.template, body_comps)
-            if skin_sp is None:
-                raise ValueError(
-                    f"marker ray at joint {sk.joint_names[j]} ({slot}) misses both surfaces"
-                )
-            skin_pos = surface_point_position(body.template, skin_sp)
-            offset = skin_pos - joint_pos[j] + direction * MARKER_BASE_HEIGHT
-            specs.append(MarkerSpec(j, slot, "skin", skin_sp, offset))
+        skin_pos = surface_point_position(body.template, skin_sp)
+        offset = skin_pos - joint_pos[j] + direction * MARKER_BASE_HEIGHT
+        specs.append(MarkerSpec(j, slot, "skin", skin_sp, offset))
     return specs
 
 

@@ -40,7 +40,7 @@ class TriMesh:
 
     @property
     def is_watertight(self) -> bool:
-        return len(boundary_edges(self.faces)) == 0 and _max_edge_multiplicity(self.faces) <= 2
+        return is_closed(self.faces)
 
     def translated(self, offset) -> "TriMesh":
         return TriMesh(self.vertices + np.asarray(offset, dtype=float), self.faces)
@@ -94,21 +94,31 @@ def boundary_edges(faces: np.ndarray) -> np.ndarray:
     return directed[counts[inverse] == 1]
 
 
-def enclosed_volume(mesh: TriMesh) -> float:
-    """Signed volume of a watertight mesh via the divergence theorem.
+def is_closed(faces: np.ndarray) -> bool:
+    """Whether faces form a watertight surface: no boundary, no non-manifold edge."""
+    return len(boundary_edges(faces)) == 0 and _max_edge_multiplicity(faces) <= 2
+
+
+def signed_volume(vertices: np.ndarray, faces: np.ndarray) -> float:
+    """Divergence-theorem volume of closed faces; the caller vouches for closure.
 
     Positive for outward-oriented surfaces. Vertices are re-centered on their
     mean first so translated copies of a mesh report identical volumes.
     """
+    v = vertices - vertices.mean(axis=0)
+    a = v[faces[:, 0]]
+    b = v[faces[:, 1]]
+    c = v[faces[:, 2]]
+    return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
+
+
+def enclosed_volume(mesh: TriMesh) -> float:
+    """Signed volume of a watertight mesh (see signed_volume)."""
     if not mesh.is_watertight:
         raise ValueError(
             "mesh is not watertight; close its boundary loops with cap_boundaries first"
         )
-    v = mesh.vertices - mesh.vertices.mean(axis=0)
-    a = v[mesh.faces[:, 0]]
-    b = v[mesh.faces[:, 1]]
-    c = v[mesh.faces[:, 2]]
-    return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
+    return signed_volume(mesh.vertices, mesh.faces)
 
 
 def _boundary_loops(faces: np.ndarray) -> list[list[int]]:
@@ -137,27 +147,39 @@ def _boundary_loops(faces: np.ndarray) -> list[list[int]]:
     return loops
 
 
+def boundary_caps(faces: np.ndarray, num_vertices: int) -> tuple[list[list[int]], np.ndarray]:
+    """Boundary loops of a surface, and its faces with each loop fanned shut.
+
+    Loop i closes on a new vertex num_vertices + i, which cap_vertices places
+    at the loop centroid. Fan triangles run opposite to the boundary's winding
+    so the caps face outward. A closed surface has no loops and keeps its faces.
+    """
+    if _max_edge_multiplicity(faces) > 2:
+        raise ValueError("non-manifold edge (shared by more than two faces); cannot cap")
+    loops = _boundary_loops(faces)
+    if not loops:
+        return loops, faces
+    fans = []
+    for i, loop in enumerate(loops):
+        a = np.array(loop)
+        fans.append(np.stack([np.roll(a, -1), a, np.full(len(a), num_vertices + i)], axis=-1))
+    return loops, np.concatenate([faces] + fans)
+
+
+def cap_vertices(vertices: np.ndarray, loops: list[list[int]]) -> np.ndarray:
+    """Vertices with the centroid of each boundary loop appended, in loop order."""
+    return np.concatenate([vertices] + [vertices[loop].mean(axis=0)[None, :] for loop in loops])
+
+
 def cap_boundaries(mesh: TriMesh) -> TriMesh:
     """Close every boundary loop with a triangle fan to the loop centroid.
 
-    Already-watertight meshes are returned unchanged. Fan triangles run
-    opposite to the boundary's winding so the caps face outward.
+    Already-watertight meshes are returned unchanged.
     """
-    if _max_edge_multiplicity(mesh.faces) > 2:
-        raise ValueError("non-manifold edge (shared by more than two faces); cannot cap")
-    loops = _boundary_loops(mesh.faces)
+    loops, faces = boundary_caps(mesh.faces, mesh.num_vertices)
     if not loops:
         return mesh
-    verts = [mesh.vertices]
-    new_faces = []
-    next_index = mesh.num_vertices
-    for loop in loops:
-        centroid = mesh.vertices[loop].mean(axis=0)
-        verts.append(centroid[None, :])
-        for a, b in zip(loop, loop[1:] + loop[:1]):
-            new_faces.append([b, a, next_index])
-        next_index += 1
-    return TriMesh(np.concatenate(verts), np.concatenate([mesh.faces, np.array(new_faces)]))
+    return TriMesh(cap_vertices(mesh.vertices, loops), faces)
 
 
 def surface_point_position(mesh_or_vertices, sp: SurfacePoint, faces: np.ndarray | None = None) -> np.ndarray:
@@ -179,19 +201,18 @@ def surface_point_position(mesh_or_vertices, sp: SurfacePoint, faces: np.ndarray
     return sp.barycentric @ tri
 
 
-def ray_hits(
-    origin: np.ndarray, direction: np.ndarray, mesh: TriMesh, eps: float = 1e-12
+def _ray_hits(
+    origin: np.ndarray, direction: np.ndarray, v0: np.ndarray, e1: np.ndarray, e2: np.ndarray,
+    eps: float = 1e-12,
 ) -> np.ndarray:
     """All ray/triangle hits as rows (t, face, u, v), unsorted.
 
-    Moeller-Trumbore over every face, vectorized. u, v are barycentric
+    Moeller-Trumbore over every face, given each face's first vertex v0 and
+    its edges e1, e2 to the other two, vectorized. u, v are barycentric
     coordinates of the 2nd and 3rd face vertices.
     """
     origin = np.asarray(origin, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    v0 = mesh.vertices[mesh.faces[:, 0]]
-    e1 = mesh.vertices[mesh.faces[:, 1]] - v0
-    e2 = mesh.vertices[mesh.faces[:, 2]] - v0
     pvec = np.cross(direction, e2)
     det = np.einsum("ij,ij->i", e1, pvec)
     ok = np.abs(det) > eps
@@ -214,40 +235,34 @@ def _hit_to_surface_point(row: np.ndarray) -> SurfacePoint:
 
 
 def face_components(mesh: TriMesh) -> np.ndarray:
-    """Connected-component label per face (faces joined by shared vertices)."""
-    parent = np.arange(mesh.num_vertices)
+    """Connected-component label per face (faces joined by shared vertices).
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for f in mesh.faces:
-        r0 = find(int(f[0]))
-        for v in (int(f[1]), int(f[2])):
-            r = find(v)
-            if r != r0:
-                parent[r] = r0
-    labels = np.array([find(int(f[0])) for f in mesh.faces])
-    _, compact = np.unique(labels, return_inverse=True)
+    Components are numbered in the order of their lowest vertex index.
+    """
+    faces = mesh.faces
+    root = np.arange(mesh.num_vertices)
+    while True:
+        # Hook the root of every face vertex onto the lowest root in the face,
+        # then compress paths until each vertex points at a root. Roots only
+        # decrease, and the loop stops once every face has a single root.
+        face_roots = root[faces]
+        hooked = root.copy()
+        np.minimum.at(hooked, face_roots.ravel(), np.repeat(face_roots.min(axis=1), 3))
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+    _, compact = np.unique(root[faces[:, 0]], return_inverse=True)
     return compact
 
 
-def ray_union_exit(
-    origin, direction, mesh: TriMesh, components: np.ndarray | None = None
-) -> SurfacePoint | None:
-    """Where the ray leaves the union of mesh components enclosing its origin.
-
-    Crossing parity per component decides which components contain the origin;
-    the exit is the first crossing after which none of them does. Returns None
-    when the origin is outside every component (the point is not covered).
-    """
-    hits = ray_hits(origin, direction, mesh)
+def _union_exit(hits: np.ndarray, components: np.ndarray) -> SurfacePoint | None:
     if len(hits) == 0:
         return None
-    if components is None:
-        components = face_components(mesh)
     comp_of_hit = components[hits[:, 1].astype(int)]
     order = np.argsort(hits[:, 0])
     # A ray through a shared triangle edge registers on both triangles; those
@@ -274,6 +289,24 @@ def ray_union_exit(
         if not inside:
             return _hit_to_surface_point(hits[idx])
     return _hit_to_surface_point(hits[kept[-1]])
+
+
+def ray_union_exits(origins, directions, mesh: TriMesh) -> list[SurfacePoint | None]:
+    """Where each ray leaves the union of mesh components enclosing its origin.
+
+    Crossing parity per component decides which components contain the origin;
+    the exit is the first crossing after which none of them does. None for a
+    ray whose origin is outside every component (the point is not covered).
+    The face edges and component labels are derived once for all rays.
+    """
+    v0 = mesh.vertices[mesh.faces[:, 0]]
+    e1 = mesh.vertices[mesh.faces[:, 1]] - v0
+    e2 = mesh.vertices[mesh.faces[:, 2]] - v0
+    components = face_components(mesh)
+    return [
+        _union_exit(_ray_hits(o, d, v0, e1, e2), components)
+        for o, d in zip(origins, directions)
+    ]
 
 
 def merge_meshes(meshes: list[TriMesh]) -> TriMesh:

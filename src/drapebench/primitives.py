@@ -72,17 +72,17 @@ def icosphere(radius: float = 1.0, subdivisions: int = 2) -> TriMesh:
     return TriMesh(verts * radius, faces)
 
 
-def _grid_tube_faces(n_rings: int, n_theta: int, closed_ends: bool = False) -> np.ndarray:
-    """Quad-strip faces between consecutive rings of n_theta vertices each."""
-    faces = []
-    for k in range(n_rings - 1):
-        for i in range(n_theta):
-            a = k * n_theta + i
-            b = k * n_theta + (i + 1) % n_theta
-            c = (k + 1) * n_theta + (i + 1) % n_theta
-            d = (k + 1) * n_theta + i
-            faces += [[a, b, c], [a, c, d]]
-    return np.array(faces)
+def _grid_tube_faces(n_rings: int, n_theta: int) -> np.ndarray:
+    """Quad-strip faces between consecutive rings of n_theta vertices each.
+
+    Ring k, step i contributes [a, b, c] and [a, c, d], in that order.
+    """
+    i = np.arange(n_theta)
+    a = np.arange(n_rings - 1)[:, None] * n_theta + i
+    b = a - i + (i + 1) % n_theta
+    c = b + n_theta
+    d = a + n_theta
+    return np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
 
 
 def tube_from_rings(ring_points: np.ndarray) -> TriMesh:

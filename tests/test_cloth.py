@@ -15,7 +15,7 @@ from drapebench.cloth import (
     simulate_sequence,
     step,
 )
-from drapebench.garment import GarmentSpec, generate_garment
+from drapebench.garment import GarmentSpec, generate_garment, merge_garments
 from drapebench.mesh import TriMesh
 
 
@@ -31,6 +31,39 @@ def grid_mesh(n, spacing=0.02, origin=(0.0, 0.0, 0.0)):
             a, b, c, d = i * n + j, (i + 1) * n + j, (i + 1) * n + j + 1, i * n + j + 1
             faces += [[a, b, c], [a, c, d]]
     return TriMesh(verts, np.array(faces))
+
+
+def _loop_spring_network(mesh, straight_threshold_deg=150.0):
+    """Reference: shear and bend pairs collected with dicts and sets, one vertex at a time."""
+    faces = mesh.faces
+    edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    opposite = np.concatenate([faces[:, 2], faces[:, 0], faces[:, 1]])
+    structural, inverse = np.unique(np.sort(edges, axis=1), axis=0, return_inverse=True)
+    by_edge = {}
+    for row, e in enumerate(inverse):
+        by_edge.setdefault(int(e), []).append(int(opposite[row]))
+    shear = sorted(tuple(sorted(o)) for o in by_edge.values() if len(o) == 2 and o[0] != o[1])
+    neighbors = {}
+    for a, b in structural:
+        neighbors.setdefault(int(a), set()).add(int(b))
+        neighbors.setdefault(int(b), set()).add(int(a))
+    cos_thresh = np.cos(np.deg2rad(straight_threshold_deg))
+    bend = set()
+    verts = mesh.vertices
+    for v, nbrs in neighbors.items():
+        nbrs = sorted(nbrs)
+        for ii in range(len(nbrs)):
+            for jj in range(ii + 1, len(nbrs)):
+                a, b = nbrs[ii], nbrs[jj]
+                da = verts[a] - verts[v]
+                db = verts[b] - verts[v]
+                if float(da @ db / (np.linalg.norm(da) * np.linalg.norm(db))) < cos_thresh:
+                    bend.add((a, b))
+
+    def pairs(rows):
+        return np.array(sorted(rows), dtype=np.int64).reshape(-1, 2)
+
+    return structural, pairs(shear), pairs(bend)
 
 
 def single_spring_network(rest=0.1):
@@ -86,6 +119,22 @@ def test_grid_network_combinatorial_oracle():
         assert len(net.structural) == exp_struct
         assert len(net.shear) == exp_shear
         assert len(net.bend) == exp_bend
+
+
+def test_network_matches_loop_reference():
+    body = build_parametric_body("male_large")
+    garment = merge_garments([
+        generate_garment(body, GarmentSpec(category, 6, "male_large"), resolution_scale=1.5)
+        for category in ("tshirt", "trousers")
+    ])
+    tri = TriMesh(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], float), np.array([[0, 1, 2]]))
+    meshes = [tri, grid_mesh(3), grid_mesh(5), grid_mesh(8), grid_mesh(11), garment.mesh]
+    meshes.append(grid_mesh(12, 0.02, origin=(-0.11, 0.15, -0.11)))
+    for mesh in meshes:
+        net = build_spring_network(mesh)
+        for ours, ref in zip((net.structural, net.shear, net.bend), _loop_spring_network(mesh)):
+            assert ours.dtype == ref.dtype and ours.shape == ref.shape
+            assert np.array_equal(ours, ref)
 
 
 def test_non_manifold_rejected():

@@ -110,7 +110,7 @@ def test_root_alignment(skeleton):
 def test_surrogate_zero_noise_is_exact(skeleton):
     seq = procedural_motion("basic", 1.0, 30, 2, skeleton)
     gt, _ = sequence_transforms(seq)
-    est = surrogate_estimator(seq, SurrogateProfile(0.0, 0.0), 1)
+    est = surrogate_estimator(gt, seq.fps, SurrogateProfile(0.0, 0.0), 1)
     assert mpjpe(gt, est.positions) == 0.0
 
 
@@ -118,7 +118,7 @@ def test_surrogate_sigma_matches_monte_carlo(skeleton):
     seq = procedural_motion("basic", 4.0, 30, 2, skeleton)
     gt, _ = sequence_transforms(seq)
     sigma = 0.05
-    est = surrogate_estimator(seq, SurrogateProfile(sigma, 0.0), 7)
+    est = surrogate_estimator(gt, seq.fps, SurrogateProfile(sigma, 0.0), 7)
     measured = mpjpe(gt, est.positions)
     # Monte Carlo expectation of the norm of an isotropic gaussian offset.
     rng = np.random.default_rng(999)
@@ -128,8 +128,9 @@ def test_surrogate_sigma_matches_monte_carlo(skeleton):
 
 def test_surrogate_deterministic_and_labeled(skeleton):
     seq = procedural_motion("basic", 0.5, 30, 2, skeleton)
-    a = surrogate_estimator(seq, "basic_err", 3)
-    b = surrogate_estimator(seq, "basic_err", 3)
+    gt, _ = sequence_transforms(seq)
+    a = surrogate_estimator(gt, seq.fps, "basic_err", 3)
+    b = surrogate_estimator(gt, seq.fps, "basic_err", 3)
     assert np.array_equal(a.positions, b.positions)
     assert a.source_label == "surrogate:basic_err"
     assert a.is_surrogate

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from drapebench.body import build_parametric_body
 from drapebench.garment import (
     DrapeClassTable,
     GarmentSpec,
@@ -9,7 +10,7 @@ from drapebench.garment import (
     measure_drape,
     merge_garments,
 )
-from drapebench.mesh import cap_boundaries, enclosed_volume
+from drapebench.mesh import cap_boundaries, enclosed_volume, merge_meshes
 from drapebench.primitives import open_cylinder
 
 
@@ -157,3 +158,45 @@ def test_unreachable_target_reports_achieved_range(body):
     table = DrapeClassTable((1000.0, 2000.0, 3000.0, 4000.0, 5000.0))
     with pytest.raises(ValueError, match="unreachable.*range"):
         generate_garment(body, GarmentSpec("tshirt", 2, "female_average"), table)
+
+
+def _reference_fit(body, spec, resolution_scale):
+    """Reference: the bisection with every sleeve re-capped and re-checked per slack."""
+    from drapebench.garment import _MAX_SLACK, _MIN_SLACK, _sleeves
+
+    sleeves = _sleeves(body, spec.category, resolution_scale)
+    v_body = enclosed_volume(merge_meshes([cap_boundaries(s.mesh(0.0)) for s in sleeves]))
+
+    def ratio_at(slack):
+        v = sum(enclosed_volume(cap_boundaries(s.mesh(slack))) for s in sleeves)
+        return (v - v_body) / v_body
+
+    target = DrapeClassTable().target_ratio(spec.target_class)
+    lo, hi = _MIN_SLACK, _MAX_SLACK
+    if target <= ratio_at(lo):
+        slack = lo
+    else:
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if ratio_at(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        slack = 0.5 * (lo + hi)
+    return slack, ratio_at(slack), merge_meshes([s.mesh(slack) for s in sleeves]).vertices
+
+
+@pytest.mark.parametrize(
+    "build, classes, resolution",
+    [("female_average", range(1, 7), 1.0), ("male_large", (6,), 1.5)],
+)
+def test_fit_matches_per_evaluation_reference(build, classes, resolution):
+    body = build_parametric_body(build)
+    for category in ("tshirt", "trousers"):
+        for cls in classes:
+            spec = GarmentSpec(category, cls, build)
+            g = generate_garment(body, spec, resolution_scale=resolution)
+            slack, ratio, vertices = _reference_fit(body, spec, resolution)
+            assert g.slack == slack, (category, cls)
+            assert g.drape_ratio == ratio, (category, cls)
+            assert np.array_equal(g.mesh.vertices, vertices), (category, cls)

@@ -11,10 +11,31 @@ from drapebench.mesh import (
     face_components,
     load_obj,
     merge_meshes,
-    ray_union_exit,
+    ray_union_exits,
     surface_point_position,
 )
 from drapebench.primitives import capsule_mesh, icosphere, open_cylinder, unit_cube
+
+
+def _loop_face_components(mesh):
+    """Reference: union-find over the vertices of every face, one face at a time."""
+    parent = np.arange(mesh.num_vertices)
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for f in mesh.faces:
+        r0 = find(int(f[0]))
+        for v in (int(f[1]), int(f[2])):
+            r = find(v)
+            if r != r0:
+                parent[r] = r0
+    labels = np.array([find(int(f[0])) for f in mesh.faces])
+    _, compact = np.unique(labels, return_inverse=True)
+    return compact
 
 
 def test_unit_cube_volume_exact():
@@ -123,20 +144,39 @@ def test_ray_union_exit_picks_enclosing_surface():
     a = icosphere(0.5, 2)
     b = icosphere(0.5, 2).translated((2.0, 0.0, 0.0))
     mesh = merge_meshes([a, b])
-    comps = face_components(mesh)
-    assert comps.max() == 1
-    sp = ray_union_exit(np.zeros(3), np.array([1.0, 0.0, 0.0]), mesh, comps)
+    assert face_components(mesh).max() == 1
+    # The second ray starts outside both: no enclosing component.
+    sp, outside = ray_union_exits(
+        [np.zeros(3), np.array([-5.0, 0, 0])], np.array([[1.0, 0.0, 0.0]] * 2), mesh
+    )
     hit = surface_point_position(mesh, sp)
     assert abs(np.linalg.norm(hit) - 0.5) < 0.02
-    # From outside both: no enclosing component.
-    assert ray_union_exit(np.array([-5.0, 0, 0]), np.array([1.0, 0, 0]), mesh, comps) is None
+    assert outside is None
+
+
+def test_face_components_match_union_find(body):
+    from drapebench.garment import GarmentSpec, generate_garment
+
+    spheres = merge_meshes([icosphere(0.5, 2), icosphere(0.5, 2).translated((2.0, 0.0, 0.0))])
+    garments = merge_meshes([
+        generate_garment(body, GarmentSpec(category, 4, body.build_label)).mesh
+        for category in ("tshirt", "trousers")
+    ])
+    for mesh, count in ((spheres, 2), (body.template, None), (garments, 6)):
+        ours = face_components(mesh)
+        ref = _loop_face_components(mesh)
+        # Same partition: the labels correspond one to one.
+        pairs = set(zip(ours.tolist(), ref.tolist()))
+        assert len(pairs) == len(set(ours.tolist())) == len(set(ref.tolist()))
+        if count is not None:
+            assert ours.max() + 1 == count
 
 
 def test_ray_union_exit_overlapping_components():
     a = icosphere(0.5, 2)
     b = icosphere(0.5, 2).translated((0.4, 0.0, 0.0))
     mesh = merge_meshes([a, b])
-    sp = ray_union_exit(np.zeros(3), np.array([1.0, 0.0, 0.0]), mesh)
+    (sp,) = ray_union_exits([np.zeros(3)], [np.array([1.0, 0.0, 0.0])], mesh)
     hit = surface_point_position(mesh, sp)
     assert abs(hit[0] - 0.9) < 0.02  # far surface of the union
 
