@@ -124,7 +124,6 @@ def body_capsules(
     skeleton: Skeleton,
     build_label: str,
     joint_positions: np.ndarray | None = None,
-    extra_radius: float = 0.0,
 ) -> list[Capsule]:
     """One capsule per bone at the given (default: rest) joint positions."""
     if joint_positions is None:
@@ -133,7 +132,7 @@ def body_capsules(
     for j in range(1, skeleton.num_joints):
         p = skeleton.parents[j]
         r = bone_radius(build_label, skeleton.joint_names[j])
-        caps.append(Capsule(joint_positions[p], joint_positions[j], r + extra_radius))
+        caps.append(Capsule(joint_positions[p], joint_positions[j], r))
     return caps
 
 

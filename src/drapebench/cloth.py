@@ -42,7 +42,11 @@ class ClothSimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ClothParams:
-    """Cloth material constants; defaults model woven cotton."""
+    """Cloth material constants; defaults model woven cotton.
+
+    Structural springs are damped by the mean of damping_tension and
+    damping_compression; an unequal pair is not honoured separately.
+    """
 
     vertex_mass: float = 0.05
     stiffness_tension: float = 15.0
@@ -95,11 +99,6 @@ class ClothState:
     velocities: np.ndarray  # (N, 3)
     pinned: np.ndarray      # (N,) bool
     time: float = 0.0
-
-    def copy(self) -> "ClothState":
-        return ClothState(
-            self.positions.copy(), self.velocities.copy(), self.pinned.copy(), self.time
-        )
 
     @staticmethod
     def resting(mesh: TriMesh, pinned: np.ndarray | None = None) -> "ClothState":
@@ -164,7 +163,7 @@ def build_spring_network(mesh: TriMesh) -> SpringNetwork:
 
 
 class _Solver:
-    """Spring arrays and collision buffers compiled from (network, params)."""
+    """Spring arrays compiled from (network, params)."""
 
     def __init__(self, net: SpringNetwork, params: ClothParams, num_particles: int):
         m = params.vertex_mass
@@ -175,28 +174,18 @@ class _Solver:
             (net.shear, net.shear_rest, params.stiffness_shear, params.stiffness_shear, params.damping_shear),
             (net.bend, net.bend_rest, params.stiffness_bending, params.stiffness_bending, params.damping_bending),
         ):
-            if len(pairs) == 0:
-                continue
             k_unit = m * STANDARD_GRAVITY / (STRAIN_REF * rest)
             c_unit = m * np.sqrt(STANDARD_GRAVITY / rest)
             groups.append((pairs, rest, ks * k_unit, kc * k_unit, d * c_unit))
-        if groups:
-            self.ei = np.concatenate([g[0][:, 0] for g in groups])
-            self.ej = np.concatenate([g[0][:, 1] for g in groups])
-            self.rest = np.concatenate([g[1] for g in groups])
-            self.k_stretch = np.concatenate([np.broadcast_to(g[2], len(g[0])) for g in groups])
-            self.k_compress = np.concatenate([np.broadcast_to(g[3], len(g[0])) for g in groups])
-            self.damp = np.concatenate([np.broadcast_to(g[4], len(g[0])) for g in groups])
-        else:
-            self.ei = np.zeros(0, dtype=np.int64)
-            self.ej = np.zeros(0, dtype=np.int64)
-            self.rest = self.k_stretch = self.k_compress = self.damp = np.zeros(0)
-        self.mass = m
+        self.ei = np.concatenate([g[0][:, 0] for g in groups])
+        self.ej = np.concatenate([g[0][:, 1] for g in groups])
+        self.rest = np.concatenate([g[1] for g in groups])
+        self.k_stretch = np.concatenate([np.broadcast_to(g[2], len(g[0])) for g in groups])
+        self.k_compress = np.concatenate([np.broadcast_to(g[3], len(g[0])) for g in groups])
+        self.damp = np.concatenate([np.broadcast_to(g[4], len(g[0])) for g in groups])
         self.n = num_particles
 
     def forces(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if len(self.ei) == 0:
-            return np.zeros((self.n, 3))
         d = x[self.ej]
         d -= x[self.ei]
         dv = v[self.ej]
@@ -216,6 +205,23 @@ class _Solver:
         return out
 
 
+def _closest_on_segments(
+    points: np.ndarray, p0: np.ndarray, seg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closest point to each point on the segment p0 + t * seg, t in [0, 1].
+
+    Rows of points, p0 and seg pair up; a single (3,) segment serves every
+    point. Returns (closest, points - closest, distance).
+    """
+    rel = points - p0
+    denom = np.maximum(np.einsum("...j,...j->...", seg, seg), 1e-18)
+    t = np.clip(np.einsum("...j,...j->...", rel, seg) / denom, 0.0, 1.0)
+    closest = p0 + t[..., None] * seg
+    delta = points - closest
+    dist = np.sqrt(np.einsum("...j,...j->...", delta, delta))
+    return closest, delta, dist
+
+
 def _collision_candidates(
     x: np.ndarray,
     v: np.ndarray,
@@ -227,31 +233,23 @@ def _collision_candidates(
 
     A pair is kept when the start-of-frame distance (at either capsule end
     configuration) is within reach of the frame's worst-case relative motion.
-    Returns (particle_index, capsule_index) arrays.
+    Pairs come in capsule-major order. Returns (particle_index, capsule_index).
     """
     speeds = np.sqrt(np.einsum("ij,ij->i", v, v))
     # Worst-case particle travel this frame: current velocity plus gravity,
     # plus a base allowance for spring-driven acceleration.
     margin = 0.02 + dt * speeds + STANDARD_GRAVITY * dt * dt
-    part_idx = []
-    cap_idx = []
-    for c in range(len(cap_from[0])):
-        near = None
-        for cap in (cap_from, cap_to):
-            p0, seg, r = cap[0][c], cap[1][c], cap[2][c]
-            denom = max(float(seg @ seg), 1e-18)
-            t = np.clip(((x - p0) @ seg) / denom, 0.0, 1.0)
-            closest = p0 + t[:, None] * seg
-            d = np.linalg.norm(x - closest, axis=-1)
-            mask = d < r + margin
-            near = mask if near is None else (near | mask)
-            if cap_to is cap_from:
-                break
+    poses = (cap_from,) if cap_to is cap_from else (cap_from, cap_to)
+    # Seeded with empty arrays so that a step without capsules has no pairs.
+    part_idx = [np.zeros(0, dtype=np.int64)]
+    cap_idx = [np.zeros(0, dtype=np.int64)]
+    for c in range(len(cap_from[2])):
+        near = np.zeros(len(x), dtype=bool)
+        for p0, seg, radius in poses:
+            near |= _closest_on_segments(x, p0[c], seg[c])[2] < radius[c] + margin
         hits = np.nonzero(near)[0]
         part_idx.append(hits)
         cap_idx.append(np.full(len(hits), c, dtype=np.int64))
-    if not part_idx:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     return np.concatenate(part_idx), np.concatenate(cap_idx)
 
 
@@ -269,13 +267,7 @@ def _collide_pairs(
     several capsules the deepest projection wins (written last, sorted by
     depth, so the result is deterministic).
     """
-    pts = x[pidx]
-    rel = pts - p0
-    denom = np.maximum(np.einsum("ij,ij->i", seg, seg), 1e-18)
-    t = np.clip(np.einsum("ij,ij->i", rel, seg) / denom, 0.0, 1.0)
-    closest = p0 + t[:, None] * seg
-    delta = pts - closest
-    dist = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+    closest, delta, dist = _closest_on_segments(x[pidx], p0, seg)
     depth = radius - dist
     hit = depth > 0.0
     if not hit.any():
@@ -289,11 +281,12 @@ def _collide_pairs(
     v[sub] = v[sub] - np.minimum(vn, 0.0)[:, None] * n
 
 
-def _capsule_arrays(colliders: list[Capsule], extra: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    p0 = np.stack([c.p0 for c in colliders])
-    p1 = np.stack([c.p1 for c in colliders])
-    r = np.array([c.radius for c in colliders]) + extra
-    return p0, p1, r
+def _capsule_arrays(colliders: list[Capsule]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p0, p1 - p0, collision radius) of the capsules, one row each."""
+    p0 = np.array([c.p0 for c in colliders]).reshape(-1, 3)
+    p1 = np.array([c.p1 for c in colliders]).reshape(-1, 3)
+    radius = np.array([c.radius for c in colliders]) + COLLISION_OFFSET
+    return p0, p1 - p0, radius
 
 
 def _substep_count(dt: float) -> int:
@@ -305,16 +298,15 @@ def _advance(
     solver: _Solver,
     params: ClothParams,
     dt: float,
-    cap_from: tuple | None,
-    cap_to: tuple | None,
-    pin_to: np.ndarray | None,
+    cap_from: tuple,
+    cap_to: tuple,
+    pin_to: np.ndarray,
     frame_label: str = "",
 ) -> ClothState:
-    """Substep the cloth by dt, lerping capsules and pin targets across substeps."""
-    if cap_from is None:
-        cap_from = cap_to
-    if cap_to is None:
-        cap_to = cap_from
+    """Substep the cloth by dt, lerping capsules and pin targets across substeps.
+
+    Passing one capsule pose as both cap_from and cap_to holds the body still.
+    """
     x = state.positions.copy()
     v = state.velocities.copy()
     pinned = state.pinned
@@ -322,23 +314,11 @@ def _advance(
     n_sub = _substep_count(dt)
     h = dt / n_sub
     g_vec = np.array([0.0, -params.gravity, 0.0])
-    pin_from = x[pinned].copy()
-    pairs = None
-    if cap_from is not None:
-        pidx, cidx = _collision_candidates(x, v, cap_from, cap_to, dt)
-        if len(pidx):
-            pairs = (pidx, cidx)
-    moving_caps = cap_from is not None and (cap_from is not cap_to) and (
-        np.any(cap_from[0] != cap_to[0]) or np.any(cap_from[1] != cap_to[1])
-    )
-    if pairs is not None:
-        pidx, cidx = pairs
-        r_pair = cap_from[2][cidx]
-        p0_a = cap_from[0][cidx]
-        seg_a = cap_from[1][cidx]
-        if moving_caps:
-            p0_b = cap_to[0][cidx]
-            seg_b = cap_to[1][cidx]
+    pin_from = x[pinned]
+    pidx, cidx = _collision_candidates(x, v, cap_from, cap_to, dt)
+    p0_a, seg_a, r_pair = (a[cidx] for a in cap_from)
+    p0_move = cap_to[0][cidx] - p0_a
+    seg_move = cap_to[1][cidx] - seg_a
     drag = max(0.0, 1.0 - AIR_DRAG * h)
     for s in range(n_sub):
         f = solver.forces(x, v)
@@ -346,22 +326,14 @@ def _advance(
         v[free] *= drag
         x[free] += v[free] * h
         alpha = (s + 1) / n_sub
-        if pin_to is not None and pinned.any():
-            x[pinned] = pin_from + alpha * (pin_to - pin_from)
-        if pairs is not None:
-            if moving_caps:
-                p0 = p0_a + alpha * (p0_b - p0_a)
-                seg = seg_a + alpha * (seg_b - seg_a)
-            else:
-                p0, seg = p0_a, seg_a
-            _collide_pairs(x, v, pidx, p0, seg, r_pair)
+        x[pinned] = pin_from + alpha * (pin_to - pin_from)
+        _collide_pairs(x, v, pidx, p0_a + alpha * p0_move, seg_a + alpha * seg_move, r_pair)
         if not np.isfinite(x).all():
             bad = int(np.nonzero(~np.isfinite(x).all(axis=1))[0][0])
             raise ClothSimulationError(
                 f"{frame_label}non-finite position for particle {bad} at substep {s}"
             )
-    if pinned.any():
-        v[pinned] = 0.0
+    v[pinned] = 0.0
     return ClothState(x, v, pinned.copy(), state.time + dt)
 
 
@@ -381,79 +353,55 @@ def step(
     """
     if not 0.0 < dt <= 1.0 / 60.0 + 1e-12:
         raise ValueError("dt must be in (0, 1/60]")
+    if pin_targets is None:
+        pin_targets = state.positions[state.pinned]
+    caps = _capsule_arrays(colliders or [])
     solver = _Solver(net, params, len(state.positions))
-    caps = None
-    if colliders:
-        p0, p1, r = _capsule_arrays(colliders, COLLISION_OFFSET)
-        caps = (p0, p1 - p0, r)
     return _advance(state, solver, params, dt, caps, caps, pin_targets)
 
 
 def simulate_sequence(
     garment: TriMesh,
     pinned: np.ndarray,
-    pin_frames: np.ndarray | None,
+    pin_frames: np.ndarray,
     collider_frames: list[list[Capsule]],
     params: ClothParams,
     fps: float,
     warmup: float = 2.0,
     initial_positions: np.ndarray | None = None,
-    net: SpringNetwork | None = None,
-    debug_obj_dir: str | None = None,
 ) -> list[ClothState]:
     """Simulate the garment over a motion and record one state per frame.
 
     pin_frames holds per-frame world targets for the pinned vertices, shape
-    (T, n_pinned, 3); collider_frames the per-frame body capsules. The state
-    is settled for `warmup` seconds of simulated time at frame 0 before
-    recording begins. Deterministic for identical inputs. debug_obj_dir, when
-    set, dumps every recorded frame as frame_NNNN.obj there.
+    (T, n_pinned, 3); collider_frames the per-frame body capsules, the same
+    number in every frame. The state is settled for `warmup` seconds of
+    simulated time at frame 0 before recording begins. Deterministic for
+    identical inputs.
     """
     pinned = np.asarray(pinned, dtype=bool)
     n_frames = len(collider_frames)
-    if pin_frames is not None and len(pin_frames) != n_frames:
+    if len(pin_frames) != n_frames:
         raise ValueError("pin_frames and collider_frames disagree on frame count")
-    if net is None:
-        net = build_spring_network(garment)
-    solver = _Solver(net, params, garment.num_vertices)
+    if len({len(frame) for frame in collider_frames}) > 1:
+        raise ValueError("collider frames disagree on capsule count")
+    caps = [_capsule_arrays(frame) for frame in collider_frames]
+    solver = _Solver(build_spring_network(garment), params, garment.num_vertices)
     state = ClothState.resting(garment, pinned)
     if initial_positions is not None:
         state.positions = np.asarray(initial_positions, dtype=float).copy()
-    if pin_frames is not None:
-        state.positions[pinned] = pin_frames[0]
-
-    def caps_of(fidx):
-        if not collider_frames[fidx]:
-            return None
-        p0, p1, r = _capsule_arrays(collider_frames[fidx], COLLISION_OFFSET)
-        return (p0, p1 - p0, r)
+    state.positions[pinned] = pin_frames[0]
 
     dt = 1.0 / fps
-    warm_steps = int(np.ceil(warmup / dt))
-    caps0 = caps_of(0)
-    pin0 = pin_frames[0] if pin_frames is not None else None
-    for _ in range(warm_steps):
-        state = _advance(state, solver, params, dt, caps0, caps0, pin0, "warmup: ")
-    recorded = [state.copy()]
-    caps_prev = caps0
+    for _ in range(int(np.ceil(warmup / dt))):
+        state = _advance(state, solver, params, dt, caps[0], caps[0], pin_frames[0], "warmup: ")
+    # _advance returns fresh arrays, so each recorded state owns its own.
+    recorded = [state]
     for fidx in range(1, n_frames):
-        caps_next = caps_of(fidx)
         state = _advance(
-            state, solver, params, dt, caps_prev, caps_next,
-            pin_frames[fidx] if pin_frames is not None else None,
+            state, solver, params, dt, caps[fidx - 1], caps[fidx], pin_frames[fidx],
             f"frame {fidx}: ",
         )
-        recorded.append(state.copy())
-        caps_prev = caps_next
-    if debug_obj_dir is not None:
-        import os
-
-        from .mesh import dump_obj
-
-        os.makedirs(debug_obj_dir, exist_ok=True)
-        for fidx, st in enumerate(recorded):
-            with open(os.path.join(debug_obj_dir, f"frame_{fidx:04d}.obj"), "w") as fh:
-                fh.write(dump_obj(garment.with_vertices(st.positions)))
+        recorded.append(state)
     return recorded
 
 
@@ -465,10 +413,6 @@ def max_capsule_penetration(positions: np.ndarray, colliders: list[Capsule]) -> 
     """Deepest penetration (m) of any particle into any capsule surface."""
     worst = 0.0
     for c in colliders:
-        d = c.p1 - c.p0
-        denom = max(float(d @ d), 1e-18)
-        t = np.clip(((positions - c.p0) @ d) / denom, 0.0, 1.0)
-        closest = c.p0 + t[:, None] * d[None, :]
-        dist = np.linalg.norm(positions - closest, axis=-1)
+        dist = _closest_on_segments(positions, c.p0, c.p1 - c.p0)[2]
         worst = max(worst, float((c.radius - dist).max()))
     return worst

@@ -357,7 +357,8 @@ def generate_garment(
     table = table or DrapeClassTable()
     sleeves = _sleeves(body, spec.category, resolution_scale)
     covered = merge_meshes([s.capped(0.0) for s in sleeves])
-    v_body = enclosed_volume(covered)
+    # Each sleeve's capped faces were checked closed, so the merge is closed too.
+    v_body = signed_volume(covered.vertices, covered.faces)
 
     def ratio_at(slack: float) -> float:
         v = sum(s.capped_volume(slack) for s in sleeves)
@@ -410,8 +411,9 @@ def merge_garments(pieces: list[Garment]) -> Garment:
     pinned = np.concatenate([p.pinned for p in pieces])
     binding = np.concatenate([p.binding_joint for p in pieces])
     covered = merge_meshes([p.covered_body for p in pieces])
-    v_body = sum(enclosed_volume(p.covered_body) for p in pieces)
-    v_garment = sum((1.0 + p.drape_ratio) * enclosed_volume(p.covered_body) for p in pieces)
+    volumes = [enclosed_volume(p.covered_body) for p in pieces]
+    v_body = sum(volumes)
+    v_garment = sum((1.0 + p.drape_ratio) * v for p, v in zip(pieces, volumes))
     ratio = (v_garment - v_body) / v_body
     return Garment(
         mesh, pinned, binding, covered, ratio, pieces[0].drape_class,

@@ -138,16 +138,15 @@ def track_markers(
             raise ValueError(
                 f"cloth frames ({len(cloth_frames)}) misaligned with motion frames ({t_count})"
             )
+        frames = np.stack([s.positions for s in cloth_frames])
     out = np.empty((t_count, len(specs), 3))
     for m, spec in enumerate(specs):
         if spec.target == "skin":
             q = joint_orientations[:, spec.joint]
             out[:, m] = joint_positions[:, spec.joint] + rot.rotate(q, spec.rest_offset)
         else:
-            bary = spec.attachment.barycentric
             face = garment_faces[spec.attachment.face]
-            for t in range(t_count):
-                out[t, m] = bary @ cloth_frames[t].positions[face]
+            out[:, m] = spec.attachment.barycentric @ frames[:, face]
     return MarkerTrajectory(out, fps)
 
 

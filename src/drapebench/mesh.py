@@ -182,23 +182,11 @@ def cap_boundaries(mesh: TriMesh) -> TriMesh:
     return TriMesh(cap_vertices(mesh.vertices, loops), faces)
 
 
-def surface_point_position(mesh_or_vertices, sp: SurfacePoint, faces: np.ndarray | None = None) -> np.ndarray:
-    """World position of a surface point on the current vertex positions.
-
-    Accepts a TriMesh, or a raw (V, 3) vertex array plus the face array (used
-    when tracking points on simulated cloth states).
-    """
-    if isinstance(mesh_or_vertices, TriMesh):
-        vertices = mesh_or_vertices.vertices
-        faces = mesh_or_vertices.faces
-    else:
-        vertices = np.asarray(mesh_or_vertices)
-        if faces is None:
-            raise ValueError("faces required when passing raw vertices")
-    if not 0 <= sp.face < len(faces):
+def surface_point_position(mesh: TriMesh, sp: SurfacePoint) -> np.ndarray:
+    """World position of a surface point on the mesh's current vertices."""
+    if not 0 <= sp.face < len(mesh.faces):
         raise ValueError(f"face index {sp.face} out of range")
-    tri = vertices[faces[sp.face]]
-    return sp.barycentric @ tri
+    return sp.barycentric @ mesh.vertices[mesh.faces[sp.face]]
 
 
 def _ray_hits(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from drapebench import rotations as rot
 from drapebench.body import Capsule, body_capsules, build_parametric_body
 from drapebench.cloth import (
     STANDARD_GRAVITY,
@@ -9,6 +10,8 @@ from drapebench.cloth import (
     ClothState,
     ClothSimulationError,
     SpringNetwork,
+    _capsule_arrays,
+    _collision_candidates,
     build_spring_network,
     kinetic_energy,
     max_capsule_penetration,
@@ -16,6 +19,7 @@ from drapebench.cloth import (
     step,
 )
 from drapebench.garment import GarmentSpec, generate_garment, merge_garments
+from drapebench.kinematics import procedural_motion, sequence_transforms
 from drapebench.mesh import TriMesh
 
 
@@ -64,6 +68,39 @@ def _loop_spring_network(mesh, straight_threshold_deg=150.0):
         return np.array(sorted(rows), dtype=np.int64).reshape(-1, 2)
 
     return structural, pairs(shear), pairs(bend)
+
+
+def _reference_collision_candidates(x, v, cap_from, cap_to, dt):
+    """Reference: per-capsule matmul and norm distances, both poses tested even when they are one."""
+    speeds = np.sqrt(np.einsum("ij,ij->i", v, v))
+    margin = 0.02 + dt * speeds + STANDARD_GRAVITY * dt * dt
+    part_idx = []
+    cap_idx = []
+    for c in range(len(cap_from[0])):
+        near = None
+        for cap in (cap_from, cap_to):
+            p0, seg, r = cap[0][c], cap[1][c], cap[2][c]
+            denom = max(float(seg @ seg), 1e-18)
+            t = np.clip(((x - p0) @ seg) / denom, 0.0, 1.0)
+            closest = p0 + t[:, None] * seg
+            d = np.linalg.norm(x - closest, axis=-1)
+            mask = d < r + margin
+            near = mask if near is None else (near | mask)
+        hits = np.nonzero(near)[0]
+        part_idx.append(hits)
+        cap_idx.append(np.full(len(hits), c, dtype=np.int64))
+    return np.concatenate(part_idx), np.concatenate(cap_idx)
+
+
+@pytest.fixture(scope="module")
+def male_large_scene():
+    """A merged class-6 male_large garment at resolution 1.5 and its body."""
+    body = build_parametric_body("male_large")
+    garment = merge_garments([
+        generate_garment(body, GarmentSpec(category, 6, "male_large"), resolution_scale=1.5)
+        for category in ("tshirt", "trousers")
+    ])
+    return body, garment
 
 
 def single_spring_network(rest=0.1):
@@ -121,12 +158,8 @@ def test_grid_network_combinatorial_oracle():
         assert len(net.bend) == exp_bend
 
 
-def test_network_matches_loop_reference():
-    body = build_parametric_body("male_large")
-    garment = merge_garments([
-        generate_garment(body, GarmentSpec(category, 6, "male_large"), resolution_scale=1.5)
-        for category in ("tshirt", "trousers")
-    ])
+def test_network_matches_loop_reference(male_large_scene):
+    _, garment = male_large_scene
     tri = TriMesh(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], float), np.array([[0, 1, 2]]))
     meshes = [tri, grid_mesh(3), grid_mesh(5), grid_mesh(8), grid_mesh(11), garment.mesh]
     meshes.append(grid_mesh(12, 0.02, origin=(-0.11, 0.15, -0.11)))
@@ -135,6 +168,29 @@ def test_network_matches_loop_reference():
         for ours, ref in zip((net.structural, net.shear, net.bend), _loop_spring_network(mesh)):
             assert ours.dtype == ref.dtype and ours.shape == ref.shape
             assert np.array_equal(ours, ref)
+
+
+def test_collision_candidates_match_reference(male_large_scene):
+    body, garment = male_large_scene
+    sk = body.skeleton
+    joint_pos, joint_orient = sequence_transforms(procedural_motion("fast", 1.0, 30.0, 1, sk))
+    k = 10
+    # The garment ridden rigidly into frame k by its binding joints.
+    binding = garment.binding_joint
+    local = garment.mesh.vertices - sk.rest_positions()[binding]
+    moved = joint_pos[k, binding] + rot.rotate(joint_orient[k, binding], local)
+    v = np.random.default_rng(0).normal(0.0, 0.5, moved.shape)
+    rest = _capsule_arrays(body_capsules(sk, body.build_label))
+    start, end = (
+        _capsule_arrays(body_capsules(sk, body.build_label, joint_positions=joint_pos[f]))
+        for f in (k, k + 1)
+    )
+    for x, cap_from, cap_to in ((garment.mesh.vertices, rest, rest), (moved, start, end)):
+        ours = _collision_candidates(x, v, cap_from, cap_to, 1.0 / 30.0)
+        ref = _reference_collision_candidates(x, v, cap_from, cap_to, 1.0 / 30.0)
+        assert len(ours[0]) > 0
+        for a, b in zip(ours, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_non_manifold_rejected():
@@ -189,6 +245,34 @@ def test_square_dropped_on_capsule_settles_on_surface():
     assert max_capsule_penetration(state.positions, [capsule]) < 0.001
     # at least the center of the square rests near the capsule surface
     assert state.positions[:, 1].max() <= 0.055 + 0.02
+
+
+def test_rising_capsule_keeps_sheet_outside():
+    mesh = grid_mesh(12, 0.02, origin=(-0.11, 0.06, -0.11))
+    n = 30
+    rise = 0.01  # m per frame, 0.3 m/s at 30 fps
+    frames = [
+        [Capsule(np.array([-0.3, rise * f, 0.0]), np.array([0.3, rise * f, 0.0]), 0.05)]
+        for f in range(n)
+    ]
+    pinned = np.zeros(mesh.num_vertices, dtype=bool)
+    states = simulate_sequence(
+        mesh, pinned, np.zeros((n, 0, 3)), frames, ClothParams(), 30.0, warmup=1.0
+    )
+    for state, caps in zip(states, frames):
+        assert max_capsule_penetration(state.positions, caps) < 1e-3
+    # The sheet rode up with the capsule rather than falling through it.
+    assert states[-1].positions[:, 1].max() > rise * (n - 1) + 0.05
+
+
+def test_collider_frames_with_different_capsule_counts_refused():
+    mesh = grid_mesh(3)
+    cap = Capsule(np.zeros(3), np.array([1.0, 0.0, 0.0]), 0.05)
+    with pytest.raises(ValueError, match="capsule count"):
+        simulate_sequence(
+            mesh, np.zeros(9, dtype=bool), np.zeros((2, 0, 3)), [[cap], []],
+            ClothParams(), 30.0, warmup=0.0,
+        )
 
 
 def test_step_dt_bounds():
@@ -259,23 +343,6 @@ def test_simulation_deterministic(settled_garment_scene):
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.positions, sb.positions)
         assert np.array_equal(sa.velocities, sb.velocities)
-
-
-def test_debug_obj_dump(settled_garment_scene, tmp_path):
-    garment, caps, _ = settled_garment_scene
-    n = 3
-    pin_idx = np.nonzero(garment.pinned)[0]
-    pin_frames = np.repeat(garment.mesh.vertices[pin_idx][None], n, axis=0)
-    simulate_sequence(
-        garment.mesh, garment.pinned, pin_frames, [caps] * n, ClothParams(), 30.0,
-        warmup=0.1, debug_obj_dir=str(tmp_path),
-    )
-    from drapebench.mesh import load_obj
-
-    dumped = sorted(tmp_path.glob("frame_*.obj"))
-    assert len(dumped) == n
-    mesh = load_obj(dumped[0].read_text())
-    assert mesh.num_vertices == garment.mesh.num_vertices
 
 
 def test_doubled_gravity_lowers_garment(settled_garment_scene):
