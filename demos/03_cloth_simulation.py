@@ -23,8 +23,8 @@ print(f"garment: {garment.mesh.num_vertices} particles, springs: "
       f"{len(net.structural)} structural / {len(net.shear)} shear / {len(net.bend)} bend")
 
 params = ClothParams()
-print(f"cloth constants: mass {params.vertex_mass} kg, tension/compression stiffness "
-      f"{params.stiffness_tension}, shear {params.stiffness_shear}, bending {params.stiffness_bending}")
+print(f"cloth constants: mass {params.vertex_mass} kg, structural stiffness "
+      f"{params.stiffness_structural}, shear {params.stiffness_shear}, bending {params.stiffness_bending}")
 
 capsules = body_capsules(body.skeleton, body.build_label)
 frames = 90

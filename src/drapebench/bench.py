@@ -15,12 +15,12 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
-from .body import SkinnedBody, body_capsules, build_parametric_body
+from .body import BUILD_CATALOG, SkinnedBody, body_capsules, body_skeleton, build_parametric_body
 from .bvh import parse_bvh, write_bvh
 from . import rotations as rot
 from .cloth import ClothParams, simulate_sequence
@@ -97,6 +97,10 @@ class BenchConfig:
         object.__setattr__(self, "garment_categories", tuple(self.garment_categories))
         if self.drape_thresholds is not None:
             object.__setattr__(self, "drape_thresholds", tuple(self.drape_thresholds))
+        unknown = sorted(set(self.cloth) - {f.name for f in fields(ClothParams)})
+        if unknown:
+            raise ValueError(f"unknown cloth key {', '.join(map(repr, unknown))}")
+        self.cloth_params()  # ClothParams refuses an out-of-range value, naming its key
         for what, labels in (
             ("motions share the motion_class", [m.motion_class for m in self.motions]),
             ("methods share the label", [self.method_label(m) for m in self.methods]),
@@ -197,7 +201,7 @@ class BenchmarkReport:
         return json.dumps([c.to_dict() for c in self.cells], sort_keys=True)
 
 
-def _load_motion(config: BenchConfig, spec: MotionSpec, skeleton, build: str) -> MotionSequence:
+def _load_motion(config: BenchConfig, spec: MotionSpec, skeleton) -> MotionSequence:
     if spec.source == "procedural":
         seed = _derive_seed(config.seed, "motion", spec.motion_class, spec.duration_s, spec.fps)
         return procedural_motion(spec.motion_class, spec.duration_s, spec.fps, seed, skeleton)
@@ -252,14 +256,14 @@ def run_cell(
     label = config.method_label(method)
     result = CellResult(motion.motion_class, build, drape, label)
     cell_seed = _derive_seed(config.seed, motion.motion_class, build, drape, label)
-    body = build_parametric_body(build)
-    sk = body.skeleton
-    seq = _load_motion(config, motion, sk, build)
+    sk = body_skeleton(build)
+    seq = _load_motion(config, motion, sk)
     joint_pos, joint_orient = sequence_transforms(seq)
     result.frames = seq.num_frames
     gt_ang, gt_ang_mask = angles_from_positions(sk, joint_pos)
 
     if method.kind == "marker_based":
+        body = build_parametric_body(build)
         if config.garment_categories:
             garment = _build_garment(config, body, drape)
             result.drape_ratio = garment.drape_ratio
@@ -313,7 +317,7 @@ def run_cell(
                 raise ValueError(
                     f"estimate has {len(est.positions)} frames, motion has {seq.num_frames}"
                 )
-        norm = normalize_estimate(est, target_height=body.height)
+        norm = normalize_estimate(est, target_height=BUILD_CATALOG[build].height)
         est_ang, est_ang_mask = angles_from_positions(sk, norm.absolute, norm.valid)
         ang_mask = gt_ang_mask & est_ang_mask
         pos_valid = np.broadcast_to(norm.valid, (seq.num_frames, sk.num_joints))

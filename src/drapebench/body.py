@@ -136,11 +136,9 @@ def body_capsules(
     return caps
 
 
-def build_parametric_body(build_label: str, skeleton: Skeleton | None = None) -> SkinnedBody:
+def build_parametric_body(build_label: str) -> SkinnedBody:
     """Capsule-per-bone body template (one capsule mesh per bone, merged)."""
-    skeleton = skeleton if skeleton is not None else body_skeleton(build_label)
-    if build_label not in BUILD_CATALOG:
-        raise ValueError(f"unknown build label {build_label!r}; choose from {sorted(BUILD_CATALOG)}")
+    skeleton = body_skeleton(build_label)
     capsules = body_capsules(skeleton, build_label)
     pieces = [capsule_mesh(c.p0, c.p1, c.radius, n_theta=14, n_axial=3, n_cap=3) for c in capsules]
     return SkinnedBody(merge_meshes(pieces), skeleton, build_label)

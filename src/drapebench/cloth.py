@@ -10,6 +10,8 @@ they map to spring constants as
 with g0 = 9.81 m/s^2 and strain_ref = 0.08, i.e. a spring of stiffness S
 stretches by (strain_ref / S) of its rest length under one vertex weight.
 The mapping is an engine constant; only relative comparisons are meaningful.
+Each spring family (structural, shear, bend) has one stiffness and one
+damping, alike in tension and compression.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import rotations as rot
 from .body import Capsule
-from .mesh import TriMesh
+from .mesh import TriMesh, edge_table
 
 STANDARD_GRAVITY = 9.81
 STRAIN_REF = 0.08
@@ -44,17 +46,15 @@ class ClothSimulationError(RuntimeError):
 class ClothParams:
     """Cloth material constants; defaults model woven cotton.
 
-    Structural springs are damped by the mean of damping_tension and
-    damping_compression; an unequal pair is not honoured separately.
+    stiffness_structural and damping_structural act on the structural
+    springs (the mesh edges) alike in tension and compression.
     """
 
     vertex_mass: float = 0.05
-    stiffness_tension: float = 15.0
-    stiffness_compression: float = 15.0
+    stiffness_structural: float = 15.0
     stiffness_shear: float = 10.0
     stiffness_bending: float = 0.5
-    damping_tension: float = 5.0
-    damping_compression: float = 5.0
+    damping_structural: float = 5.0
     damping_shear: float = 5.0
     damping_bending: float = 0.5
     gravity: float = 9.81
@@ -63,9 +63,8 @@ class ClothParams:
         if self.vertex_mass <= 0:
             raise ValueError("vertex_mass must be positive")
         for name in (
-            "stiffness_tension", "stiffness_compression", "stiffness_shear",
-            "stiffness_bending", "damping_tension", "damping_compression",
-            "damping_shear", "damping_bending", "gravity",
+            "stiffness_structural", "stiffness_shear", "stiffness_bending",
+            "damping_structural", "damping_shear", "damping_bending", "gravity",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -119,13 +118,11 @@ def build_spring_network(mesh: TriMesh) -> SpringNetwork:
     Every pair array is sorted by row.
     """
     faces = mesh.faces
-    edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    opposite = np.concatenate([faces[:, 2], faces[:, 0], faces[:, 1]])
-    key = np.sort(edges, axis=1)
-    uniq, inverse, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
+    _, structural, inverse, counts = edge_table(faces)
     if counts.max(initial=0) > 2:
         raise ValueError("non-manifold edge (more than two incident faces)")
-    structural = uniq
+    # The vertex opposite each directed edge of edge_table, in the same order.
+    opposite = np.concatenate([faces[:, 2], faces[:, 0], faces[:, 1]])
 
     # Group the opposite vertices by edge; an interior edge owns two in a row.
     opp = opposite[np.argsort(inverse, kind="stable")]
@@ -166,23 +163,17 @@ class _Solver:
     """Spring arrays compiled from (network, params)."""
 
     def __init__(self, net: SpringNetwork, params: ClothParams, num_particles: int):
-        m = params.vertex_mass
-        groups = []
-        for pairs, rest, ks, kc, d in (
-            (net.structural, net.structural_rest, params.stiffness_tension,
-             params.stiffness_compression, 0.5 * (params.damping_tension + params.damping_compression)),
-            (net.shear, net.shear_rest, params.stiffness_shear, params.stiffness_shear, params.damping_shear),
-            (net.bend, net.bend_rest, params.stiffness_bending, params.stiffness_bending, params.damping_bending),
-        ):
-            k_unit = m * STANDARD_GRAVITY / (STRAIN_REF * rest)
-            c_unit = m * np.sqrt(STANDARD_GRAVITY / rest)
-            groups.append((pairs, rest, ks * k_unit, kc * k_unit, d * c_unit))
-        self.ei = np.concatenate([g[0][:, 0] for g in groups])
-        self.ej = np.concatenate([g[0][:, 1] for g in groups])
+        groups = (
+            (net.structural, net.structural_rest, params.stiffness_structural, params.damping_structural),
+            (net.shear, net.shear_rest, params.stiffness_shear, params.damping_shear),
+            (net.bend, net.bend_rest, params.stiffness_bending, params.damping_bending),
+        )
+        self.ei, self.ej = np.concatenate([g[0] for g in groups]).T.copy()
         self.rest = np.concatenate([g[1] for g in groups])
-        self.k_stretch = np.concatenate([np.broadcast_to(g[2], len(g[0])) for g in groups])
-        self.k_compress = np.concatenate([np.broadcast_to(g[3], len(g[0])) for g in groups])
-        self.damp = np.concatenate([np.broadcast_to(g[4], len(g[0])) for g in groups])
+        sizes = [len(g[0]) for g in groups]
+        m = params.vertex_mass
+        self.k = np.repeat([g[2] for g in groups], sizes) * (m * STANDARD_GRAVITY / (STRAIN_REF * self.rest))
+        self.damp = np.repeat([g[3] for g in groups], sizes) * (m * np.sqrt(STANDARD_GRAVITY / self.rest))
         self.n = num_particles
 
     def forces(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -193,9 +184,8 @@ class _Solver:
         length = np.sqrt(np.einsum("ij,ij->i", d, d))
         np.maximum(length, 1e-12, out=length)
         stretch = length - self.rest
-        k = np.where(stretch > 0.0, self.k_stretch, self.k_compress)
         v_along = np.einsum("ij,ij->i", dv, d) / length
-        scalar = (k * stretch + self.damp * v_along) / length
+        scalar = (self.k * stretch + self.damp * v_along) / length
         fvec = d
         fvec *= scalar[:, None]
         out = np.empty((self.n, 3))
@@ -225,29 +215,28 @@ def _closest_on_segments(
 def _collision_candidates(
     x: np.ndarray,
     v: np.ndarray,
-    cap_from: tuple,
-    cap_to: tuple,
+    p0: np.ndarray,
+    seg: np.ndarray,
+    reach: np.ndarray,
     dt: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flat (particle, capsule) candidate pairs valid for one frame.
 
-    A pair is kept when the start-of-frame distance (at either capsule end
-    configuration) is within reach of the frame's worst-case relative motion.
-    Pairs come in capsule-major order. Returns (particle_index, capsule_index).
+    p0/seg are the capsules' mid-frame poses and reach their radii plus half
+    their travel over the frame, so every pose the frame lerps through lies
+    within reach of the mid pose. A pair is kept when the particle is within
+    reach plus the particle's worst-case travel. Pairs come in capsule-major
+    order. Returns (particle_index, capsule_index).
     """
     speeds = np.sqrt(np.einsum("ij,ij->i", v, v))
     # Worst-case particle travel this frame: current velocity plus gravity,
     # plus a base allowance for spring-driven acceleration.
     margin = 0.02 + dt * speeds + STANDARD_GRAVITY * dt * dt
-    poses = (cap_from,) if cap_to is cap_from else (cap_from, cap_to)
     # Seeded with empty arrays so that a step without capsules has no pairs.
     part_idx = [np.zeros(0, dtype=np.int64)]
     cap_idx = [np.zeros(0, dtype=np.int64)]
-    for c in range(len(cap_from[2])):
-        near = np.zeros(len(x), dtype=bool)
-        for p0, seg, radius in poses:
-            near |= _closest_on_segments(x, p0[c], seg[c])[2] < radius[c] + margin
-        hits = np.nonzero(near)[0]
+    for c in range(len(reach)):
+        hits = np.nonzero(_closest_on_segments(x, p0[c], seg[c])[2] < reach[c] + margin)[0]
         part_idx.append(hits)
         cap_idx.append(np.full(len(hits), c, dtype=np.int64))
     return np.concatenate(part_idx), np.concatenate(cap_idx)
@@ -315,10 +304,12 @@ def _advance(
     h = dt / n_sub
     g_vec = np.array([0.0, -params.gravity, 0.0])
     pin_from = x[pinned]
-    pidx, cidx = _collision_candidates(x, v, cap_from, cap_to, dt)
-    p0_a, seg_a, r_pair = (a[cidx] for a in cap_from)
-    p0_move = cap_to[0][cidx] - p0_a
-    seg_move = cap_to[1][cidx] - seg_a
+    p0, seg, radius = cap_from
+    p0_move, seg_move = cap_to[0] - p0, cap_to[1] - seg
+    # Half the farthest either capsule end travels: a still body adds exactly 0.
+    half_travel = 0.5 * np.maximum(np.linalg.norm(p0_move, axis=-1), np.linalg.norm(p0_move + seg_move, axis=-1))
+    pidx, cidx = _collision_candidates(x, v, p0 + 0.5 * p0_move, seg + 0.5 * seg_move, radius + half_travel, dt)
+    p0_a, seg_a, r_pair, p0_move, seg_move = (a[cidx] for a in (p0, seg, radius, p0_move, seg_move))
     drag = max(0.0, 1.0 - AIR_DRAG * h)
     for s in range(n_sub):
         f = solver.forces(x, v)

@@ -132,15 +132,15 @@ BUILTIN_JOINT_MAPS = {
 }
 
 
-def ingest_estimates(text_or_path: str, source_label: str | None = None) -> ExternalEstimate:
-    """Parse and validate an estimate file (path or raw JSON text)."""
-    path = None
-    if "\n" not in text_or_path and text_or_path.strip().endswith(".json"):
-        path = text_or_path
-        with open(path) as fh:
-            text = fh.read()
+def ingest_estimates(text_or_path: str) -> ExternalEstimate:
+    """Parse and validate an estimate: JSON text if it starts with "{" (an
+    estimate is a JSON object), else a file path of any extension."""
+    if text_or_path.lstrip().startswith("{"):
+        text, label = text_or_path, "inline"
     else:
-        text = text_or_path
+        with open(text_or_path) as fh:
+            text = fh.read()
+        label = f"file:{text_or_path}"
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -169,7 +169,6 @@ def ingest_estimates(text_or_path: str, source_label: str | None = None) -> Exte
     positions = np.asarray(frames, dtype=float)
     if not np.isfinite(positions).all():
         raise ValueError("frames: contain non-finite values")
-    label = source_label if source_label is not None else (f"file:{path}" if path else "inline")
     return ExternalEstimate(convention, float(doc["fps"]), positions, label)
 
 

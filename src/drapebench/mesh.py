@@ -72,31 +72,29 @@ def face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=-1)
 
 
-def _sorted_edges(faces: np.ndarray) -> np.ndarray:
-    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    return np.sort(e, axis=1)
+def edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(directed, edges, inverse, counts) of a face array.
 
-
-def _max_edge_multiplicity(faces: np.ndarray) -> int:
-    if len(faces) == 0:
-        return 0
-    _, counts = np.unique(_sorted_edges(faces), axis=0, return_counts=True)
-    return int(counts.max())
+    directed (3F, 2): every face's (0, 1) edges, then (1, 2), then (2, 0).
+    edges (E, 2): the distinct undirected edges, rows ascending and sorted.
+    inverse (3F,): each directed edge's row in edges; counts (E,): its faces.
+    """
+    directed = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    edges, inverse, counts = np.unique(
+        np.sort(directed, axis=1), axis=0, return_inverse=True, return_counts=True
+    )
+    return directed, edges, inverse, counts
 
 
 def boundary_edges(faces: np.ndarray) -> np.ndarray:
     """Directed edges that appear in exactly one face, in face winding order."""
-    if len(faces) == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    directed = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    key = np.sort(directed, axis=1)
-    _, inverse, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
+    directed, _, inverse, counts = edge_table(faces)
     return directed[counts[inverse] == 1]
 
 
 def is_closed(faces: np.ndarray) -> bool:
-    """Whether faces form a watertight surface: no boundary, no non-manifold edge."""
-    return len(boundary_edges(faces)) == 0 and _max_edge_multiplicity(faces) <= 2
+    """Whether faces form a watertight surface: every edge is shared by exactly two faces."""
+    return bool((edge_table(faces)[3] == 2).all())
 
 
 def signed_volume(vertices: np.ndarray, faces: np.ndarray) -> float:
@@ -121,10 +119,8 @@ def enclosed_volume(mesh: TriMesh) -> float:
     return signed_volume(mesh.vertices, mesh.faces)
 
 
-def _boundary_loops(faces: np.ndarray) -> list[list[int]]:
-    edges = boundary_edges(faces)
-    if len(edges) == 0:
-        return []
+def _boundary_loops(edges: np.ndarray) -> list[list[int]]:
+    """Directed boundary edges chained into closed loops, each from its lowest vertex."""
     nxt: dict[int, int] = {}
     for a, b in edges:
         if int(a) in nxt:
@@ -154,9 +150,10 @@ def boundary_caps(faces: np.ndarray, num_vertices: int) -> tuple[list[list[int]]
     at the loop centroid. Fan triangles run opposite to the boundary's winding
     so the caps face outward. A closed surface has no loops and keeps its faces.
     """
-    if _max_edge_multiplicity(faces) > 2:
+    directed, _, inverse, counts = edge_table(faces)
+    if counts.max(initial=0) > 2:
         raise ValueError("non-manifold edge (shared by more than two faces); cannot cap")
-    loops = _boundary_loops(faces)
+    loops = _boundary_loops(directed[counts[inverse] == 1])
     if not loops:
         return loops, faces
     fans = []

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from drapebench.bench import (
@@ -177,7 +178,7 @@ def test_ingest_method_round_trip(tmp_path, skeleton):
     from drapebench.body import body_skeleton
 
     sk = body_skeleton("female_average")
-    seq = _load_motion(cfg, cfg.motions[0], sk, "female_average")
+    seq = _load_motion(cfg, cfg.motions[0], sk)
     path = tmp_path / "gt.json"
     path.write_text(export_estimate(estimate_from_sequence(seq)))
     cfg2 = tiny_config(
@@ -278,6 +279,17 @@ def test_unique_method_kind_keeps_its_label():
     assert [cfg.method_label(m) for m in cfg.methods] == ["marker_based", "markerless_surrogate"]
 
 
+def test_config_refuses_unknown_or_out_of_range_cloth_keys():
+    for removed in ("stiffness_compression", "damping_compression", "stiffness_tension"):
+        with pytest.raises(ValueError, match=removed):
+            tiny_config(cloth={removed: 15.0})
+    with pytest.raises(ValueError, match="damping_shear"):
+        tiny_config(cloth={"damping_shear": -1.0})
+    with pytest.raises(ValueError, match="damping_shear"):
+        BenchConfig.from_json(json.dumps({"cloth": {"damping_shear": -1.0}}))
+    assert tiny_config(cloth={"stiffness_structural": 12.0}).cloth_params().stiffness_structural == 12.0
+
+
 def test_config_refuses_colliding_cells():
     with pytest.raises(ValueError, match="marker_based"):
         tiny_config(methods=(MethodSpec("marker_based"), MethodSpec("marker_based")))
@@ -298,12 +310,12 @@ def test_cli_simulate_selects_a_labelled_cell(tmp_path, capsys):
     assert out["variants"]["all_markers"]["mpjpe_m"] < 1e-6
 
 
-def _ground_truth_estimate(tmp_path, seq, fps, frames=None):
+def _ground_truth_estimate(tmp_path, seq, fps, frames=None, name="estimate.json"):
     from drapebench.estimates import ExternalEstimate, export_estimate
     from drapebench.kinematics import sequence_transforms
 
     joints, _ = sequence_transforms(seq)
-    path = tmp_path / "estimate.json"
+    path = tmp_path / name
     path.write_text(export_estimate(ExternalEstimate("smpl24", fps, joints[:frames])))
     return str(path)
 
@@ -313,12 +325,49 @@ def test_ingest_refuses_frame_count_mismatch(tmp_path):
     from drapebench.body import body_skeleton
 
     cfg = _unclothed()
-    seq = _load_motion(cfg, cfg.motions[0], body_skeleton("female_average"), "female_average")
+    seq = _load_motion(cfg, cfg.motions[0], body_skeleton("female_average"))
     path = _ground_truth_estimate(tmp_path, seq, seq.fps, frames=seq.num_frames - 1)
     cfg = _unclothed(methods=(MethodSpec("markerless_ingest", path=path),))
     cell = run_benchmark(cfg).cells[0]
     assert cell.status == "error"
     assert cell.error == "estimate has 29 frames, motion has 30"
+
+
+def test_ingest_of_an_estimate_file_without_json_extension(tmp_path):
+    from drapebench.bench import _load_motion
+    from drapebench.body import body_skeleton
+    from drapebench.estimates import ingest_estimates
+
+    cfg = _unclothed()
+    seq = _load_motion(cfg, cfg.motions[0], body_skeleton("female_average"))
+    path = _ground_truth_estimate(tmp_path, seq, seq.fps, name="est.txt")
+    assert ingest_estimates(path).source_label == f"file:{path}"
+    cell = run_benchmark(_unclothed(methods=(MethodSpec("markerless_ingest", path=path),))).cells[0]
+    assert cell.status == "ok", cell.error
+    assert cell.source_label == f"file:{path}"
+
+
+def test_export_bvh_writes_the_marker_based_reconstruction(tmp_path):
+    from drapebench.bench import _load_motion
+    from drapebench.body import body_skeleton
+    from drapebench.bvh import parse_bvh
+    from drapebench.kinematics import sequence_transforms
+
+    cfg = _unclothed(
+        methods=(MethodSpec("marker_based", noise=False), MethodSpec("markerless_surrogate")),
+        output_dir=str(tmp_path), export_bvh=True,
+    )
+    assert not run_benchmark(cfg).failed_cells
+    assert os.listdir(tmp_path) == ["basic_female_average_1_marker_based.bvh"]
+    clip = parse_bvh((tmp_path / "basic_female_average_1_marker_based.bvh").read_text())
+    assert clip.num_frames == 30
+    assert clip.fps == 30.0
+    sk = body_skeleton("female_average")
+    truth, _ = sequence_transforms(_load_motion(cfg, cfg.motions[0], sk))
+    parsed, _ = sequence_transforms(clip)
+    # write_bvh emits joints depth-first, so the parsed joints are matched by name.
+    order = [clip.skeleton.joint_names.index(name) for name in sk.joint_names]
+    assert np.abs(parsed[:, order] - truth).max() < 1e-5
 
 
 def test_ingest_of_a_written_30_fps_clip(tmp_path):
@@ -331,7 +380,7 @@ def test_ingest_of_a_written_30_fps_clip(tmp_path):
     clip = tmp_path / "clip.bvh"
     clip.write_text(write_bvh(procedural_motion("basic", 1.0, 30.0, 4, sk)))
     motion = MotionSpec("basic", source=str(clip), duration_s=1.0, fps=30.0)
-    seq = _load_motion(_unclothed(), motion, sk, "female_average")
+    seq = _load_motion(_unclothed(), motion, sk)
     assert seq.fps == 30.0
     path = _ground_truth_estimate(tmp_path, seq, 30.0)
     cfg = _unclothed(motions=(motion,), methods=(MethodSpec("markerless_ingest", path=path),))

@@ -3,7 +3,9 @@ import pytest
 
 from drapebench import rotations as rot
 from drapebench.body import Capsule, body_capsules, build_parametric_body
+from drapebench.bench import BenchConfig, MotionSpec, _build_garment, _load_motion, _simulate_garment
 from drapebench.cloth import (
+    COLLISION_OFFSET,
     STANDARD_GRAVITY,
     STRAIN_REF,
     ClothParams,
@@ -113,12 +115,10 @@ def single_spring_network(rest=0.1):
 def test_woven_cotton_default_parameters():
     p = ClothParams()
     assert p.vertex_mass == 0.05
-    assert p.stiffness_tension == 15.0
-    assert p.stiffness_compression == 15.0
+    assert p.stiffness_structural == 15.0
     assert p.stiffness_shear == 10.0
     assert p.stiffness_bending == 0.5
-    assert p.damping_tension == 5.0
-    assert p.damping_compression == 5.0
+    assert p.damping_structural == 5.0
     assert p.damping_shear == 5.0
     assert p.damping_bending == 0.5
 
@@ -170,11 +170,17 @@ def test_network_matches_loop_reference(male_large_scene):
             assert np.array_equal(ours, ref)
 
 
+def _pair_keys(pairs, num_capsules):
+    particle, capsule = pairs
+    return particle * num_capsules + capsule
+
+
 def test_collision_candidates_match_reference(male_large_scene):
     body, garment = male_large_scene
     sk = body.skeleton
     joint_pos, joint_orient = sequence_transforms(procedural_motion("fast", 1.0, 30.0, 1, sk))
     k = 10
+    dt = 1.0 / 30.0
     # The garment ridden rigidly into frame k by its binding joints.
     binding = garment.binding_joint
     local = garment.mesh.vertices - sk.rest_positions()[binding]
@@ -185,12 +191,44 @@ def test_collision_candidates_match_reference(male_large_scene):
         _capsule_arrays(body_capsules(sk, body.build_label, joint_positions=joint_pos[f]))
         for f in (k, k + 1)
     )
-    for x, cap_from, cap_to in ((garment.mesh.vertices, rest, rest), (moved, start, end)):
-        ours = _collision_candidates(x, v, cap_from, cap_to, 1.0 / 30.0)
-        ref = _reference_collision_candidates(x, v, cap_from, cap_to, 1.0 / 30.0)
-        assert len(ours[0]) > 0
-        for a, b in zip(ours, ref):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    # A still body tests the one pose at the capsule radius: the two-pose sets exactly.
+    ours = _collision_candidates(garment.mesh.vertices, v, rest[0], rest[1], rest[2], dt)
+    ref = _reference_collision_candidates(garment.mesh.vertices, v, rest, rest, dt)
+    assert len(ours[0]) > 0
+    for a, b in zip(ours, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    # A moving body: mid-frame pose, reach = radius + half the farthest end travel.
+    p0_move, seg_move = end[0] - start[0], end[1] - start[1]
+    reach = start[2] + 0.5 * np.maximum(
+        np.linalg.norm(p0_move, axis=-1), np.linalg.norm(p0_move + seg_move, axis=-1)
+    )
+    ours = _collision_candidates(
+        moved, v, start[0] + 0.5 * p0_move, start[1] + 0.5 * seg_move, reach, dt
+    )
+    assert np.all(np.diff(ours[1]) >= 0)  # capsule-major
+    num_caps = len(start[2])
+    keys = _pair_keys(ours, num_caps)
+    ref = _reference_collision_candidates(moved, v, start, end, dt)
+    assert np.isin(_pair_keys(ref, num_caps), keys).all()
+    # Brute force over the frame's substep poses: every pair that comes within
+    # the collision radius plus the particle margin at any of them is a candidate.
+    margin = 0.02 + dt * np.linalg.norm(v, axis=-1) + STANDARD_GRAVITY * dt * dt
+    n_sub = 34
+    swept = np.zeros((len(moved), num_caps), dtype=bool)
+    for s in range(n_sub):
+        alpha = (s + 1) / n_sub
+        p0 = start[0] + alpha * p0_move
+        seg = start[1] + alpha * seg_move
+        for c in range(num_caps):
+            t = np.clip((moved - p0[c]) @ seg[c] / (seg[c] @ seg[c]), 0.0, 1.0)
+            d = np.linalg.norm(moved - p0[c] - t[:, None] * seg[c], axis=-1)
+            swept[:, c] |= d < start[2][c] + margin - 1e-9
+    swept_keys = _pair_keys(np.nonzero(swept), num_caps)
+    assert np.isin(swept_keys, keys).all()
+    # The limbs sweep through pairs that neither end pose finds.
+    assert not np.isin(swept_keys, _pair_keys(ref, num_caps)).all()
 
 
 def test_non_manifold_rejected():
@@ -213,8 +251,8 @@ def test_zero_gravity_rest_is_fixed_point():
 def test_oscillator_frequency_matches_analytic():
     rest = 0.1
     net = single_spring_network(rest)
-    params = ClothParams(gravity=0.0, damping_tension=0.3, damping_compression=0.3)
-    k = params.stiffness_tension * params.vertex_mass * STANDARD_GRAVITY / (STRAIN_REF * rest)
+    params = ClothParams(gravity=0.0, damping_structural=0.3)
+    k = params.stiffness_structural * params.vertex_mass * STANDARD_GRAVITY / (STRAIN_REF * rest)
     f_analytic = np.sqrt(k / params.vertex_mass) / (2.0 * np.pi)
     state = ClothState(
         np.array([[0.0, 0, 0], [rest * 1.1, 0, 0]]),
@@ -263,6 +301,27 @@ def test_rising_capsule_keeps_sheet_outside():
         assert max_capsule_penetration(state.positions, caps) < 1e-3
     # The sheet rode up with the capsule rather than falling through it.
     assert states[-1].positions[:, 1].max() > rise * (n - 1) + 0.05
+
+
+@pytest.mark.parametrize("drape", [1, 6])
+def test_fast_motion_keeps_cloth_outside_the_body(drape):
+    # Free particles may sink into the body's true capsules by at most the
+    # cloth thickness that the collision radius adds, at every recorded frame.
+    config = BenchConfig(
+        seed=1, motions=(MotionSpec("fast", duration_s=0.5, fps=30.0),),
+        drape_classes=(drape,), resolution_scale=1.0, warmup_s=0.5,
+    )
+    body = build_parametric_body("female_average")
+    sk = body.skeleton
+    seq = _load_motion(config, config.motions[0], sk)
+    joint_pos, joint_orient = sequence_transforms(seq)
+    garment = _build_garment(config, body, drape)
+    states = _simulate_garment(config, body, garment, seq, joint_pos, joint_orient)
+    free = ~garment.pinned
+    for frame, (state, pos) in enumerate(zip(states, joint_pos)):
+        caps = body_capsules(sk, body.build_label, joint_positions=pos)
+        depth = max_capsule_penetration(state.positions[free], caps)
+        assert depth < COLLISION_OFFSET, f"frame {frame}: {1000 * depth:.2f} mm inside the body"
 
 
 def test_collider_frames_with_different_capsule_counts_refused():

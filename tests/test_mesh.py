@@ -7,7 +7,9 @@ from drapebench.mesh import (
     boundary_edges,
     cap_boundaries,
     dump_obj,
+    edge_table,
     enclosed_volume,
+    is_closed,
     face_components,
     load_obj,
     merge_meshes,
@@ -204,3 +206,15 @@ def test_boundary_edges_of_cylinder():
     cyl = open_cylinder(0.1, 0.3, 16, 4)
     edges = boundary_edges(cyl.faces)
     assert len(edges) == 32  # two rings of 16
+
+
+def test_edge_table_counts_shared_edges():
+    cyl = open_cylinder(0.1, 0.3, 16, 4)
+    for faces, closed in ((cyl.faces, False), (cap_boundaries(cyl).faces, True), (icosphere(1).faces, True)):
+        directed, edges, inverse, counts = edge_table(faces)
+        assert np.array_equal(directed[: len(faces)], faces[:, :2])
+        assert np.array_equal(edges[inverse], np.sort(directed, axis=1))
+        assert np.array_equal(counts, np.bincount(inverse))
+        assert len(np.unique(edges, axis=0)) == len(edges)
+        assert is_closed(faces) == closed
+    assert is_closed(np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4], [0, 1, 5]])) is False
