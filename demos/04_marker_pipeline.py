@@ -26,11 +26,13 @@ garment = merge_garments([
     generate_garment(body, GarmentSpec("trousers", 3, "female_average")),
 ])
 
-specs = place_markers(body, garment.mesh)
-cloth_joints = sorted({body.skeleton.joint_names[s.joint] for s in specs if s.target == "cloth"})
-skin_joints = sorted({body.skeleton.joint_names[s.joint] for s in specs if s.target == "skin"})
-print(f"{len(specs)} markers placed; cloth-attached joints: {', '.join(cloth_joints)}")
-print(f"skin-attached joints: {', '.join(skin_joints)}")
+placement = place_markers(body, garment.mesh)
+joints = np.arange(body.skeleton.num_joints)
+names = np.array(body.skeleton.joint_names)
+cloth_mask = np.isin(joints, placement.joint[placement.on_cloth])
+skin_mask = np.isin(joints, placement.joint[~placement.on_cloth])
+print(f"{placement.num_markers} markers placed; cloth-attached joints: {', '.join(sorted(names[cloth_mask]))}")
+print(f"skin-attached joints: {', '.join(sorted(names[skin_mask]))}")
 
 motion = procedural_motion("basic", 3.0, 30, seed=5, skeleton=body.skeleton)
 joint_pos, joint_orient = sequence_transforms(motion)
@@ -39,18 +41,13 @@ print("\nsimulating the garment over the clip (2 s warm start)...")
 config = BenchConfig(warmup_s=2.0)
 cloth_states = _simulate_garment(config, body, garment, motion, joint_pos, joint_orient)
 
-traj = track_markers(specs, joint_pos, joint_orient, motion.fps, cloth_states, garment.mesh.faces)
+traj = track_markers(placement, joint_pos, joint_orient, motion.fps, cloth_states, garment.mesh.faces)
 noisy = add_marker_noise(traj, seed=99)
 
 est_pos = marker_pair_midpoints(noisy)
 gt_ang, gt_mask = angles_from_positions(body.skeleton, joint_pos)
 est_ang, est_mask = angles_from_positions(body.skeleton, est_pos)
 value, degrees = crmse(gt_ang, est_ang, gt_mask & est_mask)
-
-cloth_mask = np.zeros(body.skeleton.num_joints, dtype=bool)
-for s in specs:
-    if s.target == "cloth":
-        cloth_mask[s.joint] = True
 
 print(f"\nMPJPE over all 24 joints:      {mpjpe(joint_pos, est_pos) * 100:.2f} cm")
 print(f"MPJPE over cloth-marker joints: {mpjpe(joint_pos, est_pos, cloth_mask[None]) * 100:.2f} cm")

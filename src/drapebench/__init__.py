@@ -17,7 +17,7 @@ from .kinematics import (
     rescale_to_height,
 )
 from .bvh import BvhParseError, parse_bvh, write_bvh
-from .mesh import SurfacePoint, TriMesh, cap_boundaries, enclosed_volume, surface_point_position
+from .mesh import TriMesh, cap_boundaries, enclosed_volume, surface_points
 from .body import BUILD_CATALOG, Capsule, SkinnedBody, build_parametric_body
 from .cloth import ClothParams, ClothState, SpringNetwork, build_spring_network, simulate_sequence, step
 from .garment import (
@@ -29,7 +29,7 @@ from .garment import (
     measure_drape,
 )
 from .markers import (
-    MarkerSpec,
+    MarkerPlacement,
     MarkerTrajectory,
     add_marker_noise,
     place_markers,
@@ -38,7 +38,6 @@ from .markers import (
 )
 from .estimates import (
     ExternalEstimate,
-    JointMap,
     NormalizedEstimate,
     ingest_estimates,
     normalize_estimate,

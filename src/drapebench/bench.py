@@ -5,7 +5,8 @@ pure given the global seed: per-cell seeds derive from the cell coordinates,
 so any subset of cells, in any order or process layout, reproduces the rows
 of the full sweep bit for bit. A cell's coordinates are its motion class,
 build, drape class and method label; a config whose cells would share
-coordinates is refused.
+coordinates, or that names an unknown build or a drape class outside 1..6,
+is refused.
 """
 
 from __future__ import annotations
@@ -101,8 +102,18 @@ class BenchConfig:
         if unknown:
             raise ValueError(f"unknown cloth key {', '.join(map(repr, unknown))}")
         self.cloth_params()  # ClothParams refuses an out-of-range value, naming its key
+        unknown = [b for b in self.builds if b not in BUILD_CATALOG]
+        if unknown:
+            raise ValueError(
+                f"unknown build {', '.join(map(repr, unknown))}; choose from {sorted(BUILD_CATALOG)}"
+            )
+        outside = [str(c) for c in self.drape_classes if not 1 <= c <= 6]
+        if outside:
+            raise ValueError(f"drape class {', '.join(outside)} outside 1..6")
         for what, labels in (
             ("motions share the motion_class", [m.motion_class for m in self.motions]),
+            ("builds repeat", list(self.builds)),
+            ("drape_classes repeat", [str(c) for c in self.drape_classes]),
             ("methods share the label", [self.method_label(m) for m in self.methods]),
         ):
             repeated = sorted({x for x in labels if labels.count(x) > 1})
@@ -268,14 +279,14 @@ def run_cell(
             garment = _build_garment(config, body, drape)
             result.drape_ratio = garment.drape_ratio
             cloth_states = _simulate_garment(config, body, garment, seq, joint_pos, joint_orient)
-            specs = place_markers(body, garment.mesh)
+            placement = place_markers(body, garment.mesh)
             traj = track_markers(
-                specs, joint_pos, joint_orient, seq.fps, cloth_states, garment.mesh.faces
+                placement, joint_pos, joint_orient, seq.fps, cloth_states, garment.mesh.faces
             )
         else:
             # Unclothed baseline: every marker lands on skin.
-            specs = place_markers(body, None)
-            traj = track_markers(specs, joint_pos, joint_orient, seq.fps)
+            placement = place_markers(body, None)
+            traj = track_markers(placement, joint_pos, joint_orient, seq.fps)
         if method.noise and config.noise_rms_m > 0:
             traj = add_marker_noise(traj, cell_seed, config.noise_rms_m)
         # Joint position estimates are the pair midpoints; the hierarchical
@@ -283,10 +294,7 @@ def run_cell(
         est_pos = marker_pair_midpoints(traj)
         est_ang, est_ang_mask = angles_from_positions(sk, est_pos)
         ang_mask = gt_ang_mask & est_ang_mask
-        cloth_joints = np.zeros(sk.num_joints, dtype=bool)
-        for s in specs:
-            if s.target == "cloth":
-                cloth_joints[s.joint] = True
+        cloth_joints = np.isin(np.arange(sk.num_joints), placement.joint[placement.on_cloth])
         result.variants["all_markers"] = _metric_row(
             joint_pos, est_pos, None, gt_ang, est_ang, ang_mask
         )
@@ -331,47 +339,40 @@ def run_cell(
     return result
 
 
-def _cell_worker(args) -> tuple[str, dict, float]:
+def _cell_worker(args) -> tuple[CellResult, float]:
     config, motion, build, drape, method, artifacts_dir = args
-    label = config.method_label(method)
     tic = time.perf_counter()
     try:
         cell = run_cell(config, motion, build, drape, method, artifacts_dir)
     except Exception as exc:  # cell isolation: a blow-up must not kill the sweep
+        label = config.method_label(method)
         cell = CellResult(motion.motion_class, build, drape, label, status="error", error=f"{exc}")
-    return cell_id(motion, build, drape, label), cell.to_dict(), time.perf_counter() - tic
+    return cell, time.perf_counter() - tic
 
 
 def run_benchmark(config: BenchConfig, artifacts_dir: str | None = None) -> BenchmarkReport:
     """Run every cell of the configured matrix.
 
     Cells are independent; failures are recorded per cell and the sweep
-    continues. Rows are assembled in coordinate order regardless of worker
-    scheduling.
+    continues. Rows come back in coordinate order, serial or parallel.
     """
     coords = cell_coordinates(config)
     if config.export_bvh and artifacts_dir is None:
         artifacts_dir = config.output_dir
     if artifacts_dir:
         os.makedirs(artifacts_dir, exist_ok=True)
-    jobs = [(config, m, b, d, meth, artifacts_dir) for (m, b, d, meth) in coords]
+    jobs = [(config, *coord, artifacts_dir) for coord in coords]
     tic = time.perf_counter()
-    results: dict[str, tuple[dict, float]] = {}
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for cid, cell_dict, wall in pool.map(_cell_worker, jobs):
-                results[cid] = (cell_dict, wall)
+            results = list(pool.map(_cell_worker, jobs))
     else:
-        for job in jobs:
-            cid, cell_dict, wall = _cell_worker(job)
-            results[cid] = (cell_dict, wall)
-    cells = []
-    wall_times = {}
-    for m, b, d, meth in coords:
-        cid = cell_id(m, b, d, config.method_label(meth))
-        cell_dict, wall = results[cid]
-        cells.append(CellResult.from_dict(cell_dict))
-        wall_times[cid] = round(wall, 3)
+        results = [_cell_worker(job) for job in jobs]
+    cells = [cell for cell, _ in results]
+    wall_times = {
+        cell_id(motion, cell.build, cell.drape_class, cell.method): round(wall, 3)
+        for (motion, *_), (cell, wall) in zip(coords, results)
+    }
     metadata = {
         "engine_version": __version__,
         "config_hash": config.config_hash(),

@@ -48,29 +48,8 @@ class ExternalEstimate:
         return self.source_label.startswith("surrogate")
 
 
-@dataclass(frozen=True)
-class JointMap:
-    """Source-convention recipe per target joint: index, index pair, or absent."""
-
-    convention: str
-    entries: tuple  # per target joint: int, (int, int), or None
-
-    def target_mask(self) -> np.ndarray:
-        return np.array([e is not None for e in self.entries], dtype=bool)
-
-    def apply(self, positions: np.ndarray) -> np.ndarray:
-        t = positions.shape[0]
-        out = np.zeros((t, len(self.entries), 3))
-        for j, e in enumerate(self.entries):
-            if e is None:
-                continue
-            if isinstance(e, tuple):
-                out[:, j] = 0.5 * (positions[:, e[0]] + positions[:, e[1]])
-            else:
-                out[:, j] = positions[:, e]
-        return out
-
-
+# Per target (SMPL-24) joint, the source joint: an index, an index pair whose
+# midpoint stands in for it, or None where the source has no such joint.
 _H36M17_TO_SMPL24 = (
     0,            # pelvis
     4,            # left_hip
@@ -125,10 +104,18 @@ _BLAZE33_TO_SMPL24 = (
     (18, 20),     # right_hand
 )
 
+
+def _source_table(entries) -> tuple[np.ndarray, np.ndarray]:
+    """(24, 2) source index pairs, a single index repeated, and the (24,)
+    mask of joints the source provides (absent rows hold (0, 0))."""
+    pairs = [(0, 0) if e is None else e if isinstance(e, tuple) else (e, e) for e in entries]
+    return np.array(pairs), np.array([e is not None for e in entries])
+
+
 BUILTIN_JOINT_MAPS = {
-    "smpl24": JointMap("smpl24", tuple(range(24))),
-    "h36m17": JointMap("h36m17", _H36M17_TO_SMPL24),
-    "blaze33": JointMap("blaze33", _BLAZE33_TO_SMPL24),
+    "smpl24": _source_table(range(24)),
+    "h36m17": _source_table(_H36M17_TO_SMPL24),
+    "blaze33": _source_table(_BLAZE33_TO_SMPL24),
 }
 
 
@@ -197,32 +184,24 @@ class NormalizedEstimate:
     scale: float
 
 
-def normalize_estimate(
-    est: ExternalEstimate,
-    joint_map: JointMap | None = None,
-    target_height: float = 1.70,
-) -> NormalizedEstimate:
+def normalize_estimate(est: ExternalEstimate, target_height: float = 1.70) -> NormalizedEstimate:
     """Remap to 24 joints and rescale so the subject stands target_height tall.
 
-    The subject height of an estimate is its largest per-frame vertical extent
-    over the mapped joints (the tallest frame stands in for the rest pose).
-    Absent target joints stay flagged invalid and are excluded from metrics.
+    A target joint is its source joint, or the midpoint of a source pair; a
+    target joint the source lacks is 0 and flagged invalid, and metrics
+    exclude it. The subject height of an estimate is its largest per-frame
+    vertical extent over the mapped joints (the tallest frame stands in for
+    the rest pose).
     """
-    joint_map = joint_map or BUILTIN_JOINT_MAPS[est.convention]
-    if joint_map.convention != est.convention:
-        raise ValueError(
-            f"joint map is for {joint_map.convention!r}, estimate is {est.convention!r}"
-        )
-    mapped = joint_map.apply(est.positions)
-    valid = joint_map.target_mask()
+    pairs, valid = BUILTIN_JOINT_MAPS[est.convention]
+    p = est.positions
+    mapped = np.where(valid[:, None], 0.5 * (p[:, pairs[:, 0]] + p[:, pairs[:, 1]]), 0.0)
     ys = mapped[:, valid, 1]
     height = float((ys.max(axis=1) - ys.min(axis=1)).max())
     if height <= 1e-9:
         raise ValueError("estimated height is zero; cannot rescale")
     scale = target_height / height
     absolute = mapped * scale
-    if not valid[0]:
-        raise ValueError("joint map must provide the pelvis for root alignment")
     root_aligned = absolute - absolute[:, :1, :]
     return NormalizedEstimate(absolute, root_aligned, valid, scale)
 

@@ -354,6 +354,8 @@ def generate_garment(
     A single radial slack is bisected against the drape ratio, which is
     strictly increasing in slack. Deterministic for identical inputs.
     """
+    if spec.body != body.build_label:
+        raise ValueError(f"garment spec is for build {spec.body!r}, body is {body.build_label!r}")
     table = table or DrapeClassTable()
     sleeves = _sleeves(body, spec.category, resolution_scale)
     covered = merge_meshes([s.capped(0.0) for s in sleeves])

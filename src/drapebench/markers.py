@@ -17,26 +17,26 @@ from . import rotations as rot
 from .body import SkinnedBody
 from .cloth import ClothState
 from .kinematics import MotionSequence, Skeleton, poses_from_joint_positions
-from .mesh import TriMesh, SurfacePoint, ray_union_exits, surface_point_position
+from .mesh import TriMesh, ray_union_exits, surface_points
 
 MARKER_BASE_HEIGHT = 0.005  # marker center sits 5 mm off the skin
 DEFAULT_NOISE_RMS_M = 0.005  # RMS 3D displacement of the added noise
 
 
 @dataclass(frozen=True)
-class MarkerSpec:
-    joint: int
-    slot: str                       # "A" (+lateral) or "B" (-lateral)
-    target: str                     # "skin" or "cloth"
-    attachment: SurfacePoint        # on the target mesh at T-pose
-    rest_offset: np.ndarray         # marker minus joint position at T-pose
+class MarkerPlacement:
+    """The marker set at the T-pose: marker 2j is joint j's A (+lateral)
+    marker and 2j + 1 its B (-lateral) marker."""
 
-    def __post_init__(self):
-        if self.slot not in ("A", "B"):
-            raise ValueError("slot must be 'A' or 'B'")
-        if self.target not in ("skin", "cloth"):
-            raise ValueError("target must be 'skin' or 'cloth'")
-        object.__setattr__(self, "rest_offset", np.asarray(self.rest_offset, dtype=float))
+    joint: np.ndarray        # (M,) joint each marker belongs to
+    on_cloth: np.ndarray     # (M,) rides the garment (else the skin)
+    offset: np.ndarray       # (M, 3) marker minus joint position at T-pose
+    face: np.ndarray         # (M,) face of the garment (cloth) or body template (skin)
+    barycentric: np.ndarray  # (M, 3) weights on that face's vertices
+
+    @property
+    def num_markers(self) -> int:
+        return len(self.joint)
 
 
 @dataclass(frozen=True)
@@ -62,15 +62,13 @@ class MarkerTrajectory:
         return self.positions.shape[1]
 
 
-def _lateral_axis(bone_dir: np.ndarray) -> np.ndarray:
-    """Marker offset axis: z (front/back) unless the bone runs along z."""
-    z = np.array([0.0, 0.0, 1.0])
-    x = np.array([1.0, 0.0, 0.0])
-    b = bone_dir / np.linalg.norm(bone_dir)
-    return x if abs(float(b @ z)) > 0.7 else z
+def _lateral_axes(bones: np.ndarray) -> np.ndarray:
+    """Marker offset axis per bone: z (front/back) unless the bone runs along z."""
+    along_z = np.abs(bones[:, 2] / np.linalg.norm(bones, axis=1)) > 0.7
+    return np.where(along_z[:, None], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
 
 
-def place_markers(body: SkinnedBody, garment: TriMesh | None = None) -> list[MarkerSpec]:
+def place_markers(body: SkinnedBody, garment: TriMesh | None = None) -> MarkerPlacement:
     """Attach two markers per joint at the T-pose.
 
     Rays are cast from each joint outward along +-lateral; the marker targets
@@ -78,45 +76,38 @@ def place_markers(body: SkinnedBody, garment: TriMesh | None = None) -> list[Mar
     misses both surfaces (malformed garment or body).
     """
     sk = body.skeleton
-    joint_pos = sk.rest_positions()
-    rays = []  # (joint, slot, direction)
-    for j in range(sk.num_joints):
-        c = sk.primary_child(j)
-        bone = sk.rest_offsets[c] if c is not None else sk.rest_offsets[j]
-        lateral = _lateral_axis(bone)
-        for sign, slot in ((1.0, "A"), (-1.0, "B")):
-            rays.append((j, slot, sign * lateral))
-    origins = joint_pos[[j for j, _, _ in rays]]
-    directions = np.array([d for _, _, d in rays])
+    children = [sk.primary_child(j) for j in range(sk.num_joints)]
+    bones = sk.rest_offsets[[j if c is None else c for j, c in enumerate(children)]]
+    joint = np.repeat(np.arange(sk.num_joints), 2)
+    n = len(joint)
+    origins = sk.rest_positions()[joint]
+    signs = np.tile([[1.0], [-1.0]], (sk.num_joints, 1))  # A, B
+    directions = np.repeat(_lateral_axes(bones), 2, axis=0) * signs
+    on_cloth = np.zeros(n, dtype=bool)
+    face = np.zeros(n, dtype=np.int64)
+    barycentric = np.zeros((n, 3))
+    offset = np.empty((n, 3))
     if garment is not None:
-        cloth_sps = ray_union_exits(origins, directions, garment)
-    else:
-        cloth_sps = [None] * len(rays)
-    uncovered = [i for i, sp in enumerate(cloth_sps) if sp is None]
-    skin_sps = {}
-    if uncovered:
-        skin = ray_union_exits(origins[uncovered], directions[uncovered], body.template)
-        skin_sps = dict(zip(uncovered, skin))
-    specs: list[MarkerSpec] = []
-    for i, (j, slot, direction) in enumerate(rays):
-        cloth_sp = cloth_sps[i]
-        if cloth_sp is not None:
-            marker_pos = surface_point_position(garment, cloth_sp)
-            specs.append(MarkerSpec(j, slot, "cloth", cloth_sp, marker_pos - joint_pos[j]))
-            continue
-        skin_sp = skin_sps[i]
-        if skin_sp is None:
-            raise ValueError(
-                f"marker ray at joint {sk.joint_names[j]} ({slot}) misses both surfaces"
-            )
-        skin_pos = surface_point_position(body.template, skin_sp)
-        offset = skin_pos - joint_pos[j] + direction * MARKER_BASE_HEIGHT
-        specs.append(MarkerSpec(j, slot, "skin", skin_sp, offset))
-    return specs
+        on_cloth, face, barycentric = ray_union_exits(origins, directions, garment)
+        offset[on_cloth] = surface_points(
+            garment.vertices, garment.faces, face[on_cloth], barycentric[on_cloth]
+        ) - origins[on_cloth]
+    skin = ~on_cloth
+    hit, face[skin], barycentric[skin] = ray_union_exits(origins[skin], directions[skin], body.template)
+    if not hit.all():
+        m = int(np.nonzero(skin)[0][~hit][0])
+        raise ValueError(
+            f"marker ray at joint {sk.joint_names[joint[m]]} ({'AB'[m % 2]}) misses both surfaces"
+        )
+    offset[skin] = (
+        surface_points(body.template.vertices, body.template.faces, face[skin], barycentric[skin])
+        - origins[skin] + directions[skin] * MARKER_BASE_HEIGHT
+    )
+    return MarkerPlacement(joint, on_cloth, offset, face, barycentric)
 
 
 def track_markers(
-    specs: list[MarkerSpec],
+    placement: MarkerPlacement,
     joint_positions: np.ndarray,
     joint_orientations: np.ndarray,
     fps: float,
@@ -130,8 +121,9 @@ def track_markers(
     the garment face array; skin markers follow their joint's bone frame.
     """
     t_count = joint_positions.shape[0]
-    has_cloth = any(s.target == "cloth" for s in specs)
-    if has_cloth:
+    cloth = placement.on_cloth
+    out = np.empty((t_count, placement.num_markers, 3))
+    if cloth.any():
         if cloth_frames is None or garment_faces is None:
             raise ValueError("cloth markers present but no cloth frames supplied")
         if len(cloth_frames) != t_count:
@@ -139,14 +131,14 @@ def track_markers(
                 f"cloth frames ({len(cloth_frames)}) misaligned with motion frames ({t_count})"
             )
         frames = np.stack([s.positions for s in cloth_frames])
-    out = np.empty((t_count, len(specs), 3))
-    for m, spec in enumerate(specs):
-        if spec.target == "skin":
-            q = joint_orientations[:, spec.joint]
-            out[:, m] = joint_positions[:, spec.joint] + rot.rotate(q, spec.rest_offset)
-        else:
-            face = garment_faces[spec.attachment.face]
-            out[:, m] = spec.attachment.barycentric @ frames[:, face]
+        out[:, cloth] = surface_points(
+            frames, garment_faces, placement.face[cloth], placement.barycentric[cloth]
+        )
+    skin = ~cloth
+    joint = placement.joint[skin]
+    out[:, skin] = joint_positions[:, joint] + rot.rotate(
+        joint_orientations[:, joint], placement.offset[skin]
+    )
     return MarkerTrajectory(out, fps)
 
 

@@ -1,4 +1,4 @@
-"""Triangle mesh geometry: volume, boundary capping, surface points, OBJ I/O."""
+"""Triangle mesh geometry: volume, boundary capping, surface points, ray casts, OBJ I/O."""
 
 from __future__ import annotations
 
@@ -47,20 +47,6 @@ class TriMesh:
 
     def with_vertices(self, vertices: np.ndarray) -> "TriMesh":
         return TriMesh(vertices, self.faces)
-
-
-@dataclass(frozen=True)
-class SurfacePoint:
-    """Barycentric location on a mesh face; rides the mesh as it deforms."""
-
-    face: int
-    barycentric: np.ndarray  # (3,) non-negative, sums to 1
-
-    def __post_init__(self):
-        b = np.asarray(self.barycentric, dtype=float)
-        object.__setattr__(self, "barycentric", b)
-        if b.shape != (3,) or np.any(b < -1e-12) or abs(b.sum() - 1.0) > 1e-9:
-            raise ValueError("barycentric weights must be non-negative and sum to 1")
 
 
 def face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -179,11 +165,21 @@ def cap_boundaries(mesh: TriMesh) -> TriMesh:
     return TriMesh(cap_vertices(mesh.vertices, loops), faces)
 
 
-def surface_point_position(mesh: TriMesh, sp: SurfacePoint) -> np.ndarray:
-    """World position of a surface point on the mesh's current vertices."""
-    if not 0 <= sp.face < len(mesh.faces):
-        raise ValueError(f"face index {sp.face} out of range")
-    return sp.barycentric @ mesh.vertices[mesh.faces[sp.face]]
+def surface_points(
+    positions: np.ndarray, faces: np.ndarray, face: np.ndarray, barycentric: np.ndarray
+) -> np.ndarray:
+    """Points at barycentric weights on faces of a mesh, riding its vertices.
+
+    positions is one vertex set (V, 3) or a stack of them (..., V, 3); face
+    (N,) and barycentric (N, 3) locate N points. Returns (..., N, 3).
+    """
+    face = np.asarray(face)
+    barycentric = np.asarray(barycentric, dtype=float)
+    if len(face) and (face.min() < 0 or face.max() >= len(faces)):
+        raise ValueError("face index out of range")
+    if np.any(barycentric < -1e-12) or np.any(np.abs(barycentric.sum(axis=-1) - 1.0) > 1e-9):
+        raise ValueError("barycentric weights must be non-negative and sum to 1")
+    return (barycentric[:, None, :] @ positions[..., faces[face], :])[..., 0, :]
 
 
 def _ray_hits(
@@ -212,13 +208,6 @@ def _ray_hits(
     return np.stack([t[idx], idx.astype(float), u[idx], v[idx]], axis=-1) if len(idx) else np.zeros((0, 4))
 
 
-def _hit_to_surface_point(row: np.ndarray) -> SurfacePoint:
-    _, face, u, v = row
-    u = min(max(u, 0.0), 1.0)
-    v = min(max(v, 0.0), 1.0 - u)
-    return SurfacePoint(int(face), np.array([1.0 - u - v, u, v]))
-
-
 def face_components(mesh: TriMesh) -> np.ndarray:
     """Connected-component label per face (faces joined by shared vertices).
 
@@ -245,7 +234,8 @@ def face_components(mesh: TriMesh) -> np.ndarray:
     return compact
 
 
-def _union_exit(hits: np.ndarray, components: np.ndarray) -> SurfacePoint | None:
+def _union_exit(hits: np.ndarray, components: np.ndarray) -> int | None:
+    """Row of hits where the ray leaves every component enclosing its origin."""
     if len(hits) == 0:
         return None
     comp_of_hit = components[hits[:, 1].astype(int)]
@@ -272,26 +262,35 @@ def _union_exit(hits: np.ndarray, components: np.ndarray) -> SurfacePoint | None
     for idx in kept:
         inside.symmetric_difference_update({int(comp_of_hit[idx])})
         if not inside:
-            return _hit_to_surface_point(hits[idx])
-    return _hit_to_surface_point(hits[kept[-1]])
+            return int(idx)
+    return int(kept[-1])
 
 
-def ray_union_exits(origins, directions, mesh: TriMesh) -> list[SurfacePoint | None]:
+def ray_union_exits(origins, directions, mesh: TriMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where each ray leaves the union of mesh components enclosing its origin.
 
     Crossing parity per component decides which components contain the origin;
-    the exit is the first crossing after which none of them does. None for a
-    ray whose origin is outside every component (the point is not covered).
-    The face edges and component labels are derived once for all rays.
+    the exit is the first crossing after which none of them does. Returns
+    (hit (N,), face (N,), barycentric (N, 3)); a ray whose origin is outside
+    every component (the point is not covered) has hit False, face 0 and
+    weights (1, 0, 0). The face edges and component labels are derived once
+    for all rays.
     """
     v0 = mesh.vertices[mesh.faces[:, 0]]
     e1 = mesh.vertices[mesh.faces[:, 1]] - v0
     e2 = mesh.vertices[mesh.faces[:, 2]] - v0
     components = face_components(mesh)
-    return [
-        _union_exit(_ray_hits(o, d, v0, e1, e2), components)
-        for o, d in zip(origins, directions)
-    ]
+    hit = np.zeros(len(origins), dtype=bool)
+    exits = np.zeros((len(origins), 4))  # (t, face, u, v) per ray
+    for i, (o, d) in enumerate(zip(origins, directions)):
+        hits = _ray_hits(o, d, v0, e1, e2)
+        row = _union_exit(hits, components)
+        if row is not None:
+            hit[i] = True
+            exits[i] = hits[row]
+    u = np.minimum(np.maximum(exits[:, 2], 0.0), 1.0)
+    v = np.minimum(np.maximum(exits[:, 3], 0.0), 1.0 - u)
+    return hit, exits[:, 1].astype(np.int64), np.stack([1.0 - u - v, u, v], axis=-1)
 
 
 def merge_meshes(meshes: list[TriMesh]) -> TriMesh:

@@ -295,6 +295,14 @@ def test_config_refuses_colliding_cells():
         tiny_config(methods=(MethodSpec("marker_based"), MethodSpec("marker_based")))
     with pytest.raises(ValueError, match="basic"):
         tiny_config(motions=(MotionSpec("basic", duration_s=1.0), MotionSpec("basic", duration_s=2.0)))
+    with pytest.raises(ValueError, match="builds repeat female_average"):
+        tiny_config(builds=("female_average",) * 2)
+    with pytest.raises(ValueError, match="drape_classes repeat 1"):
+        tiny_config(drape_classes=(2, 1, 1))
+    with pytest.raises(ValueError, match="drape class 7, 0 outside 1..6"):
+        tiny_config(drape_classes=(7, 1, 0))
+    with pytest.raises(ValueError, match="unknown build 'nobody'"):
+        tiny_config(builds=("nobody",))
 
 
 def test_cli_simulate_selects_a_labelled_cell(tmp_path, capsys):

@@ -88,8 +88,7 @@ def test_normalize_zero_height_rejected():
 
 
 def test_h36m_absent_joints_masked(skeleton):
-    m = BUILTIN_JOINT_MAPS["h36m17"]
-    mask = m.target_mask()
+    _, mask = BUILTIN_JOINT_MAPS["h36m17"]
     names = skeleton.joint_names
     absent = {names[j] for j in range(24) if not mask[j]}
     assert absent == {"left_foot", "right_foot", "left_hand", "right_hand"}
@@ -98,6 +97,29 @@ def test_h36m_absent_joints_masked(skeleton):
     est = np.zeros((2, 24, 3))
     est[:, ~mask] = 100.0  # absurd values on absent joints must not matter
     assert mpjpe(gt, est, mask[None, :]) == 0.0
+
+
+def _reference_map(entries, positions):
+    """The per-joint remap the index tables replaced: index, pair midpoint or absent."""
+    out = np.zeros((positions.shape[0], len(entries), 3))
+    for j, e in enumerate(entries):
+        if isinstance(e, tuple):
+            out[:, j] = 0.5 * (positions[:, e[0]] + positions[:, e[1]])
+        elif e is not None:
+            out[:, j] = positions[:, e]
+    return out
+
+
+@pytest.mark.parametrize("convention", ["smpl24", "h36m17", "blaze33"])
+def test_joint_tables_match_reference_remap(convention, rng):
+    from drapebench.estimates import CONVENTION_JOINTS, _BLAZE33_TO_SMPL24, _H36M17_TO_SMPL24
+
+    entries = {"smpl24": range(24), "h36m17": _H36M17_TO_SMPL24, "blaze33": _BLAZE33_TO_SMPL24}
+    positions = rng.normal(size=(6, CONVENTION_JOINTS[convention], 3)) + [0.0, 1.0, 0.0]
+    norm = normalize_estimate(ExternalEstimate(convention, 30.0, positions), target_height=1.0)
+    mapped = _reference_map(entries[convention], positions)
+    assert np.array_equal(norm.valid, [e is not None for e in entries[convention]])
+    assert np.array_equal(norm.absolute, mapped * norm.scale)
 
 
 def test_root_alignment(skeleton):

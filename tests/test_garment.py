@@ -153,6 +153,12 @@ def test_spec_validation():
         GarmentSpec("tshirt", 7, "female_average")
 
 
+def test_spec_for_another_build_refused():
+    small = build_parametric_body("female_small")
+    with pytest.raises(ValueError, match="'male_large', body is 'female_small'"):
+        generate_garment(small, GarmentSpec("tshirt", 3, "male_large"))
+
+
 def test_unreachable_target_reports_achieved_range(body):
     # Thresholds far beyond what any slack within bounds can reach.
     table = DrapeClassTable((1000.0, 2000.0, 3000.0, 4000.0, 5000.0))

@@ -1,10 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from drapebench import rotations as rot
+from drapebench.bench import BenchConfig, MotionSpec, _build_garment, _load_motion, _simulate_garment
+from drapebench.body import build_parametric_body
+from drapebench.cloth import ClothState
 from drapebench.garment import GarmentSpec, generate_garment
 from drapebench.kinematics import procedural_motion, sequence_transforms
 from drapebench.markers import (
+    MARKER_BASE_HEIGHT,
     MarkerTrajectory,
     add_marker_noise,
     marker_pair_midpoints,
@@ -13,45 +19,42 @@ from drapebench.markers import (
     track_markers,
     trajectory_to_csv,
 )
+from drapebench.mesh import _ray_hits, _union_exit, face_components
 from drapebench.metrics import mpjpe
 
 
 @pytest.fixture(scope="module")
-def unclothed_specs(body):
+def unclothed_placement(body):
     return place_markers(body, None)
 
 
-def test_marker_count_and_pairing(unclothed_specs):
-    assert len(unclothed_specs) == 48
-    for j in range(24):
-        a, b = unclothed_specs[2 * j], unclothed_specs[2 * j + 1]
-        assert a.joint == b.joint == j
-        assert (a.slot, b.slot) == ("A", "B")
+def test_marker_count_and_pairing(unclothed_placement):
+    assert unclothed_placement.num_markers == 48
+    # Marker 2j is joint j's A (+lateral) marker, 2j + 1 its B marker.
+    assert np.array_equal(unclothed_placement.joint, np.repeat(np.arange(24), 2))
 
 
-def test_unclothed_markers_all_skin(unclothed_specs):
-    assert all(s.target == "skin" for s in unclothed_specs)
+def test_unclothed_markers_all_skin(unclothed_placement):
+    assert not unclothed_placement.on_cloth.any()
 
 
-def test_pairs_symmetric_about_joint(unclothed_specs):
-    for j in range(24):
-        a, b = unclothed_specs[2 * j], unclothed_specs[2 * j + 1]
-        assert np.linalg.norm(a.rest_offset + b.rest_offset) < 1e-9
+def test_pairs_symmetric_about_joint(unclothed_placement):
+    offsets = unclothed_placement.offset
+    assert np.linalg.norm(offsets[0::2] + offsets[1::2], axis=-1).max() < 1e-9
 
 
 def test_unicloth_covers_all_markers(body):
     uni = generate_garment(body, GarmentSpec("unicloth", 3, "female_average"))
-    specs = place_markers(body, uni.mesh)
-    assert all(s.target == "cloth" for s in specs)
+    assert place_markers(body, uni.mesh).on_cloth.all()
 
 
 def test_tshirt_coverage_split(body):
     tee = generate_garment(body, GarmentSpec("tshirt", 3, "female_average"))
-    specs = place_markers(body, tee.mesh)
+    placement = place_markers(body, tee.mesh)
     names = body.skeleton.joint_names
     targets = {}
-    for s in specs:
-        targets.setdefault(names[s.joint], set()).add(s.target)
+    for j, on_cloth in zip(placement.joint, placement.on_cloth):
+        targets.setdefault(names[j], set()).add("cloth" if on_cloth else "skin")
     for joint in ("left_wrist", "right_wrist", "left_ankle", "right_ankle", "head",
                   "left_hand", "right_hand", "left_foot", "right_foot"):
         assert targets[joint] == {"skin"}, joint
@@ -60,43 +63,167 @@ def test_tshirt_coverage_split(body):
         assert targets[joint] == {"cloth"}, joint
 
 
-def test_static_skin_markers_constant(body, unclothed_specs):
+def test_ray_missing_both_surfaces_refused(body):
+    # Shifted 5 cm forward, the template no longer encloses the left elbow,
+    # so its forward (A) ray starts outside the skin.
+    shifted = replace(body, template=body.template.translated((0.0, 0.0, 0.05)))
+    with pytest.raises(ValueError, match=r"joint left_elbow \(A\) misses both surfaces"):
+        place_markers(shifted, None)
+
+
+# The per-marker placement and tracking of the MarkerSpec / SurfacePoint
+# objects that the placement record replaced, kept as the bit-level reference.
+
+def _reference_exits(origins, directions, mesh):
+    """(face, weights) where each ray leaves the enclosing union, else None."""
+    v0 = mesh.vertices[mesh.faces[:, 0]]
+    e1 = mesh.vertices[mesh.faces[:, 1]] - v0
+    e2 = mesh.vertices[mesh.faces[:, 2]] - v0
+    components = face_components(mesh)
+    out = []
+    for o, d in zip(origins, directions):
+        hits = _ray_hits(o, d, v0, e1, e2)
+        row = _union_exit(hits, components)
+        if row is None:
+            out.append(None)
+            continue
+        _, face, u, v = hits[row]
+        u = min(max(u, 0.0), 1.0)
+        v = min(max(v, 0.0), 1.0 - u)
+        out.append((int(face), np.array([1.0 - u - v, u, v])))
+    return out
+
+
+def _reference_lateral_axis(bone_dir):
+    z = np.array([0.0, 0.0, 1.0])
+    x = np.array([1.0, 0.0, 0.0])
+    b = bone_dir / np.linalg.norm(bone_dir)
+    return x if abs(float(b @ z)) > 0.7 else z
+
+
+def _reference_place(body, garment):
+    """[(joint, target, face, weights, rest offset)] in A-then-B order per joint."""
+    sk = body.skeleton
+    joint_pos = sk.rest_positions()
+    rays = []
+    for j in range(sk.num_joints):
+        c = sk.primary_child(j)
+        bone = sk.rest_offsets[c] if c is not None else sk.rest_offsets[j]
+        lateral = _reference_lateral_axis(bone)
+        for sign in (1.0, -1.0):
+            rays.append((j, sign * lateral))
+    origins = joint_pos[[j for j, _ in rays]]
+    directions = np.array([d for _, d in rays])
+    cloth = _reference_exits(origins, directions, garment) if garment is not None else [None] * len(rays)
+    skin = _reference_exits(origins, directions, body.template)
+    specs = []
+    for (j, direction), cloth_sp, skin_sp in zip(rays, cloth, skin):
+        if cloth_sp is not None:
+            face, bary = cloth_sp
+            pos = bary @ garment.vertices[garment.faces[face]]
+            specs.append((j, "cloth", face, bary, pos - joint_pos[j]))
+        else:
+            face, bary = skin_sp
+            pos = bary @ body.template.vertices[body.template.faces[face]]
+            specs.append((j, "skin", face, bary, pos - joint_pos[j] + direction * MARKER_BASE_HEIGHT))
+    return specs
+
+
+def _reference_track(specs, joint_positions, joint_orientations, cloth_frames, garment_faces):
+    out = np.empty((joint_positions.shape[0], len(specs), 3))
+    frames = np.stack([s.positions for s in cloth_frames]) if cloth_frames else None
+    for m, (j, target, face, bary, offset) in enumerate(specs):
+        if target == "skin":
+            out[:, m] = joint_positions[:, j] + rot.rotate(joint_orientations[:, j], offset)
+        else:
+            out[:, m] = bary @ frames[:, garment_faces[face]]
+    return out
+
+
+def _assert_matches_reference(body, garment, jp, jq, cloth_frames=None):
+    placement = place_markers(body, garment)
+    ref = _reference_place(body, garment)
+    assert np.array_equal(placement.joint, [r[0] for r in ref])
+    assert np.array_equal(placement.on_cloth, [r[1] == "cloth" for r in ref])
+    assert np.array_equal(placement.face, [r[2] for r in ref])
+    assert np.array_equal(placement.barycentric, np.array([r[3] for r in ref]))
+    assert np.array_equal(placement.offset, np.array([r[4] for r in ref]))
+    faces = garment.faces if garment is not None else None
+    traj = track_markers(placement, jp, jq, 30.0, cloth_frames, faces)
+    assert np.array_equal(traj.positions, _reference_track(ref, jp, jq, cloth_frames, faces))
+    return placement
+
+
+def test_placement_and_tracking_match_reference_unclothed(body):
+    seq = procedural_motion("fast", 0.5, 30, 4, body.skeleton)
+    jp, jq = sequence_transforms(seq)
+    _assert_matches_reference(body, None, jp, jq)
+
+
+def test_placement_and_tracking_match_reference_tshirt(body, rng):
+    tee = generate_garment(body, GarmentSpec("tshirt", 3, "female_average")).mesh
+    seq = procedural_motion("basic", 0.5, 30, 4, body.skeleton)
+    jp, jq = sequence_transforms(seq)
+    # Tracking gathers the cloth frames; any frames serve, so perturb the rest shape.
+    frames = [
+        ClothState(tee.vertices + rng.normal(0.0, 0.01, tee.vertices.shape), None, None)
+        for _ in range(seq.num_frames)
+    ]
+    placement = _assert_matches_reference(body, tee, jp, jq, frames)
+    assert placement.on_cloth.any() and not placement.on_cloth.all()
+
+
+def test_placement_and_tracking_match_reference_merged_fast():
+    config = BenchConfig(
+        seed=1, motions=(MotionSpec("fast", duration_s=0.5, fps=30.0),),
+        drape_classes=(6,), resolution_scale=1.0, warmup_s=0.2,
+    )
+    body = build_parametric_body("female_average")
+    seq = _load_motion(config, config.motions[0], body.skeleton)
+    jp, jq = sequence_transforms(seq)
+    garment = _build_garment(config, body, 6)
+    states = _simulate_garment(config, body, garment, seq, jp, jq)
+    placement = _assert_matches_reference(body, garment.mesh, jp, jq, states)
+    assert placement.on_cloth.sum() > 24
+
+
+def test_static_skin_markers_constant(body, unclothed_placement):
     from drapebench.kinematics import MotionSequence
 
     seq = MotionSequence.rest(body.skeleton, num_frames=4)
     jp, jq = sequence_transforms(seq)
-    traj = track_markers(unclothed_specs, jp, jq, 30.0)
+    traj = track_markers(unclothed_placement, jp, jq, 30.0)
     assert np.abs(traj.positions - traj.positions[0]).max() < 1e-15
 
 
-def test_rigid_translation_equivariance(body, unclothed_specs):
+def test_rigid_translation_equivariance(body, unclothed_placement):
     seq = procedural_motion("basic", 0.5, 30, 3, body.skeleton)
     jp, jq = sequence_transforms(seq)
-    base = track_markers(unclothed_specs, jp, jq, 30.0)
-    moved = track_markers(unclothed_specs, jp + np.array([1.0, 2.0, 3.0]), jq, 30.0)
+    base = track_markers(unclothed_placement, jp, jq, 30.0)
+    moved = track_markers(unclothed_placement, jp + np.array([1.0, 2.0, 3.0]), jq, 30.0)
     assert np.abs(moved.positions - base.positions - np.array([1.0, 2.0, 3.0])).max() < 1e-12
 
 
-def test_noiseless_midpoints_equal_joints(body, unclothed_specs):
+def test_noiseless_midpoints_equal_joints(body, unclothed_placement):
     seq = procedural_motion("fast", 1.0, 30, 11, body.skeleton)
     jp, jq = sequence_transforms(seq)
-    traj = track_markers(unclothed_specs, jp, jq, seq.fps)
+    traj = track_markers(unclothed_placement, jp, jq, seq.fps)
     assert np.abs(marker_pair_midpoints(traj) - jp).max() < 1e-9
 
 
-def test_end_to_end_noiseless_identity(body, unclothed_specs):
+def test_end_to_end_noiseless_identity(body, unclothed_placement):
     seq = procedural_motion("basic", 2.0, 30, 11, body.skeleton)
     jp, jq = sequence_transforms(seq)
-    traj = track_markers(unclothed_specs, jp, jq, seq.fps)
+    traj = track_markers(unclothed_placement, jp, jq, seq.fps)
     est = reconstruct_pose_from_markers(traj, body.skeleton)
     est_jp, _ = sequence_transforms(est)
     assert mpjpe(jp, est_jp) < 1e-6
 
 
-def test_reconstructed_bone_lengths_are_rest_lengths(body, unclothed_specs):
+def test_reconstructed_bone_lengths_are_rest_lengths(body, unclothed_placement):
     seq = procedural_motion("basic", 0.5, 30, 2, body.skeleton)
     jp, jq = sequence_transforms(seq)
-    traj = add_marker_noise(track_markers(unclothed_specs, jp, jq, seq.fps), 8)
+    traj = add_marker_noise(track_markers(unclothed_placement, jp, jq, seq.fps), 8)
     est = reconstruct_pose_from_markers(traj, body.skeleton)
     est_jp, _ = sequence_transforms(est)
     sk = body.skeleton
@@ -105,10 +232,10 @@ def test_reconstructed_bone_lengths_are_rest_lengths(body, unclothed_specs):
         assert np.abs(lengths - np.linalg.norm(sk.rest_offsets[j])).max() < 1e-9
 
 
-def test_reconstruction_equivariant_under_rigid_motion(body, unclothed_specs, rng):
+def test_reconstruction_equivariant_under_rigid_motion(body, unclothed_placement, rng):
     seq = procedural_motion("basic", 0.5, 30, 6, body.skeleton)
     jp, jq = sequence_transforms(seq)
-    traj = add_marker_noise(track_markers(unclothed_specs, jp, jq, seq.fps), 5)
+    traj = add_marker_noise(track_markers(unclothed_placement, jp, jq, seq.fps), 5)
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
     t = rng.normal(size=3)
@@ -118,10 +245,10 @@ def test_reconstruction_equivariant_under_rigid_motion(body, unclothed_specs, rn
     assert np.abs(moved_fk - (rot.rotate(q, base_fk) + t)).max() < 1e-9
 
 
-def test_noise_rms_calibration(body, unclothed_specs):
+def test_noise_rms_calibration(body, unclothed_placement):
     seq = procedural_motion("basic", 2.0, 30, 1, body.skeleton)
     jp, jq = sequence_transforms(seq)
-    traj = track_markers(unclothed_specs, jp, jq, seq.fps)
+    traj = track_markers(unclothed_placement, jp, jq, seq.fps)
     noisy = add_marker_noise(traj, seed=9)
     d = noisy.positions - traj.positions
     n_samples = d.shape[0] * d.shape[1]
@@ -130,10 +257,10 @@ def test_noise_rms_calibration(body, unclothed_specs):
     assert abs(rms - 0.005) / 0.005 < 0.05
 
 
-def test_noise_deterministic_and_disableable(body, unclothed_specs):
+def test_noise_deterministic_and_disableable(body, unclothed_placement):
     seq = procedural_motion("basic", 0.5, 30, 1, body.skeleton)
     jp, jq = sequence_transforms(seq)
-    traj = track_markers(unclothed_specs, jp, jq, seq.fps)
+    traj = track_markers(unclothed_placement, jp, jq, seq.fps)
     a = add_marker_noise(traj, seed=4)
     b = add_marker_noise(traj, seed=4)
     assert np.array_equal(a.positions, b.positions)
@@ -144,11 +271,11 @@ def test_noise_deterministic_and_disableable(body, unclothed_specs):
 
 def test_cloth_frame_misalignment_rejected(body):
     tee = generate_garment(body, GarmentSpec("tshirt", 2, "female_average"))
-    specs = place_markers(body, tee.mesh)
+    placement = place_markers(body, tee.mesh)
     seq = procedural_motion("basic", 0.5, 30, 3, body.skeleton)
     jp, jq = sequence_transforms(seq)
     with pytest.raises(ValueError, match="misaligned"):
-        track_markers(specs, jp, jq, seq.fps, cloth_frames=[], garment_faces=tee.mesh.faces)
+        track_markers(placement, jp, jq, seq.fps, cloth_frames=[], garment_faces=tee.mesh.faces)
 
 
 def test_reconstruct_requires_full_marker_set(body):
@@ -157,10 +284,10 @@ def test_reconstruct_requires_full_marker_set(body):
         reconstruct_pose_from_markers(traj, body.skeleton)
 
 
-def test_csv_export(body, unclothed_specs):
+def test_csv_export(body, unclothed_placement):
     seq = procedural_motion("basic", 0.2, 30, 3, body.skeleton)
     jp, jq = sequence_transforms(seq)
-    traj = track_markers(unclothed_specs, jp, jq, seq.fps)
+    traj = track_markers(unclothed_placement, jp, jq, seq.fps)
     csv = trajectory_to_csv(traj)
     lines = csv.strip().splitlines()
     assert lines[0] == "frame,marker_id,x,y,z"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from drapebench.mesh import (
-    SurfacePoint,
     TriMesh,
     boundary_edges,
     cap_boundaries,
@@ -14,7 +13,7 @@ from drapebench.mesh import (
     load_obj,
     merge_meshes,
     ray_union_exits,
-    surface_point_position,
+    surface_points,
 )
 from drapebench.primitives import capsule_mesh, icosphere, open_cylinder, unit_cube
 
@@ -118,26 +117,37 @@ def test_face_index_range_checked():
 
 def test_surface_point_basics():
     cube = unit_cube()
-    sp = SurfacePoint(0, np.array([1.0, 0.0, 0.0]))
-    assert np.allclose(surface_point_position(cube, sp), cube.vertices[cube.faces[0, 0]])
-    centroid = SurfacePoint(0, np.array([1 / 3, 1 / 3, 1 / 3]))
-    expected = cube.vertices[cube.faces[0]].mean(axis=0)
-    assert np.allclose(surface_point_position(cube, centroid), expected)
+    corner, centroid = surface_points(
+        cube.vertices, cube.faces, [0, 0], [[1.0, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3]]
+    )
+    assert np.allclose(corner, cube.vertices[cube.faces[0, 0]])
+    assert np.allclose(centroid, cube.vertices[cube.faces[0]].mean(axis=0))
 
 
 def test_surface_point_translation_equivariance():
     cube = unit_cube()
-    sp = SurfacePoint(3, np.array([0.2, 0.5, 0.3]))
-    p0 = surface_point_position(cube, sp)
-    p1 = surface_point_position(cube.translated((1, 2, 3)), sp)
+    face, bary = [3], [[0.2, 0.5, 0.3]]
+    p0 = surface_points(cube.vertices, cube.faces, face, bary)
+    p1 = surface_points(cube.translated((1, 2, 3)).vertices, cube.faces, face, bary)
     assert np.allclose(p1 - p0, [1, 2, 3], atol=1e-12)
 
 
+def test_surface_points_ride_stacked_frames():
+    cube = unit_cube()
+    face, bary = np.array([3, 0, 5]), np.array([[0.2, 0.5, 0.3], [1.0, 0.0, 0.0], [0.1, 0.1, 0.8]])
+    frames = np.stack([cube.vertices + k for k in range(4)])
+    stacked = surface_points(frames, cube.faces, face, bary)
+    assert stacked.shape == (4, 3, 3)
+    for k in range(4):
+        assert np.array_equal(stacked[k], surface_points(frames[k], cube.faces, face, bary))
+
+
 def test_surface_point_validation():
-    with pytest.raises(ValueError):
-        SurfacePoint(0, np.array([0.5, 0.5, 0.5]))
-    with pytest.raises(ValueError):
-        surface_point_position(unit_cube(), SurfacePoint(99, np.array([1.0, 0, 0])))
+    cube = unit_cube()
+    with pytest.raises(ValueError, match="barycentric"):
+        surface_points(cube.vertices, cube.faces, [0], [[0.5, 0.5, 0.5]])
+    with pytest.raises(ValueError, match="face index"):
+        surface_points(cube.vertices, cube.faces, [99], [[1.0, 0.0, 0.0]])
 
 
 def test_ray_union_exit_picks_enclosing_surface():
@@ -148,12 +158,12 @@ def test_ray_union_exit_picks_enclosing_surface():
     mesh = merge_meshes([a, b])
     assert face_components(mesh).max() == 1
     # The second ray starts outside both: no enclosing component.
-    sp, outside = ray_union_exits(
+    hit, face, bary = ray_union_exits(
         [np.zeros(3), np.array([-5.0, 0, 0])], np.array([[1.0, 0.0, 0.0]] * 2), mesh
     )
-    hit = surface_point_position(mesh, sp)
-    assert abs(np.linalg.norm(hit) - 0.5) < 0.02
-    assert outside is None
+    assert hit.tolist() == [True, False]
+    (exit_point,) = surface_points(mesh.vertices, mesh.faces, face[:1], bary[:1])
+    assert abs(np.linalg.norm(exit_point) - 0.5) < 0.02
 
 
 def test_face_components_match_union_find(body):
@@ -178,9 +188,10 @@ def test_ray_union_exit_overlapping_components():
     a = icosphere(0.5, 2)
     b = icosphere(0.5, 2).translated((0.4, 0.0, 0.0))
     mesh = merge_meshes([a, b])
-    (sp,) = ray_union_exits([np.zeros(3)], [np.array([1.0, 0.0, 0.0])], mesh)
-    hit = surface_point_position(mesh, sp)
-    assert abs(hit[0] - 0.9) < 0.02  # far surface of the union
+    hit, face, bary = ray_union_exits([np.zeros(3)], [np.array([1.0, 0.0, 0.0])], mesh)
+    assert hit.all()
+    (exit_point,) = surface_points(mesh.vertices, mesh.faces, face, bary)
+    assert abs(exit_point[0] - 0.9) < 0.02  # far surface of the union
 
 
 def test_capsule_mesh_volume():
