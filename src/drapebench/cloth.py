@@ -175,12 +175,19 @@ class _Solver:
         self.k = np.repeat([g[2] for g in groups], sizes) * (m * STANDARD_GRAVITY / (STRAIN_REF * self.rest))
         self.damp = np.repeat([g[3] for g in groups], sizes) * (m * np.sqrt(STANDARD_GRAVITY / self.rest))
         self.n = num_particles
+        # Flat (particle, axis) bins of each spring end: bin 3 * i + axis sums
+        # the same springs in the same order as a per-axis bincount over i.
+        axes = np.arange(3)
+        self.flat_i = (3 * self.ei[:, None] + axes).ravel()
+        self.flat_j = (3 * self.ej[:, None] + axes).ravel()
+        # Gather buffers for the spring ends, reused by every call.
+        self._d, self._xi, self._dv, self._vi = (np.empty((len(self.rest), 3)) for _ in range(4))
 
     def forces(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        d = x[self.ej]
-        d -= x[self.ei]
-        dv = v[self.ej]
-        dv -= v[self.ei]
+        d = np.take(x, self.ej, axis=0, out=self._d)
+        d -= np.take(x, self.ei, axis=0, out=self._xi)
+        dv = np.take(v, self.ej, axis=0, out=self._dv)
+        dv -= np.take(v, self.ei, axis=0, out=self._vi)
         length = np.sqrt(np.einsum("ij,ij->i", d, d))
         np.maximum(length, 1e-12, out=length)
         stretch = length - self.rest
@@ -188,11 +195,10 @@ class _Solver:
         scalar = (self.k * stretch + self.damp * v_along) / length
         fvec = d
         fvec *= scalar[:, None]
-        out = np.empty((self.n, 3))
-        for axis in range(3):
-            out[:, axis] = np.bincount(self.ei, weights=fvec[:, axis], minlength=self.n)
-            out[:, axis] -= np.bincount(self.ej, weights=fvec[:, axis], minlength=self.n)
-        return out
+        weights = fvec.ravel()
+        out = np.bincount(self.flat_i, weights=weights, minlength=3 * self.n)
+        out -= np.bincount(self.flat_j, weights=weights, minlength=3 * self.n)
+        return out.reshape(self.n, 3)
 
 
 def _closest_on_segments(
@@ -256,18 +262,20 @@ def _collide_pairs(
     several capsules the deepest projection wins (written last, sorted by
     depth, so the result is deterministic).
     """
-    closest, delta, dist = _closest_on_segments(x[pidx], p0, seg)
+    closest, delta, dist = _closest_on_segments(np.take(x, pidx, axis=0), p0, seg)
     depth = radius - dist
-    hit = depth > 0.0
-    if not hit.any():
+    hit = np.flatnonzero(depth > 0.0)
+    if not len(hit):
         return
-    order = np.argsort(depth[hit], kind="stable")
-    sub = pidx[hit][order]
-    d = np.maximum(dist[hit][order], 1e-12)[:, None]
-    n = delta[hit][order] / d
-    x[sub] = closest[hit][order] + n * radius[hit][order][:, None]
-    vn = np.einsum("ij,ij->i", v[sub], n)
-    v[sub] = v[sub] - np.minimum(vn, 0.0)[:, None] * n
+    sel = hit[np.argsort(depth[hit], kind="stable")]
+    sub = pidx[sel]
+    n = delta[sel] / np.maximum(dist[sel], 1e-12)[:, None]
+    x[sub] = closest[sel] + n * radius[sel][:, None]
+    # One gather of v serves both uses: every read precedes the write.
+    vs = v[sub]
+    vn = np.einsum("ij,ij->i", vs, n)
+    vs -= np.minimum(vn, 0.0)[:, None] * n
+    v[sub] = vs
 
 
 def _capsule_arrays(colliders: list[Capsule]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -276,6 +284,14 @@ def _capsule_arrays(colliders: list[Capsule]) -> tuple[np.ndarray, np.ndarray, n
     p1 = np.array([c.p1 for c in colliders]).reshape(-1, 3)
     radius = np.array([c.radius for c in colliders]) + COLLISION_OFFSET
     return p0, p1 - p0, radius
+
+
+def _shaped(name: str, array, expected: tuple) -> np.ndarray:
+    """array as floats, refused with a ValueError unless its shape is expected."""
+    array = np.asarray(array, dtype=float)
+    if array.shape != expected:
+        raise ValueError(f"{name} has shape {array.shape}, expected {expected}")
+    return array
 
 
 def _substep_count(dt: float) -> int:
@@ -310,12 +326,20 @@ def _advance(
     half_travel = 0.5 * np.maximum(np.linalg.norm(p0_move, axis=-1), np.linalg.norm(p0_move + seg_move, axis=-1))
     pidx, cidx = _collision_candidates(x, v, p0 + 0.5 * p0_move, seg + 0.5 * seg_move, radius + half_travel, dt)
     p0_a, seg_a, r_pair, p0_move, seg_move = (a[cidx] for a in (p0, seg, radius, p0_move, seg_move))
-    drag = max(0.0, 1.0 - AIR_DRAG * h)
+    # Whole-array integration: pinned rows get +0 and *1, and the pin lerp
+    # then overwrites their positions.
+    free_col = free[:, None].astype(float)
+    drag_col = np.where(free, max(0.0, 1.0 - AIR_DRAG * h), 1.0)[:, None]
+    step_x = np.empty_like(x)
     for s in range(n_sub):
         f = solver.forces(x, v)
-        v[free] += (f[free] / params.vertex_mass + g_vec) * h
-        v[free] *= drag
-        x[free] += v[free] * h
+        f /= params.vertex_mass
+        f += g_vec
+        f *= h
+        f *= free_col
+        v += f
+        v *= drag_col
+        x += np.multiply(v, h, out=step_x)
         alpha = (s + 1) / n_sub
         x[pinned] = pin_from + alpha * (pin_to - pin_from)
         _collide_pairs(x, v, pidx, p0_a + alpha * p0_move, seg_a + alpha * seg_move, r_pair)
@@ -339,13 +363,15 @@ def step(
     """Advance the cloth by dt (at most 1/60 s) using substeps of at most 1 ms.
 
     Colliders are held fixed for the step; pinned particles stay put unless
-    pin_targets gives them destinations. Raises ClothSimulationError naming
-    the first non-finite particle and the substep where it appeared.
+    pin_targets, shape (n_pinned, 3), gives them destinations. Raises
+    ClothSimulationError naming the first non-finite particle and the
+    substep where it appeared.
     """
     if not 0.0 < dt <= 1.0 / 60.0 + 1e-12:
         raise ValueError("dt must be in (0, 1/60]")
     if pin_targets is None:
         pin_targets = state.positions[state.pinned]
+    pin_targets = _shaped("pin_targets", pin_targets, (int(state.pinned.sum()), 3))
     caps = _capsule_arrays(colliders or [])
     solver = _Solver(net, params, len(state.positions))
     return _advance(state, solver, params, dt, caps, caps, pin_targets)
@@ -365,21 +391,21 @@ def simulate_sequence(
 
     pin_frames holds per-frame world targets for the pinned vertices, shape
     (T, n_pinned, 3); collider_frames the per-frame body capsules, the same
-    number in every frame. The state is settled for `warmup` seconds of
+    number in every frame; initial_positions, if given, shape (N, 3). Other
+    shapes are refused. The state is settled for `warmup` seconds of
     simulated time at frame 0 before recording begins. Deterministic for
     identical inputs.
     """
     pinned = np.asarray(pinned, dtype=bool)
     n_frames = len(collider_frames)
-    if len(pin_frames) != n_frames:
-        raise ValueError("pin_frames and collider_frames disagree on frame count")
+    pin_frames = _shaped("pin_frames", pin_frames, (n_frames, int(pinned.sum()), 3))
     if len({len(frame) for frame in collider_frames}) > 1:
         raise ValueError("collider frames disagree on capsule count")
     caps = [_capsule_arrays(frame) for frame in collider_frames]
     solver = _Solver(build_spring_network(garment), params, garment.num_vertices)
     state = ClothState.resting(garment, pinned)
     if initial_positions is not None:
-        state.positions = np.asarray(initial_positions, dtype=float).copy()
+        state.positions = _shaped("initial_positions", initial_positions, (garment.num_vertices, 3)).copy()
     state.positions[pinned] = pin_frames[0]
 
     dt = 1.0 / fps

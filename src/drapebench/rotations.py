@@ -24,6 +24,19 @@ def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product over the last axis, broadcast over the leading ones.
+
+    The same multiplies and subtractions as np.cross on 3-vectors, so the
+    same bits, without its per-call axis handling.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     n = np.linalg.norm(q, axis=-1, keepdims=True)
@@ -63,8 +76,8 @@ def rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     w = q[..., :1]
     u = q[..., 1:]
-    uv = np.cross(u, v)
-    return v + 2.0 * (w * uv + np.cross(u, uv))
+    uv = cross(u, v)
+    return v + 2.0 * (w * uv + cross(u, uv))
 
 
 def from_axis_angle(axis: np.ndarray, angle: float | np.ndarray) -> np.ndarray:
@@ -160,13 +173,13 @@ def between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     q = np.empty((len(u), 4))
     # Antipodal: rotate pi about any axis perpendicular to u.
     anti = d < -1.0 + 1e-12
-    axis = np.cross(u[anti], [1.0, 0.0, 0.0])
+    axis = cross(u[anti], [1.0, 0.0, 0.0])
     near_x = np.sqrt(dot(axis, axis)) < 1e-8
-    axis[near_x] = np.cross(u[anti][near_x], [0.0, 1.0, 0.0])
+    axis[near_x] = cross(u[anti][near_x], [0.0, 1.0, 0.0])
     q[anti] = from_axis_angle(axis, np.full(len(axis), np.pi))
     swing = np.empty((len(u) - len(axis), 4))
     swing[:, 0] = 1.0 + d[~anti]
-    swing[:, 1:] = np.cross(u[~anti], v[~anti])
+    swing[:, 1:] = cross(u[~anti], v[~anti])
     q[~anti] = normalize(swing)
     return q.reshape(shape[:-1] + (4,))
 

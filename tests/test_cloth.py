@@ -5,6 +5,7 @@ from drapebench import rotations as rot
 from drapebench.body import Capsule, body_capsules, build_parametric_body
 from drapebench.bench import BenchConfig, MotionSpec, _build_garment, _load_motion, _simulate_garment
 from drapebench.cloth import (
+    AIR_DRAG,
     COLLISION_OFFSET,
     STANDARD_GRAVITY,
     STRAIN_REF,
@@ -12,8 +13,12 @@ from drapebench.cloth import (
     ClothState,
     ClothSimulationError,
     SpringNetwork,
+    _Solver,
+    _advance,
     _capsule_arrays,
+    _closest_on_segments,
     _collision_candidates,
+    _substep_count,
     build_spring_network,
     kinetic_energy,
     max_capsule_penetration,
@@ -92,6 +97,128 @@ def _reference_collision_candidates(x, v, cap_from, cap_to, dt):
         part_idx.append(hits)
         cap_idx.append(np.full(len(hits), c, dtype=np.int64))
     return np.concatenate(part_idx), np.concatenate(cap_idx)
+
+
+def _reference_forces(solver, x, v):
+    """Reference: fancy-index gathers and one bincount per axis and spring end."""
+    d = x[solver.ej]
+    d -= x[solver.ei]
+    dv = v[solver.ej]
+    dv -= v[solver.ei]
+    length = np.sqrt(np.einsum("ij,ij->i", d, d))
+    np.maximum(length, 1e-12, out=length)
+    v_along = np.einsum("ij,ij->i", dv, d) / length
+    fvec = d * ((solver.k * (length - solver.rest) + solver.damp * v_along) / length)[:, None]
+    out = np.empty((solver.n, 3))
+    for axis in range(3):
+        out[:, axis] = np.bincount(solver.ei, weights=fvec[:, axis], minlength=solver.n)
+        out[:, axis] -= np.bincount(solver.ej, weights=fvec[:, axis], minlength=solver.n)
+    return out
+
+
+def _reference_collide_pairs(x, v, pidx, p0, seg, radius):
+    """Reference: masked [hit][order] gathers; returns the number of penetrating pairs."""
+    closest, delta, dist = _closest_on_segments(x[pidx], p0, seg)
+    depth = radius - dist
+    hit = depth > 0.0
+    if not hit.any():
+        return 0
+    order = np.argsort(depth[hit], kind="stable")
+    sub = pidx[hit][order]
+    d = np.maximum(dist[hit][order], 1e-12)[:, None]
+    n = delta[hit][order] / d
+    x[sub] = closest[hit][order] + n * radius[hit][order][:, None]
+    vn = np.einsum("ij,ij->i", v[sub], n)
+    v[sub] = v[sub] - np.minimum(vn, 0.0)[:, None] * n
+    return int(hit.sum())
+
+
+def _reference_advance(state, solver, params, dt, cap_from, cap_to, pin_to):
+    """Reference: the substep loop with masked v[free] / x[free] updates.
+
+    Returns (positions, velocities, penetrating pairs resolved over the substeps).
+    """
+    x = state.positions.copy()
+    v = state.velocities.copy()
+    pinned = state.pinned
+    free = ~pinned
+    n_sub = _substep_count(dt)
+    h = dt / n_sub
+    g_vec = np.array([0.0, -params.gravity, 0.0])
+    pin_from = x[pinned]
+    p0, seg, radius = cap_from
+    p0_move, seg_move = cap_to[0] - p0, cap_to[1] - seg
+    half_travel = 0.5 * np.maximum(np.linalg.norm(p0_move, axis=-1), np.linalg.norm(p0_move + seg_move, axis=-1))
+    pidx, cidx = _collision_candidates(x, v, p0 + 0.5 * p0_move, seg + 0.5 * seg_move, radius + half_travel, dt)
+    p0_a, seg_a, r_pair, p0_move, seg_move = (a[cidx] for a in (p0, seg, radius, p0_move, seg_move))
+    drag = max(0.0, 1.0 - AIR_DRAG * h)
+    resolved = 0
+    for s in range(n_sub):
+        f = _reference_forces(solver, x, v)
+        v[free] += (f[free] / params.vertex_mass + g_vec) * h
+        v[free] *= drag
+        x[free] += v[free] * h
+        alpha = (s + 1) / n_sub
+        x[pinned] = pin_from + alpha * (pin_to - pin_from)
+        resolved += _reference_collide_pairs(x, v, pidx, p0_a + alpha * p0_move, seg_a + alpha * seg_move, r_pair)
+    v[pinned] = 0.0
+    return x, v, resolved
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def fast_frame_scene():
+    """One moving `fast` frame of a merged class-6 female_average garment.
+
+    The garment rides its binding joints' rest frames into frame k, so the
+    limbs of frames k and k + 1 cut through it; velocities are random on every
+    row, pinned rows included.
+    """
+    body = build_parametric_body("female_average")
+    sk = body.skeleton
+    garment = merge_garments([
+        generate_garment(body, GarmentSpec(category, 6, "female_average"))
+        for category in ("tshirt", "trousers")
+    ])
+    joint_pos, joint_orient = sequence_transforms(procedural_motion("fast", 1.0, 30.0, 1, sk))
+    k = 10
+    binding = garment.binding_joint
+    local = garment.mesh.vertices - sk.rest_positions()[binding]
+    ride = [joint_pos[f, binding] + rot.rotate(joint_orient[f, binding], local) for f in (k, k + 1)]
+    v = np.random.default_rng(0).normal(0.0, 0.5, ride[0].shape)
+    state = ClothState(ride[0], v, garment.pinned.copy())
+    caps = [
+        _capsule_arrays(body_capsules(sk, body.build_label, joint_positions=joint_pos[f]))
+        for f in (k, k + 1)
+    ]
+    solver = _Solver(build_spring_network(garment.mesh), ClothParams(), garment.mesh.num_vertices)
+    return state, solver, caps, ride[1][garment.pinned]
+
+
+def test_forces_match_loop_reference(fast_frame_scene):
+    state, solver, _, _ = fast_frame_scene
+    x, v = state.positions, state.velocities
+    x2 = x + np.random.default_rng(1).normal(0.0, 0.01, x.shape)
+    ours = solver.forces(x, v)
+    assert _same_bits(ours, _reference_forces(solver, x, v))
+    # The reused gather buffers carry nothing from one call into the next.
+    assert _same_bits(solver.forces(x2, -v), _reference_forces(solver, x2, -v))
+    assert _same_bits(solver.forces(x, v), ours)
+
+
+def test_advance_matches_masked_reference(fast_frame_scene):
+    state, solver, (cap_from, cap_to), pin_to = fast_frame_scene
+    params = ClothParams()
+    dt = 1.0 / 30.0
+    assert state.pinned.any() and not state.pinned.all()
+    x, v, resolved = _reference_advance(state, solver, params, dt, cap_from, cap_to, pin_to)
+    assert resolved > 0  # candidate pairs penetrate, so the collision response runs
+    ours = _advance(state, solver, params, dt, cap_from, cap_to, pin_to)
+    assert _same_bits(ours.positions, x)
+    assert _same_bits(ours.velocities, v)
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +459,36 @@ def test_collider_frames_with_different_capsule_counts_refused():
             mesh, np.zeros(9, dtype=bool), np.zeros((2, 0, 3)), [[cap], []],
             ClothParams(), 30.0, warmup=0.0,
         )
+
+
+def test_pin_frames_of_wrong_shape_refused():
+    mesh = grid_mesh(3)
+    pinned = np.zeros(9, dtype=bool)
+    pinned[:2] = True
+    cap = Capsule(np.zeros(3), np.array([1.0, 0.0, 0.0]), 0.05)
+    with pytest.raises(ValueError, match=r"pin_frames has shape \(2, 1, 3\), expected \(2, 2, 3\)"):
+        simulate_sequence(mesh, pinned, np.zeros((2, 1, 3)), [[cap], [cap]], ClothParams(), 30.0, warmup=0.0)
+    with pytest.raises(ValueError, match=r"pin_frames has shape \(3, 2, 3\), expected \(2, 2, 3\)"):
+        simulate_sequence(mesh, pinned, np.zeros((3, 2, 3)), [[cap], [cap]], ClothParams(), 30.0, warmup=0.0)
+
+
+def test_initial_positions_of_wrong_shape_refused():
+    mesh = grid_mesh(3)
+    with pytest.raises(ValueError, match=r"initial_positions has shape \(8, 3\), expected \(9, 3\)"):
+        simulate_sequence(
+            mesh, np.zeros(9, dtype=bool), np.zeros((2, 0, 3)), [[], []], ClothParams(), 30.0,
+            warmup=0.0, initial_positions=mesh.vertices[:8],
+        )
+
+
+def test_step_pin_targets_of_wrong_shape_refused():
+    mesh = grid_mesh(3)
+    pinned = np.zeros(9, dtype=bool)
+    pinned[:2] = True
+    state = ClothState.resting(mesh, pinned)
+    net = build_spring_network(mesh)
+    with pytest.raises(ValueError, match=r"pin_targets has shape \(1, 3\), expected \(2, 3\)"):
+        step(state, net, ClothParams(), None, 1.0 / 60.0, pin_targets=mesh.vertices[:1])
 
 
 def test_step_dt_bounds():

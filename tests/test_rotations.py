@@ -116,6 +116,18 @@ def test_dot_matches_1d_dot_bit_for_bit(rng):
     assert np.array_equal(rot.dot(a, b), np.array([np.dot(x, y) for x, y in zip(a, b)]))
 
 
+def test_cross_matches_np_cross_bit_for_bit(rng):
+    def same_bits(a, b):
+        return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    a, b = rng.normal(size=(30, 3)), rng.normal(size=(30, 3))
+    assert same_bits(rot.cross(a, b), np.cross(a, b))
+    many, few = rng.normal(size=(500, 24, 3)), rng.normal(size=(24, 3))
+    assert same_bits(rot.cross(many, few), np.cross(many, few))
+    assert same_bits(rot.cross(few, many), np.cross(few, many))
+    assert same_bits(rot.cross(a[0], b[0]), np.cross(a[0], b[0]))
+
+
 def test_between_batched_matches_per_pair_bit_for_bit(rng):
     u = rng.normal(size=(2000, 3))
     v = rng.normal(size=(2000, 3))
