@@ -23,14 +23,17 @@ import numpy as np
 from . import __version__
 from .body import BUILD_CATALOG, SkinnedBody, body_capsules, body_skeleton, build_parametric_body
 from .bvh import parse_bvh, write_bvh
-from . import rotations as rot
 from .cloth import ClothParams, simulate_sequence
-from .estimates import ingest_estimates, normalize_estimate, surrogate_estimator
-from .garment import DrapeClassTable, Garment, GarmentSpec, generate_garment, merge_garments
+from .estimates import SURROGATE_PROFILES, ingest_estimates, normalize_estimate, surrogate_estimator
+from .garment import (
+    GARMENT_CATEGORIES, DrapeClassTable, Garment, GarmentSpec, generate_garment, merge_garments,
+)
 from .kinematics import (
+    MOTION_CLASSES,
     MotionSequence,
     procedural_motion,
     rescale_to_height,
+    ride_joints,
     sequence_transforms,
 )
 from .markers import (
@@ -54,6 +57,13 @@ class MotionSpec:
     duration_s: float = 10.0
     fps: float = 30.0
 
+    def __post_init__(self):
+        if self.motion_class not in MOTION_CLASSES:
+            raise ValueError(f"unknown motion class {self.motion_class!r}; choose from {MOTION_CLASSES}")
+        for name, value in (("duration_s", self.duration_s), ("fps", self.fps)):
+            if not value > 0:
+                raise ValueError(f"motion {name} must be positive, got {value!r}")
+
 
 @dataclass(frozen=True)
 class MethodSpec:
@@ -65,6 +75,10 @@ class MethodSpec:
     def __post_init__(self):
         if self.kind not in ("marker_based", "markerless_surrogate", "markerless_ingest"):
             raise ValueError(f"unknown method kind {self.kind!r}")
+        if self.kind == "markerless_surrogate" and self.profile not in ("auto", *SURROGATE_PROFILES):
+            raise ValueError(
+                f"unknown surrogate profile {self.profile!r}; choose 'auto' or one of {sorted(SURROGATE_PROFILES)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -110,6 +124,16 @@ class BenchConfig:
         outside = [str(c) for c in self.drape_classes if not 1 <= c <= 6]
         if outside:
             raise ValueError(f"drape class {', '.join(outside)} outside 1..6")
+        unknown = [c for c in self.garment_categories if c not in GARMENT_CATEGORIES]
+        if unknown:
+            raise ValueError(
+                f"unknown garment category {', '.join(map(repr, unknown))}; choose from {GARMENT_CATEGORIES}"
+            )
+        if not self.resolution_scale > 0:
+            raise ValueError(f"resolution_scale must be positive, got {self.resolution_scale!r}")
+        for name, value in (("warmup_s", self.warmup_s), ("noise_rms_m", self.noise_rms_m)):
+            if not value >= 0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
         for what, labels in (
             ("motions share the motion_class", [m.motion_class for m in self.motions]),
             ("builds repeat", list(self.builds)),
@@ -234,16 +258,13 @@ def _simulate_garment(config, body, garment: Garment, seq, joint_pos, joint_orie
     sk = body.skeleton
     rest_pos = sk.rest_positions()
     collider_frames = [body_capsules(sk, body.build_label, joint_positions=p) for p in joint_pos]
-    # Rigid pose targets: pinned vertices follow their binding joint's frame.
-    pin_idx = np.nonzero(garment.pinned)[0]
-    pin_joints = garment.binding_joint[pin_idx]
-    v_rest = garment.mesh.vertices[pin_idx]
-    local = v_rest - rest_pos[pin_joints]
-    pin_frames = joint_pos[:, pin_joints] + rot.rotate(joint_orient[:, pin_joints], local)
-    # Initial guess: every vertex rides its binding joint into frame 0.
-    all_local = garment.mesh.vertices - rest_pos[garment.binding_joint]
-    q0 = joint_orient[0, garment.binding_joint]
-    initial = joint_pos[0, garment.binding_joint] + rot.rotate(q0, all_local)
+    # Every vertex rides its binding joint's frame: the pinned ones give the
+    # rigid pin targets, all of them give the frame-0 initial guess.
+    joints = garment.binding_joint
+    local = garment.mesh.vertices - rest_pos[joints]
+    pin = garment.pinned
+    pin_frames = ride_joints(joint_pos, joint_orient, joints[pin], local[pin])
+    initial = ride_joints(joint_pos[0], joint_orient[0], joints, local)
     return simulate_sequence(
         garment.mesh, garment.pinned, pin_frames, collider_frames,
         config.cloth_params(), seq.fps, config.warmup_s, initial_positions=initial,
@@ -328,12 +349,11 @@ def run_cell(
         norm = normalize_estimate(est, target_height=BUILD_CATALOG[build].height)
         est_ang, est_ang_mask = angles_from_positions(sk, norm.absolute, norm.valid)
         ang_mask = gt_ang_mask & est_ang_mask
-        pos_valid = np.broadcast_to(norm.valid, (seq.num_frames, sk.num_joints))
         result.variants["absolute"] = _metric_row(
-            joint_pos, norm.absolute, pos_valid, gt_ang, est_ang, ang_mask
+            joint_pos, norm.absolute, norm.valid, gt_ang, est_ang, ang_mask
         )
         result.variants["root_aligned"] = _metric_row(
-            joint_pos - joint_pos[:, :1], norm.root_aligned, pos_valid, gt_ang, est_ang, ang_mask
+            joint_pos - joint_pos[:, :1], norm.root_aligned, norm.valid, gt_ang, est_ang, ang_mask
         )
         result.source_label = est.source_label
     return result

@@ -91,10 +91,6 @@ class SkinnedBody:
     skeleton: Skeleton
     build_label: str
 
-    @property
-    def height(self) -> float:
-        return BUILD_CATALOG[self.build_label].height
-
 
 def body_skeleton(build_label: str) -> Skeleton:
     """Skeleton for a build: default joints scaled to the label's proportions."""

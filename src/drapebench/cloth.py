@@ -87,10 +87,6 @@ class SpringNetwork:
             if len(rest) and rest.min() <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    @property
-    def num_springs(self) -> int:
-        return len(self.structural) + len(self.shear) + len(self.bend)
-
 
 @dataclass
 class ClothState:

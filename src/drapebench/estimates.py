@@ -43,10 +43,6 @@ class ExternalEstimate:
                 f"positions must be (frames, {j}, 3) for {self.convention}, got {p.shape}"
             )
 
-    @property
-    def is_surrogate(self) -> bool:
-        return self.source_label.startswith("surrogate")
-
 
 # Per target (SMPL-24) joint, the source joint: an index, an index pair whose
 # midpoint stands in for it, or None where the source has no such joint.

@@ -170,7 +170,7 @@ def _bridge_hollows(radii: np.ndarray, stations: np.ndarray, slope: float = 1.1,
 class _SleeveSpec:
     chain: tuple[str, ...]        # joint names along the tube axis
     wrap: tuple[str, ...]         # bones (child-joint names) to enclose
-    start_extend: float           # meters before the first joint (< 0 trims)
+    start_extend: float           # meters before the first joint
     end_extend: float             # meters past the last joint (< 0 trims)
     pin_at_start: bool            # anchor ring at the chain start or end
 
@@ -235,10 +235,7 @@ class _SleeveGeometry:
         d1 = pts[-1] - pts[-2]
         d1 /= np.linalg.norm(d1)
         poly = np.concatenate([[pts[0] - spec.start_extend * d0], pts, [pts[-1] + spec.end_extend * d1]])
-        # Negative extensions trim; drop points that fold back on the polyline.
-        if spec.start_extend < 0:
-            keep = [(p - poly[0]) @ d0 > 1e-9 for p in poly[1:]]
-            poly = np.concatenate([[poly[0]], poly[1:][keep]])
+        # A negative end extension trims; drop points that fold back on the polyline.
         if spec.end_extend < 0:
             keep = [(poly[-1] - p) @ d1 > 1e-9 for p in poly[:-1]]
             poly = np.concatenate([poly[:-1][keep], [poly[-1]]])
@@ -261,7 +258,7 @@ class _SleeveGeometry:
             u = u - (u @ tangents[k]) * tangents[k]
             u /= np.linalg.norm(u)
             frames_u.append(u)
-            frames_w.append(np.cross(tangents[k], u))
+            frames_w.append(rot.cross(tangents[k], u))
         self.u = np.stack(frames_u)
         self.w = np.stack(frames_w)
 
@@ -277,7 +274,7 @@ class _SleeveGeometry:
         rho = np.full(len(flat_o), -np.inf)
         for cap in wrap_caps:
             rho = np.maximum(rho, _ray_capsule_exit(flat_o, flat_d, cap))
-        rho = np.where(np.isfinite(rho), rho, _MIN_RING_RADIUS)
+        # A ray that misses every capsule (-inf) gets the minimum radius.
         rho = np.maximum(rho.reshape(n_rings, n_theta), _MIN_RING_RADIUS)
         # Fabric bridges hollows (crotch, armpit) instead of following them;
         # without this, rings dip between capsules and the cloth gets trapped

@@ -210,6 +210,18 @@ def sequence_transforms(seq: MotionSequence) -> tuple[np.ndarray, np.ndarray]:
     return positions, orientations
 
 
+def ride_joints(
+    joint_positions: np.ndarray, joint_orientations: np.ndarray, joints: np.ndarray, local: np.ndarray
+) -> np.ndarray:
+    """Points that ride their joint's frame: (..., N, 3) world positions.
+
+    joint_positions (..., J, 3) and joint_orientations (..., J, 4) are FK
+    results for one frame or a stack of them; point n is held at offset
+    local[n] in the frame of joint joints[n].
+    """
+    return joint_positions[..., joints, :] + rot.rotate(joint_orientations[..., joints, :], local)
+
+
 def default_skeleton(height: float = 1.70) -> Skeleton:
     """The built-in 24-joint body scaled so rest joint extent equals height."""
     raw = Skeleton(SMPL_JOINT_NAMES, SMPL_PARENTS, _TEMPLATE_OFFSETS.copy())
@@ -327,10 +339,6 @@ def _fit_rotation(rest_dirs: np.ndarray, obs_dirs: np.ndarray) -> np.ndarray:
     return rot.from_matrix(u @ flip @ vt)
 
 
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-
 def poses_from_joint_positions(
     skeleton: Skeleton,
     positions: np.ndarray,
@@ -381,7 +389,7 @@ def poses_from_joint_positions(
             locals_q[frames, 0] = rot.between(rest[c], bones[frames, c])
         else:
             locals_q[frames, 0] = _fit_rotation(
-                _unit_rows(rest[pattern]), _unit_rows(bones[frames][:, pattern])
+                rot.normalize(rest[pattern]), rot.normalize(bones[frames][:, pattern])
             )
         observed[frames, 0] = True
     globals_q = np.empty_like(locals_q)

@@ -9,14 +9,13 @@ an exact identity. Cloth markers ride the simulated garment surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import rotations as rot
 from .body import SkinnedBody
 from .cloth import ClothState
-from .kinematics import MotionSequence, Skeleton, poses_from_joint_positions
+from .kinematics import MotionSequence, Skeleton, poses_from_joint_positions, ride_joints
 from .mesh import TriMesh, ray_union_exits, surface_points
 
 MARKER_BASE_HEIGHT = 0.005  # marker center sits 5 mm off the skin
@@ -43,7 +42,6 @@ class MarkerPlacement:
 class MarkerTrajectory:
     positions: np.ndarray  # (T, M, 3)
     fps: float
-    noise_seed: int | None = None
 
     def __post_init__(self):
         p = np.asarray(self.positions, dtype=float)
@@ -52,10 +50,6 @@ class MarkerTrajectory:
             raise ValueError("positions must be (frames, markers, 3)")
         if not np.isfinite(p).all():
             raise ValueError("marker positions must be finite")
-
-    @property
-    def num_frames(self) -> int:
-        return self.positions.shape[0]
 
     @property
     def num_markers(self) -> int:
@@ -135,9 +129,8 @@ def track_markers(
             frames, garment_faces, placement.face[cloth], placement.barycentric[cloth]
         )
     skin = ~cloth
-    joint = placement.joint[skin]
-    out[:, skin] = joint_positions[:, joint] + rot.rotate(
-        joint_orientations[:, joint], placement.offset[skin]
+    out[:, skin] = ride_joints(
+        joint_positions, joint_orientations, placement.joint[skin], placement.offset[skin]
     )
     return MarkerTrajectory(out, fps)
 
@@ -153,11 +146,11 @@ def add_marker_noise(
     if rms_3d_m < 0:
         raise ValueError("noise RMS must be non-negative")
     if rms_3d_m == 0.0:
-        return replace(traj, noise_seed=seed)
+        return traj
     rng = np.random.default_rng(seed)
     sigma = rms_3d_m / np.sqrt(3.0)
     noisy = traj.positions + rng.normal(0.0, sigma, size=traj.positions.shape)
-    return MarkerTrajectory(noisy, traj.fps, noise_seed=seed)
+    return MarkerTrajectory(noisy, traj.fps)
 
 
 def marker_pair_midpoints(traj: MarkerTrajectory) -> np.ndarray:
@@ -183,12 +176,3 @@ def reconstruct_pose_from_markers(
     midpoints = marker_pair_midpoints(traj)
     root, local_rotations, _ = poses_from_joint_positions(skeleton, midpoints)
     return MotionSequence(skeleton, traj.fps, root, local_rotations, motion_class)
-
-
-def trajectory_to_csv(traj: MarkerTrajectory) -> str:
-    lines = ["frame,marker_id,x,y,z"]
-    for t in range(traj.num_frames):
-        for m in range(traj.num_markers):
-            x, y, z = (float(v) for v in traj.positions[t, m])
-            lines.append(f"{t},{m},{x!r},{y!r},{z!r}")
-    return "\n".join(lines) + "\n"

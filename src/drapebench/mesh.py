@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rotations as rot
+
 
 @dataclass(frozen=True)
 class TriMesh:
@@ -35,10 +37,6 @@ class TriMesh:
         return len(self.vertices)
 
     @property
-    def num_faces(self) -> int:
-        return len(self.faces)
-
-    @property
     def is_watertight(self) -> bool:
         return is_closed(self.faces)
 
@@ -55,7 +53,7 @@ def face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     a = vertices[faces[:, 0]]
     b = vertices[faces[:, 1]]
     c = vertices[faces[:, 2]]
-    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=-1)
+    return 0.5 * np.linalg.norm(rot.cross(b - a, c - a), axis=-1)
 
 
 def edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -70,12 +68,6 @@ def edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
         np.sort(directed, axis=1), axis=0, return_inverse=True, return_counts=True
     )
     return directed, edges, inverse, counts
-
-
-def boundary_edges(faces: np.ndarray) -> np.ndarray:
-    """Directed edges that appear in exactly one face, in face winding order."""
-    directed, _, inverse, counts = edge_table(faces)
-    return directed[counts[inverse] == 1]
 
 
 def is_closed(faces: np.ndarray) -> bool:
@@ -93,7 +85,7 @@ def signed_volume(vertices: np.ndarray, faces: np.ndarray) -> float:
     a = v[faces[:, 0]]
     b = v[faces[:, 1]]
     c = v[faces[:, 2]]
-    return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
+    return float(np.einsum("ij,ij->i", a, rot.cross(b, c)).sum() / 6.0)
 
 
 def enclosed_volume(mesh: TriMesh) -> float:
@@ -194,13 +186,13 @@ def _ray_hits(
     """
     origin = np.asarray(origin, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    pvec = np.cross(direction, e2)
+    pvec = rot.cross(direction, e2)
     det = np.einsum("ij,ij->i", e1, pvec)
     ok = np.abs(det) > eps
     inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
     tvec = origin - v0
     u = np.einsum("ij,ij->i", tvec, pvec) * inv_det
-    qvec = np.cross(tvec, e1)
+    qvec = rot.cross(tvec, e1)
     v = (qvec @ direction) * inv_det
     t = np.einsum("ij,ij->i", e2, qvec) * inv_det
     mask = ok & (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1.0 + 1e-9) & (t > eps)

@@ -46,14 +46,7 @@ def crmse(gt_angles: np.ndarray, est_angles: np.ndarray, valid: np.ndarray | Non
     error, arccos(1 - c^2), which reproduces delta exactly when the error is
     uniform across joints.
     """
-    gt_angles = np.asarray(gt_angles, dtype=float)
-    est_angles = np.asarray(est_angles, dtype=float)
-    if gt_angles.shape != est_angles.shape:
-        raise ValueError("angle arrays must have identical shapes")
-    if valid is None:
-        valid = np.ones(gt_angles.shape, dtype=bool)
-    else:
-        valid = np.broadcast_to(np.asarray(valid, dtype=bool), gt_angles.shape)
+    gt_angles, est_angles, valid = _mask_pair(gt_angles, est_angles, valid)
     if not valid.any():
         raise ValueError("no valid joint angles for CRMSE")
     delta = gt_angles[valid] - est_angles[valid]

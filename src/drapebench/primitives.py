@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import rotations as rot
 from .mesh import TriMesh
 
 
@@ -85,17 +86,6 @@ def _grid_tube_faces(n_rings: int, n_theta: int) -> np.ndarray:
     return np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
 
 
-def tube_from_rings(ring_points: np.ndarray) -> TriMesh:
-    """Open tube through rings of points, shape (K, n_theta, 3).
-
-    Rings must be ordered along the tube axis with theta running
-    counter-clockwise about the ring normal for outward-facing sides.
-    """
-    ring_points = np.asarray(ring_points, dtype=float)
-    k, n_theta, _ = ring_points.shape
-    return TriMesh(ring_points.reshape(-1, 3), _grid_tube_faces(k, n_theta))
-
-
 def open_cylinder(radius: float, height: float, n_theta: int = 48, n_rings: int = 8) -> TriMesh:
     """Uncapped cylinder along +y starting at the origin."""
     t = np.array([0.0, 1.0, 0.0])
@@ -104,16 +94,16 @@ def open_cylinder(radius: float, height: float, n_theta: int = 48, n_rings: int 
     circle = radius * (np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * w)
     ys = np.linspace(0.0, height, n_rings)
     rings = np.stack([circle + y * t for y in ys])
-    return tube_from_rings(rings)
+    return TriMesh(rings.reshape(-1, 3), _grid_tube_faces(n_rings, n_theta))
 
 
 def _orthonormal_frame(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two unit vectors u, w with (u, w, t) right-handed."""
     t = t / np.linalg.norm(t)
     helper = np.array([1.0, 0.0, 0.0]) if abs(t[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = np.cross(helper, t)
+    u = rot.cross(helper, t)
     u /= np.linalg.norm(u)
-    w = np.cross(t, u)
+    w = rot.cross(t, u)
     return u, w
 
 
@@ -130,8 +120,6 @@ def capsule_mesh(
     p1 = np.asarray(p1, dtype=float)
     axis = p1 - p0
     length = np.linalg.norm(axis)
-    if length < 1e-12:
-        return icosphere(radius, 2).translated(p0)
     t = axis / length
     u, w = _orthonormal_frame(t)
     theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)

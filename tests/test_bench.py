@@ -163,10 +163,26 @@ def test_config_json_round_trip():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        BenchConfig(motions=())
-    with pytest.raises(ValueError):
-        MethodSpec("telepathy")
+    # Each bad value is refused when the config loads, with the value named.
+    for make, names in (
+        (lambda: BenchConfig(motions=()), "motions"),
+        (lambda: MethodSpec("telepathy"), "'telepathy'"),
+        (lambda: MotionSpec("walk"), "'walk'"),
+        (lambda: MotionSpec("basic", duration_s=0), "duration_s .* 0"),
+        (lambda: MotionSpec("basic", fps=-30), "fps .* -30"),
+        (lambda: MethodSpec("markerless_surrogate", profile="nope"), "'nope'"),
+        (lambda: BenchConfig(garment_categories=("dress",)), "'dress'"),
+        (lambda: BenchConfig(noise_rms_m=-1), "noise_rms_m .* -1"),
+        (lambda: BenchConfig(resolution_scale=0), "resolution_scale .* 0"),
+        (lambda: BenchConfig(warmup_s=-1), "warmup_s .* -1"),
+        (lambda: BenchConfig.from_json('{"motions": [{"motion_class": "basic", "fps": -30}]}'), "-30"),
+    ):
+        with pytest.raises(ValueError, match=names):
+            make()
+    # The profile names a surrogate's error model; other kinds ignore it.
+    assert MethodSpec("marker_based", profile="nope").profile == "nope"
+    for profile in ("auto", "basic_err", "fast_err", "extreme_err"):
+        MethodSpec("markerless_surrogate", profile=profile)
 
 
 def test_ingest_method_round_trip(tmp_path, skeleton):

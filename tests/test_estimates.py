@@ -155,7 +155,7 @@ def test_surrogate_deterministic_and_labeled(skeleton):
     b = surrogate_estimator(gt, seq.fps, "basic_err", 3)
     assert np.array_equal(a.positions, b.positions)
     assert a.source_label == "surrogate:basic_err"
-    assert a.is_surrogate
+    assert a.source_label.startswith("surrogate")
 
 
 def test_estimate_validation():

@@ -3,7 +3,6 @@ import pytest
 
 from drapebench.mesh import (
     TriMesh,
-    boundary_edges,
     cap_boundaries,
     dump_obj,
     edge_table,
@@ -211,12 +210,6 @@ def test_obj_round_trip():
 def test_obj_rejects_quads():
     with pytest.raises(ValueError, match="triangular"):
         load_obj("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
-
-
-def test_boundary_edges_of_cylinder():
-    cyl = open_cylinder(0.1, 0.3, 16, 4)
-    edges = boundary_edges(cyl.faces)
-    assert len(edges) == 32  # two rings of 16
 
 
 def test_edge_table_counts_shared_edges():

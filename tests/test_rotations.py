@@ -3,6 +3,7 @@ import pytest
 from scipy.spatial.transform import Rotation as R
 
 from drapebench import rotations as rot
+from drapebench.body import build_parametric_body
 
 
 def _random_quats(rng, n):
@@ -126,6 +127,14 @@ def test_cross_matches_np_cross_bit_for_bit(rng):
     assert same_bits(rot.cross(many, few), np.cross(many, few))
     assert same_bits(rot.cross(few, many), np.cross(few, many))
     assert same_bits(rot.cross(a[0], b[0]), np.cross(a[0], b[0]))
+    # The mesh call sites: a template's edge vectors against each other, and
+    # a ray direction against every face edge.
+    template = build_parametric_body("female_average").template
+    v0, v1, v2 = (template.vertices[template.faces[:, k]] for k in range(3))
+    assert same_bits(rot.cross(v1 - v0, v2 - v0), np.cross(v1 - v0, v2 - v0))
+    direction = rng.normal(size=3)
+    assert same_bits(rot.cross(direction, v2 - v0), np.cross(direction, v2 - v0))
+    assert same_bits(rot.cross(np.array([1.0, 0.0, 0.0]), a[1]), np.cross([1.0, 0.0, 0.0], a[1]))
 
 
 def test_between_batched_matches_per_pair_bit_for_bit(rng):
