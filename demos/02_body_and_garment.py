@@ -4,16 +4,20 @@ Builds the six body variants, dresses one in garments from skin-tight to
 very loose, and shows the drape ratio landing inside each class interval.
 """
 
-from drapebench.body import BUILD_CATALOG, build_parametric_body
-from drapebench.garment import DrapeClassTable, GarmentSpec, generate_garment
-from drapebench.mesh import dump_obj, enclosed_volume
+import numpy as np
 
-print("the six builds:")
+from drapebench.body import BUILD_CATALOG, body_capsules, build_parametric_body
+from drapebench.garment import DrapeClassTable, GarmentSpec, generate_garment
+from drapebench.mesh import dump_obj
+
+print("the six builds (capsule volumes summed, overlaps counted twice):")
 for label in BUILD_CATALOG:
     body = build_parametric_body(label)
-    volume = enclosed_volume(body.template)
+    capsules = body_capsules(body.skeleton, label)
+    volume = sum(np.pi * c.radius**2 * np.linalg.norm(c.p1 - c.p0) + 4.0 / 3.0 * np.pi * c.radius**3
+                 for c in capsules)
     print(f"  {label:15s} height {BUILD_CATALOG[label].height:.2f} m  "
-          f"mesh volume {volume * 1000:6.1f} L  {body.template.num_vertices} vertices")
+          f"{len(capsules)} capsules  capsule volume {volume * 1000:6.1f} L")
 
 body = build_parametric_body("female_average")
 table = DrapeClassTable()

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .body import BUILD_CATALOG, SkinnedBody, body_capsules, body_skeleton, build_parametric_body
+from .body import BUILD_CATALOG, SkinnedBody, body_capsules, build_parametric_body
 from .bvh import parse_bvh, write_bvh
 from .cloth import ClothParams, simulate_sequence
 from .estimates import SURROGATE_PROFILES, ingest_estimates, normalize_estimate, surrogate_estimator
@@ -79,6 +79,8 @@ class MethodSpec:
             raise ValueError(
                 f"unknown surrogate profile {self.profile!r}; choose 'auto' or one of {sorted(SURROGATE_PROFILES)}"
             )
+        if self.kind == "markerless_ingest" and not self.path:
+            raise ValueError("markerless_ingest needs the estimate file's path")
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,6 @@ class BenchConfig:
     methods: tuple[MethodSpec, ...] = (MethodSpec("marker_based"),)
     garment_categories: tuple[str, ...] = ("tshirt", "trousers")
     cloth: dict = field(default_factory=dict)
-    drape_thresholds: tuple[float, ...] | None = None
     resolution_scale: float = 1.0
     warmup_s: float = 2.0
     noise_rms_m: float = 0.005
@@ -110,8 +111,6 @@ class BenchConfig:
         object.__setattr__(self, "builds", tuple(self.builds))
         object.__setattr__(self, "drape_classes", tuple(int(c) for c in self.drape_classes))
         object.__setattr__(self, "garment_categories", tuple(self.garment_categories))
-        if self.drape_thresholds is not None:
-            object.__setattr__(self, "drape_thresholds", tuple(self.drape_thresholds))
         unknown = sorted(set(self.cloth) - {f.name for f in fields(ClothParams)})
         if unknown:
             raise ValueError(f"unknown cloth key {', '.join(map(repr, unknown))}")
@@ -159,9 +158,8 @@ class BenchConfig:
         return ClothParams(**self.cloth)
 
     def drape_table(self) -> DrapeClassTable:
-        if self.drape_thresholds is None:
-            return DrapeClassTable()
-        return DrapeClassTable(self.drape_thresholds)
+        """The class boundaries garments are fitted to: always the default ones."""
+        return DrapeClassTable()
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -288,14 +286,14 @@ def run_cell(
     label = config.method_label(method)
     result = CellResult(motion.motion_class, build, drape, label)
     cell_seed = _derive_seed(config.seed, motion.motion_class, build, drape, label)
-    sk = body_skeleton(build)
+    body = build_parametric_body(build)
+    sk = body.skeleton
     seq = _load_motion(config, motion, sk)
     joint_pos, joint_orient = sequence_transforms(seq)
     result.frames = seq.num_frames
     gt_ang, gt_ang_mask = angles_from_positions(sk, joint_pos)
 
     if method.kind == "marker_based":
-        body = build_parametric_body(build)
         if config.garment_categories:
             garment = _build_garment(config, body, drape)
             result.drape_ratio = garment.drape_ratio

@@ -1,9 +1,11 @@
 """Parametric capsule bodies and bone colliders.
 
 The six build labels are engine constants for desk-scale benchmarking; they
-are not measurements of any particular person or dataset. The body surface
-is never posed: skin markers ride their joint's bone frame and collisions
-use per-bone capsules, so only the rest-pose template is built.
+are not measurements of any particular person or dataset. The body is its
+bone capsules: the cloth collides with them, garments are fitted around them,
+and skin markers sit where a ray leaves their union, all in closed form. No
+body mesh is built, and the body is never posed: skin markers ride their
+joint's bone frame.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import Skeleton, default_skeleton
-from .mesh import TriMesh, merge_meshes
-from .primitives import capsule_mesh
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,8 @@ _TORSO_BONES = {
 
 @dataclass(frozen=True)
 class SkinnedBody:
-    """Rest-pose template mesh of a build over its skeleton."""
+    """A build's skeleton; its bone capsules are `body_capsules(skeleton, build_label)`."""
 
-    template: TriMesh
     skeleton: Skeleton
     build_label: str
 
@@ -133,8 +132,74 @@ def body_capsules(
 
 
 def build_parametric_body(build_label: str) -> SkinnedBody:
-    """Capsule-per-bone body template (one capsule mesh per bone, merged)."""
-    skeleton = body_skeleton(build_label)
-    capsules = body_capsules(skeleton, build_label)
-    pieces = [capsule_mesh(c.p0, c.p1, c.radius, n_theta=14, n_axial=3, n_cap=3) for c in capsules]
-    return SkinnedBody(merge_meshes(pieces), skeleton, build_label)
+    """The capsule body of a build: its skeleton and label."""
+    return SkinnedBody(body_skeleton(build_label), build_label)
+
+
+def _closest_on_segments(
+    points: np.ndarray, p0: np.ndarray, seg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closest point to each point on the segment p0 + t * seg, t in [0, 1].
+
+    Rows of points, p0 and seg pair up; a single (3,) segment serves every
+    point. Returns (closest, points - closest, distance).
+    """
+    rel = points - p0
+    denom = np.maximum(np.einsum("...j,...j->...", seg, seg), 1e-18)
+    t = np.clip(np.einsum("...j,...j->...", rel, seg) / denom, 0.0, 1.0)
+    closest = p0 + t[..., None] * seg
+    delta = points - closest
+    dist = np.sqrt(np.einsum("...j,...j->...", delta, delta))
+    return closest, delta, dist
+
+
+def _ray_capsule_exit(origins: np.ndarray, dirs: np.ndarray, cap: Capsule) -> np.ndarray:
+    """Largest t where origin + t*dir crosses the capsule surface.
+
+    origins (K, 3), dirs (K, 3) unit. Returns (K,) with -inf for misses. The
+    t is the exit when the origin lies inside the capsule; it is negative
+    when the whole capsule lies behind the origin.
+    """
+    a, b, r = cap.p0, cap.p1, cap.radius
+    best = np.full(len(origins), -np.inf)
+    # Sphere caps.
+    for center in (a, b):
+        oc = origins - center
+        beta = np.einsum("ij,ij->i", dirs, oc)
+        gamma = np.einsum("ij,ij->i", oc, oc) - r * r
+        disc = beta * beta - gamma
+        ok = disc >= 0.0
+        t = -beta + np.sqrt(np.maximum(disc, 0.0))
+        best = np.where(ok & (t > best), t, best)
+    # Finite cylinder side.
+    axis = b - a
+    length = np.linalg.norm(axis)
+    if length > 1e-12:
+        u = axis / length
+        oc = origins - a
+        d_perp = dirs - np.outer(dirs @ u, u)
+        o_perp = oc - np.outer(oc @ u, u)
+        aa = np.einsum("ij,ij->i", d_perp, d_perp)
+        bb = np.einsum("ij,ij->i", o_perp, d_perp)
+        cc = np.einsum("ij,ij->i", o_perp, o_perp) - r * r
+        disc = bb * bb - aa * cc
+        ok = (disc >= 0.0) & (aa > 1e-18)
+        t = np.where(ok, (-bb + np.sqrt(np.maximum(disc, 0.0))) / np.where(aa > 1e-18, aa, 1.0), 0.0)
+        s = (oc + t[:, None] * dirs) @ u
+        ok &= (s >= 0.0) & (s <= length)
+        best = np.where(ok & (t > best), t, best)
+    return best
+
+
+def skin_exits(body: SkinnedBody, origins: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """(K,) distance along each unit ray to where it leaves the rest-pose
+    capsules that contain its origin.
+
+    A capsule is convex, so the ray leaves it once; the ray has left all of
+    them at the largest of those exits. An origin inside no capsule gets 0.
+    """
+    t = np.zeros(len(origins))
+    for cap in body_capsules(body.skeleton, body.build_label):
+        inside = _closest_on_segments(origins, cap.p0, cap.p1 - cap.p0)[2] <= cap.radius
+        t = np.where(inside, np.maximum(t, _ray_capsule_exit(origins, directions, cap)), t)
+    return t

@@ -9,12 +9,12 @@ import sys
 
 from .bench import (
     BenchConfig,
+    _cell_worker,
     cell_coordinates,
     cell_id,
     emit_plot_data,
     read_report,
     run_benchmark,
-    run_cell,
     write_report,
 )
 from .garment import classify_drape, measure_drape
@@ -55,7 +55,7 @@ def _cmd_simulate(args) -> int:
     want = args.cell
     for motion, build, drape, method in cell_coordinates(config):
         if cell_id(motion, build, drape, config.method_label(method)) == want:
-            cell = run_cell(config, motion, build, drape, method)
+            cell, _ = _cell_worker((config, motion, build, drape, method, None))
             print(json.dumps(cell.to_dict(), sort_keys=True, indent=1))
             return 0 if cell.status == "ok" else 1
     print(f"cell {want!r} not in the configured matrix", file=sys.stderr)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rotations as rot
-from .body import Capsule
+from .body import Capsule, _closest_on_segments
 from .mesh import TriMesh, edge_table
 
 STANDARD_GRAVITY = 9.81
@@ -195,23 +195,6 @@ class _Solver:
         out = np.bincount(self.flat_i, weights=weights, minlength=3 * self.n)
         out -= np.bincount(self.flat_j, weights=weights, minlength=3 * self.n)
         return out.reshape(self.n, 3)
-
-
-def _closest_on_segments(
-    points: np.ndarray, p0: np.ndarray, seg: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closest point to each point on the segment p0 + t * seg, t in [0, 1].
-
-    Rows of points, p0 and seg pair up; a single (3,) segment serves every
-    point. Returns (closest, points - closest, distance).
-    """
-    rel = points - p0
-    denom = np.maximum(np.einsum("...j,...j->...", seg, seg), 1e-18)
-    t = np.clip(np.einsum("...j,...j->...", rel, seg) / denom, 0.0, 1.0)
-    closest = p0 + t[..., None] * seg
-    delta = points - closest
-    dist = np.sqrt(np.einsum("...j,...j->...", delta, delta))
-    return closest, delta, dist
 
 
 def _collision_candidates(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rotations as rot
-from .body import Capsule, SkinnedBody, body_capsules
+from .body import Capsule, SkinnedBody, _ray_capsule_exit, body_capsules
 from .mesh import (
     TriMesh, boundary_caps, cap_vertices, enclosed_volume, is_closed, merge_meshes, signed_volume,
 )
@@ -108,42 +108,6 @@ def classify_drape(ratio: float, table: DrapeClassTable | None = None) -> int:
 
 
 # --- tube construction ----------------------------------------------------
-
-
-def _ray_capsule_exit(origins: np.ndarray, dirs: np.ndarray, cap: Capsule) -> np.ndarray:
-    """Largest t >= 0 where origin + t*dir crosses the capsule surface.
-
-    origins (K, 3), dirs (K, 3) unit. Returns (K,) with -inf for misses.
-    """
-    a, b, r = cap.p0, cap.p1, cap.radius
-    best = np.full(len(origins), -np.inf)
-    # Sphere caps.
-    for center in (a, b):
-        oc = origins - center
-        beta = np.einsum("ij,ij->i", dirs, oc)
-        gamma = np.einsum("ij,ij->i", oc, oc) - r * r
-        disc = beta * beta - gamma
-        ok = disc >= 0.0
-        t = -beta + np.sqrt(np.maximum(disc, 0.0))
-        best = np.where(ok & (t > best), t, best)
-    # Finite cylinder side.
-    axis = b - a
-    length = np.linalg.norm(axis)
-    if length > 1e-12:
-        u = axis / length
-        oc = origins - a
-        d_perp = dirs - np.outer(dirs @ u, u)
-        o_perp = oc - np.outer(oc @ u, u)
-        aa = np.einsum("ij,ij->i", d_perp, d_perp)
-        bb = np.einsum("ij,ij->i", o_perp, d_perp)
-        cc = np.einsum("ij,ij->i", o_perp, o_perp) - r * r
-        disc = bb * bb - aa * cc
-        ok = (disc >= 0.0) & (aa > 1e-18)
-        t = np.where(ok, (-bb + np.sqrt(np.maximum(disc, 0.0))) / np.where(aa > 1e-18, aa, 1.0), 0.0)
-        s = (oc + t[:, None] * dirs) @ u
-        ok &= (s >= 0.0) & (s <= length)
-        best = np.where(ok & (t > best), t, best)
-    return best
 
 
 def _bridge_hollows(radii: np.ndarray, stations: np.ndarray, slope: float = 1.1, passes: int = 12) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 48 markers (2 per joint, on opposite sides of the bone axis) are attached at
 the T-pose: over the garment where it covers the nominal marker position,
-directly on the skin otherwise. Skin markers move rigidly with their joint's
-bone frame -- the idealization that makes the unclothed, noise-free pipeline
-an exact identity. Cloth markers ride the simulated garment surface.
+directly on the skin otherwise. The skin is the union of the bone capsules,
+so a skin marker's ray exit is closed form. Skin markers move rigidly with
+their joint's bone frame -- the idealization that makes the unclothed,
+noise-free pipeline an exact identity. Cloth markers ride the simulated
+garment surface.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import SkinnedBody
+from .body import SkinnedBody, skin_exits
 from .cloth import ClothState
 from .kinematics import MotionSequence, Skeleton, poses_from_joint_positions, ride_joints
 from .mesh import TriMesh, ray_union_exits, surface_points
@@ -30,8 +32,8 @@ class MarkerPlacement:
     joint: np.ndarray        # (M,) joint each marker belongs to
     on_cloth: np.ndarray     # (M,) rides the garment (else the skin)
     offset: np.ndarray       # (M, 3) marker minus joint position at T-pose
-    face: np.ndarray         # (M,) face of the garment (cloth) or body template (skin)
-    barycentric: np.ndarray  # (M, 3) weights on that face's vertices
+    face: np.ndarray         # (M,) garment face of a cloth marker; 0 for skin
+    barycentric: np.ndarray  # (M, 3) weights on that face's vertices; (1, 0, 0) for skin
 
     @property
     def num_markers(self) -> int:
@@ -66,8 +68,10 @@ def place_markers(body: SkinnedBody, garment: TriMesh | None = None) -> MarkerPl
     """Attach two markers per joint at the T-pose.
 
     Rays are cast from each joint outward along +-lateral; the marker targets
-    the garment if the ray crosses it, otherwise the skin. Raises when a ray
-    misses both surfaces (malformed garment or body).
+    the garment if the ray crosses it, otherwise the skin, where it sits
+    MARKER_BASE_HEIGHT beyond the ray's exit from the bone capsules. Every
+    joint is an endpoint of its own bones' capsules, so every ray starts
+    inside the skin.
     """
     sk = body.skeleton
     children = [sk.primary_child(j) for j in range(sk.num_joints)]
@@ -79,24 +83,13 @@ def place_markers(body: SkinnedBody, garment: TriMesh | None = None) -> MarkerPl
     directions = np.repeat(_lateral_axes(bones), 2, axis=0) * signs
     on_cloth = np.zeros(n, dtype=bool)
     face = np.zeros(n, dtype=np.int64)
-    barycentric = np.zeros((n, 3))
-    offset = np.empty((n, 3))
+    barycentric = np.tile([1.0, 0.0, 0.0], (n, 1))
+    offset = directions * (skin_exits(body, origins, directions) + MARKER_BASE_HEIGHT)[:, None]
     if garment is not None:
         on_cloth, face, barycentric = ray_union_exits(origins, directions, garment)
         offset[on_cloth] = surface_points(
             garment.vertices, garment.faces, face[on_cloth], barycentric[on_cloth]
         ) - origins[on_cloth]
-    skin = ~on_cloth
-    hit, face[skin], barycentric[skin] = ray_union_exits(origins[skin], directions[skin], body.template)
-    if not hit.all():
-        m = int(np.nonzero(skin)[0][~hit][0])
-        raise ValueError(
-            f"marker ray at joint {sk.joint_names[joint[m]]} ({'AB'[m % 2]}) misses both surfaces"
-        )
-    offset[skin] = (
-        surface_points(body.template.vertices, body.template.faces, face[skin], barycentric[skin])
-        - origins[skin] + directions[skin] * MARKER_BASE_HEIGHT
-    )
     return MarkerPlacement(joint, on_cloth, offset, face, barycentric)
 
 

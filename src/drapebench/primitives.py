@@ -1,4 +1,5 @@
-"""Procedural mesh primitives: cube, icosphere, tubes and capsules."""
+"""Procedural mesh primitives: cube, icosphere, open cylinder, and the tube
+faces and ring frames that garment sleeves are built from."""
 
 from __future__ import annotations
 
@@ -106,47 +107,3 @@ def _orthonormal_frame(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = rot.cross(t, u)
     return u, w
 
-
-def capsule_mesh(
-    p0: np.ndarray,
-    p1: np.ndarray,
-    radius: float,
-    n_theta: int = 16,
-    n_axial: int = 3,
-    n_cap: int = 4,
-) -> TriMesh:
-    """Watertight capsule around segment p0-p1 (cylinder plus hemisphere caps)."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    axis = p1 - p0
-    length = np.linalg.norm(axis)
-    t = axis / length
-    u, w = _orthonormal_frame(t)
-    theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    circle = np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * w
-
-    rings = []
-    # Bottom hemisphere (excluding pole), from just above the pole to the seam.
-    for i in range(1, n_cap + 1):
-        phi = -np.pi / 2.0 + (np.pi / 2.0) * i / n_cap
-        rings.append(p0 + radius * np.cos(phi) * circle + radius * np.sin(phi) * t)
-    # Cylinder interior rings.
-    for j in range(1, n_axial):
-        rings.append(p0 + t * (length * j / n_axial) + radius * circle)
-    # Top hemisphere from seam toward the pole (excluding pole).
-    for i in range(n_cap):
-        phi = (np.pi / 2.0) * i / n_cap
-        rings.append(p1 + radius * np.cos(phi) * circle + radius * np.sin(phi) * t)
-
-    ring_arr = np.stack(rings)
-    n_rings = len(rings)
-    verts = np.concatenate([ring_arr.reshape(-1, 3), [p0 - radius * t], [p1 + radius * t]])
-    faces = list(_grid_tube_faces(n_rings, n_theta))
-    bottom_pole = n_rings * n_theta
-    top_pole = bottom_pole + 1
-    last = (n_rings - 1) * n_theta
-    for i in range(n_theta):
-        j = (i + 1) % n_theta
-        faces.append([bottom_pole, j, i])
-        faces.append([top_pole, last + i, last + j])
-    return TriMesh(verts, np.array(faces))

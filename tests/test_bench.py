@@ -171,6 +171,7 @@ def test_config_validation():
         (lambda: MotionSpec("basic", duration_s=0), "duration_s .* 0"),
         (lambda: MotionSpec("basic", fps=-30), "fps .* -30"),
         (lambda: MethodSpec("markerless_surrogate", profile="nope"), "'nope'"),
+        (lambda: MethodSpec("markerless_ingest"), "markerless_ingest .* path"),
         (lambda: BenchConfig(garment_categories=("dress",)), "'dress'"),
         (lambda: BenchConfig(noise_rms_m=-1), "noise_rms_m .* -1"),
         (lambda: BenchConfig(resolution_scale=0), "resolution_scale .* 0"),
@@ -255,6 +256,19 @@ def test_cli_exit_code_on_failure(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(cfg.to_json())
     assert cli_main(["run", "--config", str(cfg_path)]) == 1
+
+
+def test_cli_simulate_isolates_a_failing_cell(tmp_path, capsys):
+    cfg = tiny_config(drape_classes=(1,),
+                      methods=(MethodSpec("markerless_ingest", path="/missing.json"),),
+                      output_dir=str(tmp_path / "out"))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(cfg.to_json())
+    cid = "basic/female_average/1/markerless_ingest"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--cell", cid]) == 1
+    row = json.loads(capsys.readouterr().out)
+    assert row["status"] == "error"
+    assert "/missing.json" in row["error"]
 
 
 def _unclothed(**overrides):

@@ -8,29 +8,38 @@ from drapebench.body import (
     body_skeleton,
     build_parametric_body,
 )
-from drapebench.mesh import enclosed_volume
 
 
-def test_all_builds_watertight_and_normalized():
+def test_all_builds_normalized():
     for label in BUILD_CATALOG:
         b = build_parametric_body(label)
-        assert b.template.is_watertight, label
-        assert enclosed_volume(b.template) > 0, label
         assert abs(b.skeleton.rest_height() - BUILD_CATALOG[label].height) < 1e-9
+
+
+def _capsule_volume(body):
+    """Summed capsule volumes, pi r^2 L + 4/3 pi r^3 each (overlaps counted twice)."""
+    return sum(
+        np.pi * c.radius**2 * np.linalg.norm(c.p1 - c.p0) + 4.0 / 3.0 * np.pi * c.radius**3
+        for c in body_capsules(body.skeleton, body.build_label)
+    )
 
 
 def test_larger_builds_have_larger_volume():
     for gender in ("female", "male"):
-        small = enclosed_volume(build_parametric_body(f"{gender}_small").template)
-        large = enclosed_volume(build_parametric_body(f"{gender}_large").template)
+        small = _capsule_volume(build_parametric_body(f"{gender}_small"))
+        large = _capsule_volume(build_parametric_body(f"{gender}_large"))
         assert large > small
 
 
 def test_build_deterministic():
     a = build_parametric_body("male_small")
     b = build_parametric_body("male_small")
-    assert np.array_equal(a.template.vertices, b.template.vertices)
-    assert np.array_equal(a.template.faces, b.template.faces)
+    assert np.array_equal(a.skeleton.rest_offsets, b.skeleton.rest_offsets)
+    caps_a = body_capsules(a.skeleton, a.build_label)
+    caps_b = body_capsules(b.skeleton, b.build_label)
+    for ca, cb in zip(caps_a, caps_b, strict=True):
+        assert np.array_equal(ca.p0, cb.p0) and np.array_equal(ca.p1, cb.p1)
+        assert ca.radius == cb.radius
 
 
 def test_unknown_label_rejected():

@@ -14,7 +14,7 @@ from drapebench.mesh import (
     ray_union_exits,
     surface_points,
 )
-from drapebench.primitives import capsule_mesh, icosphere, open_cylinder, unit_cube
+from drapebench.primitives import icosphere, open_cylinder, unit_cube
 
 
 def _loop_face_components(mesh):
@@ -169,11 +169,13 @@ def test_face_components_match_union_find(body):
     from drapebench.garment import GarmentSpec, generate_garment
 
     spheres = merge_meshes([icosphere(0.5, 2), icosphere(0.5, 2).translated((2.0, 0.0, 0.0))])
+    # Overlapping pieces share no vertex, so each stays its own component.
+    overlapping = merge_meshes([icosphere(0.1 + 0.02 * k, 1).translated((0.15 * k, 0.0, 0.0)) for k in range(5)])
     garments = merge_meshes([
         generate_garment(body, GarmentSpec(category, 4, body.build_label)).mesh
         for category in ("tshirt", "trousers")
     ])
-    for mesh, count in ((spheres, 2), (body.template, None), (garments, 6)):
+    for mesh, count in ((spheres, 2), (overlapping, 5), (garments, 6)):
         ours = face_components(mesh)
         ref = _loop_face_components(mesh)
         # Same partition: the labels correspond one to one.
@@ -191,13 +193,6 @@ def test_ray_union_exit_overlapping_components():
     assert hit.all()
     (exit_point,) = surface_points(mesh.vertices, mesh.faces, face, bary)
     assert abs(exit_point[0] - 0.9) < 0.02  # far surface of the union
-
-
-def test_capsule_mesh_volume():
-    cap = capsule_mesh(np.zeros(3), np.array([0.0, 0.4, 0.0]), 0.07, 24, 4, 6)
-    assert cap.is_watertight
-    exact = np.pi * 0.07**2 * 0.4 + 4.0 / 3.0 * np.pi * 0.07**3
-    assert abs(enclosed_volume(cap) - exact) / exact < 0.02
 
 
 def test_obj_round_trip():

@@ -3,7 +3,8 @@ import pytest
 from scipy.spatial.transform import Rotation as R
 
 from drapebench import rotations as rot
-from drapebench.body import build_parametric_body
+from drapebench.mesh import merge_meshes
+from drapebench.primitives import icosphere
 
 
 def _random_quats(rng, n):
@@ -127,10 +128,10 @@ def test_cross_matches_np_cross_bit_for_bit(rng):
     assert same_bits(rot.cross(many, few), np.cross(many, few))
     assert same_bits(rot.cross(few, many), np.cross(few, many))
     assert same_bits(rot.cross(a[0], b[0]), np.cross(a[0], b[0]))
-    # The mesh call sites: a template's edge vectors against each other, and
-    # a ray direction against every face edge.
-    template = build_parametric_body("female_average").template
-    v0, v1, v2 = (template.vertices[template.faces[:, k]] for k in range(3))
+    # The mesh call sites: a mesh's edge vectors against each other, and a
+    # ray direction against every face edge.
+    spheres = merge_meshes([icosphere(0.1 + 0.02 * k, 2).translated((0.15 * k, 0.0, 0.0)) for k in range(5)])
+    v0, v1, v2 = (spheres.vertices[spheres.faces[:, k]] for k in range(3))
     assert same_bits(rot.cross(v1 - v0, v2 - v0), np.cross(v1 - v0, v2 - v0))
     direction = rng.normal(size=3)
     assert same_bits(rot.cross(direction, v2 - v0), np.cross(direction, v2 - v0))
