@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rotations as rot
 from .kinematics import Skeleton, default_skeleton
 
 
@@ -137,19 +138,28 @@ def build_parametric_body(build_label: str) -> SkinnedBody:
 
 
 def _closest_on_segments(
-    points: np.ndarray, p0: np.ndarray, seg: np.ndarray
+    points: np.ndarray, p0: np.ndarray, seg: np.ndarray, seg_sq: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closest point to each point on the segment p0 + t * seg, t in [0, 1].
 
     Rows of points, p0 and seg pair up; a single (3,) segment serves every
-    point. Returns (closest, points - closest, distance).
+    point. seg_sq, if given, is max(|seg|^2, 1e-18) per segment, computed
+    once by a caller that reuses its segments. Returns (closest,
+    points - closest, distance).
     """
+    if seg_sq is None:
+        seg_sq = np.maximum(rot.rowdot(seg, seg), 1e-18)
     rel = points - p0
-    denom = np.maximum(np.einsum("...j,...j->...", seg, seg), 1e-18)
-    t = np.clip(np.einsum("...j,...j->...", rel, seg) / denom, 0.0, 1.0)
-    closest = p0 + t[..., None] * seg
+    t = rot.rowdot(rel, seg)
+    t /= seg_sq
+    np.clip(t, 0.0, 1.0, out=t)
+    closest = np.empty(t.shape + (3,))
+    for axis in range(3):
+        np.multiply(t, seg[..., axis], out=closest[..., axis])
+    closest += p0
     delta = points - closest
-    dist = np.sqrt(np.einsum("...j,...j->...", delta, delta))
+    dist = rot.rowdot(delta, delta)
+    np.sqrt(dist, out=dist)
     return closest, delta, dist
 
 
@@ -165,8 +175,8 @@ def _ray_capsule_exit(origins: np.ndarray, dirs: np.ndarray, cap: Capsule) -> np
     # Sphere caps.
     for center in (a, b):
         oc = origins - center
-        beta = np.einsum("ij,ij->i", dirs, oc)
-        gamma = np.einsum("ij,ij->i", oc, oc) - r * r
+        beta = rot.rowdot(dirs, oc)
+        gamma = rot.rowdot(oc, oc) - r * r
         disc = beta * beta - gamma
         ok = disc >= 0.0
         t = -beta + np.sqrt(np.maximum(disc, 0.0))
@@ -179,9 +189,9 @@ def _ray_capsule_exit(origins: np.ndarray, dirs: np.ndarray, cap: Capsule) -> np
         oc = origins - a
         d_perp = dirs - np.outer(dirs @ u, u)
         o_perp = oc - np.outer(oc @ u, u)
-        aa = np.einsum("ij,ij->i", d_perp, d_perp)
-        bb = np.einsum("ij,ij->i", o_perp, d_perp)
-        cc = np.einsum("ij,ij->i", o_perp, o_perp) - r * r
+        aa = rot.rowdot(d_perp, d_perp)
+        bb = rot.rowdot(o_perp, d_perp)
+        cc = rot.rowdot(o_perp, o_perp) - r * r
         disc = bb * bb - aa * cc
         ok = (disc >= 0.0) & (aa > 1e-18)
         t = np.where(ok, (-bb + np.sqrt(np.maximum(disc, 0.0))) / np.where(aa > 1e-18, aa, 1.0), 0.0)

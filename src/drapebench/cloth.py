@@ -176,21 +176,32 @@ class _Solver:
         axes = np.arange(3)
         self.flat_i = (3 * self.ei[:, None] + axes).ravel()
         self.flat_j = (3 * self.ej[:, None] + axes).ravel()
-        # Gather buffers for the spring ends, reused by every call.
-        self._d, self._xi, self._dv, self._vi = (np.empty((len(self.rest), 3)) for _ in range(4))
+        # Buffers reused by every call: x | v side by side, so that one gather
+        # per spring end fetches both. The spring forces are written over the
+        # first half of the ei ends, which nothing reads once subtracted.
+        self._xv = np.empty((num_particles, 6))
+        self._end_i, self._end_j = (np.empty((len(self.rest), 6)) for _ in range(2))
+        self._fvec = self._end_i.reshape(-1)[: 3 * len(self.rest)].reshape(-1, 3)
 
     def forces(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        d = np.take(x, self.ej, axis=0, out=self._d)
-        d -= np.take(x, self.ei, axis=0, out=self._xi)
-        dv = np.take(v, self.ej, axis=0, out=self._dv)
-        dv -= np.take(v, self.ei, axis=0, out=self._vi)
-        length = np.sqrt(np.einsum("ij,ij->i", d, d))
+        xv = self._xv
+        xv[:, :3] = x
+        xv[:, 3:] = v
+        diff = np.take(xv, self.ej, axis=0, out=self._end_j)
+        diff -= np.take(xv, self.ei, axis=0, out=self._end_i)
+        d, dv = diff[:, :3], diff[:, 3:]
+        length = rot.rowdot(d, d)
+        np.sqrt(length, out=length)
         np.maximum(length, 1e-12, out=length)
         stretch = length - self.rest
-        v_along = np.einsum("ij,ij->i", dv, d) / length
-        scalar = (self.k * stretch + self.damp * v_along) / length
-        fvec = d
-        fvec *= scalar[:, None]
+        v_along = rot.rowdot(dv, d)
+        v_along /= length
+        scalar = self.k * stretch
+        scalar += self.damp * v_along
+        scalar /= length
+        fvec = self._fvec
+        for axis in range(3):
+            np.multiply(d[:, axis], scalar, out=fvec[:, axis])
         weights = fvec.ravel()
         out = np.bincount(self.flat_i, weights=weights, minlength=3 * self.n)
         out -= np.bincount(self.flat_j, weights=weights, minlength=3 * self.n)
@@ -204,19 +215,21 @@ def _collision_candidates(
     seg: np.ndarray,
     reach: np.ndarray,
     dt: float,
+    gravity: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flat (particle, capsule) candidate pairs valid for one frame.
 
     p0/seg are the capsules' mid-frame poses and reach their radii plus half
     their travel over the frame, so every pose the frame lerps through lies
     within reach of the mid pose. A pair is kept when the particle is within
-    reach plus the particle's worst-case travel. Pairs come in capsule-major
-    order. Returns (particle_index, capsule_index).
+    reach plus the particle's worst-case travel under `gravity`. Pairs come
+    in capsule-major order. Returns (particle_index, capsule_index).
     """
-    speeds = np.sqrt(np.einsum("ij,ij->i", v, v))
+    speeds = rot.rowdot(v, v)
+    np.sqrt(speeds, out=speeds)
     # Worst-case particle travel this frame: current velocity plus gravity,
     # plus a base allowance for spring-driven acceleration.
-    margin = 0.02 + dt * speeds + STANDARD_GRAVITY * dt * dt
+    margin = 0.02 + dt * speeds + gravity * dt * dt
     # Seeded with empty arrays so that a step without capsules has no pairs.
     part_idx = [np.zeros(0, dtype=np.int64)]
     cap_idx = [np.zeros(0, dtype=np.int64)]
@@ -233,15 +246,17 @@ def _collide_pairs(
     pidx: np.ndarray,
     p0: np.ndarray,
     seg: np.ndarray,
+    seg_sq: np.ndarray,
     radius: np.ndarray,
 ) -> None:
     """Resolve candidate pairs in one vectorized pass, in place.
 
-    p0/seg/radius are already gathered per pair. Where a particle penetrates
-    several capsules the deepest projection wins (written last, sorted by
-    depth, so the result is deterministic).
+    p0/seg/seg_sq/radius are already gathered per pair (seg_sq as in
+    _closest_on_segments). Where a particle penetrates several capsules the
+    deepest projection wins (written last, sorted by depth, so the result
+    is deterministic).
     """
-    closest, delta, dist = _closest_on_segments(np.take(x, pidx, axis=0), p0, seg)
+    closest, delta, dist = _closest_on_segments(np.take(x, pidx, axis=0), p0, seg, seg_sq)
     depth = radius - dist
     hit = np.flatnonzero(depth > 0.0)
     if not len(hit):
@@ -252,7 +267,7 @@ def _collide_pairs(
     x[sub] = closest[sel] + n * radius[sel][:, None]
     # One gather of v serves both uses: every read precedes the write.
     vs = v[sub]
-    vn = np.einsum("ij,ij->i", vs, n)
+    vn = rot.rowdot(vs, n)
     vs -= np.minimum(vn, 0.0)[:, None] * n
     v[sub] = vs
 
@@ -271,6 +286,13 @@ def _shaped(name: str, array, expected: tuple) -> np.ndarray:
     if array.shape != expected:
         raise ValueError(f"{name} has shape {array.shape}, expected {expected}")
     return array
+
+
+def _refuse_non_finite(rows: np.ndarray, what: str, substep: int) -> None:
+    """Raise ClothSimulationError naming the first particle whose row is not finite."""
+    if not np.isfinite(rows).all():
+        bad = int(np.nonzero(~np.isfinite(rows).all(axis=1))[0][0])
+        raise ClothSimulationError(f"{what} for particle {bad} at substep {substep}")
 
 
 def _substep_count(dt: float) -> int:
@@ -293,41 +315,47 @@ def _advance(
     """
     x = state.positions.copy()
     v = state.velocities.copy()
+    _refuse_non_finite(np.hstack([x, v]), f"{frame_label}non-finite state", 0)
     pinned = state.pinned
-    free = ~pinned
+    pin_idx = np.flatnonzero(pinned)
     n_sub = _substep_count(dt)
     h = dt / n_sub
     g_vec = np.array([0.0, -params.gravity, 0.0])
-    pin_from = x[pinned]
+    pin_from = x[pin_idx]
     p0, seg, radius = cap_from
     p0_move, seg_move = cap_to[0] - p0, cap_to[1] - seg
     # Half the farthest either capsule end travels: a still body adds exactly 0.
     half_travel = 0.5 * np.maximum(np.linalg.norm(p0_move, axis=-1), np.linalg.norm(p0_move + seg_move, axis=-1))
-    pidx, cidx = _collision_candidates(x, v, p0 + 0.5 * p0_move, seg + 0.5 * seg_move, radius + half_travel, dt)
-    p0_a, seg_a, r_pair, p0_move, seg_move = (a[cidx] for a in (p0, seg, radius, p0_move, seg_move))
+    pidx, cidx = _collision_candidates(
+        x, v, p0 + 0.5 * p0_move, seg + 0.5 * seg_move, radius + half_travel, dt, params.gravity
+    )
+    r_pair = np.take(radius, cidx)
     # Whole-array integration: pinned rows get +0 and *1, and the pin lerp
     # then overwrites their positions.
-    free_col = free[:, None].astype(float)
-    drag_col = np.where(free, max(0.0, 1.0 - AIR_DRAG * h), 1.0)[:, None]
+    free_factor = np.repeat((~pinned).astype(float)[:, None], 3, axis=1)
+    drag_factor = np.repeat(np.where(pinned, 1.0, max(0.0, 1.0 - AIR_DRAG * h))[:, None], 3, axis=1)
     step_x = np.empty_like(x)
     for s in range(n_sub):
         f = solver.forces(x, v)
         f /= params.vertex_mass
         f += g_vec
         f *= h
-        f *= free_col
+        f *= free_factor
         v += f
-        v *= drag_col
+        v *= drag_factor
         x += np.multiply(v, h, out=step_x)
         alpha = (s + 1) / n_sub
-        x[pinned] = pin_from + alpha * (pin_to - pin_from)
-        _collide_pairs(x, v, pidx, p0_a + alpha * p0_move, seg_a + alpha * seg_move, r_pair)
-        if not np.isfinite(x).all():
-            bad = int(np.nonzero(~np.isfinite(x).all(axis=1))[0][0])
-            raise ClothSimulationError(
-                f"{frame_label}non-finite position for particle {bad} at substep {s}"
-            )
-    v[pinned] = 0.0
+        x[pin_idx] = pin_from + alpha * (pin_to - pin_from)
+        # The capsules of this substep, lerped once each and then gathered to their pairs.
+        p0_s = p0 + alpha * p0_move
+        seg_s = seg + alpha * seg_move
+        seg_sq = np.maximum(rot.rowdot(seg_s, seg_s), 1e-18)
+        _collide_pairs(
+            x, v, pidx, np.take(p0_s, cidx, axis=0), np.take(seg_s, cidx, axis=0),
+            np.take(seg_sq, cidx), r_pair,
+        )
+        _refuse_non_finite(x, f"{frame_label}non-finite position", s)
+    v[pin_idx] = 0.0
     return ClothState(x, v, pinned.copy(), state.time + dt)
 
 
@@ -371,12 +399,14 @@ def simulate_sequence(
     pin_frames holds per-frame world targets for the pinned vertices, shape
     (T, n_pinned, 3); collider_frames the per-frame body capsules, the same
     number in every frame; initial_positions, if given, shape (N, 3). Other
-    shapes are refused. The state is settled for `warmup` seconds of
-    simulated time at frame 0 before recording begins. Deterministic for
-    identical inputs.
+    shapes, and a motion without frames, are refused. The state is settled
+    for `warmup` seconds of simulated time at frame 0 before recording
+    begins. Deterministic for identical inputs.
     """
     pinned = np.asarray(pinned, dtype=bool)
     n_frames = len(collider_frames)
+    if n_frames == 0:
+        raise ValueError("the motion has no frames")
     pin_frames = _shaped("pin_frames", pin_frames, (n_frames, int(pinned.sum()), 3))
     if len({len(frame) for frame in collider_frames}) > 1:
         raise ValueError("collider frames disagree on capsule count")

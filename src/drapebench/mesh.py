@@ -85,7 +85,7 @@ def signed_volume(vertices: np.ndarray, faces: np.ndarray) -> float:
     a = v[faces[:, 0]]
     b = v[faces[:, 1]]
     c = v[faces[:, 2]]
-    return float(np.einsum("ij,ij->i", a, rot.cross(b, c)).sum() / 6.0)
+    return float(rot.rowdot(a, rot.cross(b, c)).sum() / 6.0)
 
 
 def enclosed_volume(mesh: TriMesh) -> float:
@@ -187,14 +187,14 @@ def _ray_hits(
     origin = np.asarray(origin, dtype=float)
     direction = np.asarray(direction, dtype=float)
     pvec = rot.cross(direction, e2)
-    det = np.einsum("ij,ij->i", e1, pvec)
+    det = rot.rowdot(e1, pvec)
     ok = np.abs(det) > eps
     inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
     tvec = origin - v0
-    u = np.einsum("ij,ij->i", tvec, pvec) * inv_det
+    u = rot.rowdot(tvec, pvec) * inv_det
     qvec = rot.cross(tvec, e1)
     v = (qvec @ direction) * inv_det
-    t = np.einsum("ij,ij->i", e2, qvec) * inv_det
+    t = rot.rowdot(e2, qvec) * inv_det
     mask = ok & (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1.0 + 1e-9) & (t > eps)
     idx = np.nonzero(mask)[0]
     return np.stack([t[idx], idx.astype(float), u[idx], v[idx]], axis=-1) if len(idx) else np.zeros((0, 4))

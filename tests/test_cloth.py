@@ -149,7 +149,9 @@ def _reference_advance(state, solver, params, dt, cap_from, cap_to, pin_to):
     p0, seg, radius = cap_from
     p0_move, seg_move = cap_to[0] - p0, cap_to[1] - seg
     half_travel = 0.5 * np.maximum(np.linalg.norm(p0_move, axis=-1), np.linalg.norm(p0_move + seg_move, axis=-1))
-    pidx, cidx = _collision_candidates(x, v, p0 + 0.5 * p0_move, seg + 0.5 * seg_move, radius + half_travel, dt)
+    pidx, cidx = _collision_candidates(
+        x, v, p0 + 0.5 * p0_move, seg + 0.5 * seg_move, radius + half_travel, dt, params.gravity
+    )
     p0_a, seg_a, r_pair, p0_move, seg_move = (a[cidx] for a in (p0, seg, radius, p0_move, seg_move))
     drag = max(0.0, 1.0 - AIR_DRAG * h)
     resolved = 0
@@ -320,7 +322,7 @@ def test_collision_candidates_match_reference(male_large_scene):
     )
 
     # A still body tests the one pose at the capsule radius: the two-pose sets exactly.
-    ours = _collision_candidates(garment.mesh.vertices, v, rest[0], rest[1], rest[2], dt)
+    ours = _collision_candidates(garment.mesh.vertices, v, rest[0], rest[1], rest[2], dt, STANDARD_GRAVITY)
     ref = _reference_collision_candidates(garment.mesh.vertices, v, rest, rest, dt)
     assert len(ours[0]) > 0
     for a, b in zip(ours, ref):
@@ -332,7 +334,7 @@ def test_collision_candidates_match_reference(male_large_scene):
         np.linalg.norm(p0_move, axis=-1), np.linalg.norm(p0_move + seg_move, axis=-1)
     )
     ours = _collision_candidates(
-        moved, v, start[0] + 0.5 * p0_move, start[1] + 0.5 * seg_move, reach, dt
+        moved, v, start[0] + 0.5 * p0_move, start[1] + 0.5 * seg_move, reach, dt, STANDARD_GRAVITY
     )
     assert np.all(np.diff(ours[1]) >= 0)  # capsule-major
     num_caps = len(start[2])
@@ -430,6 +432,21 @@ def test_rising_capsule_keeps_sheet_outside():
     assert states[-1].positions[:, 1].max() > rise * (n - 1) + 0.05
 
 
+def test_strong_gravity_keeps_falling_sheet_outside():
+    # Under 100 m/s^2 the sheet falls 56 mm in the first frame, from 36 mm
+    # above the collision radius: the candidate margin must use that gravity.
+    capsule = Capsule(np.array([-0.3, 0.0, 0.0]), np.array([0.3, 0.0, 0.0]), 0.05)
+    mesh = grid_mesh(12, 0.02, origin=(-0.11, capsule.radius + COLLISION_OFFSET + 0.036, -0.11))
+    n = 4
+    states = simulate_sequence(
+        mesh, np.zeros(mesh.num_vertices, dtype=bool), np.zeros((n, 0, 3)), [[capsule]] * n,
+        ClothParams(gravity=100.0), 30.0, warmup=0.0,
+    )
+    for frame, state in enumerate(states):
+        depth = max_capsule_penetration(state.positions, [capsule])
+        assert depth < 1e-3, f"frame {frame}: {1000 * depth:.2f} mm inside the capsule"
+
+
 @pytest.mark.parametrize("drape", [1, 6])
 def test_fast_motion_keeps_cloth_outside_the_body(drape):
     # Free particles may sink into the body's true capsules by at most the
@@ -459,6 +476,16 @@ def test_collider_frames_with_different_capsule_counts_refused():
             mesh, np.zeros(9, dtype=bool), np.zeros((2, 0, 3)), [[cap], []],
             ClothParams(), 30.0, warmup=0.0,
         )
+
+
+def test_empty_motion_refused():
+    mesh = grid_mesh(3)
+    pinned = np.zeros(9, dtype=bool)
+    with pytest.raises(ValueError, match="no frames"):
+        simulate_sequence(mesh, pinned, np.zeros((0, 0, 3)), [], ClothParams(), 30.0, warmup=0.0)
+    pinned[:2] = True
+    with pytest.raises(ValueError, match="no frames"):
+        simulate_sequence(mesh, pinned, np.zeros((0, 2, 3)), [], ClothParams(), 30.0)
 
 
 def test_pin_frames_of_wrong_shape_refused():

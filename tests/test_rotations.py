@@ -118,6 +118,33 @@ def test_dot_matches_1d_dot_bit_for_bit(rng):
     assert np.array_equal(rot.dot(a, b), np.array([np.dot(x, y) for x, y in zip(a, b)]))
 
 
+def test_rowdot_matches_einsum_bit_for_bit(rng):
+    def same_bits(a, b):
+        return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def einsum_rows(a, b):
+        return np.einsum("...j,...j->...", a, b)
+
+    a, b = rng.normal(size=(20000, 3)), rng.normal(size=(20000, 3))
+    assert same_bits(rot.rowdot(a, b), np.einsum("ij,ij->i", a, b))
+    assert same_bits(rot.rowdot(a, a), np.einsum("ij,ij->i", a, a))
+    # Strided column views of one (E, 6) buffer, as the spring solver takes them.
+    buf = rng.normal(size=(20000, 6))
+    d, dv = buf[:, :3], buf[:, 3:]
+    assert same_bits(rot.rowdot(dv, d), np.einsum("ij,ij->i", dv, d))
+    assert same_bits(rot.rowdot(d, d), np.einsum("ij,ij->i", d, d))
+    # Every row against a single vector, either side.
+    single = rng.normal(size=3)
+    assert same_bits(rot.rowdot(a, single), einsum_rows(a, single))
+    assert same_bits(rot.rowdot(single, b), einsum_rows(single, b))
+    # (C, N, 3) broadcasts: C segments against N points.
+    segs, points = rng.normal(size=(23, 1, 3)), rng.normal(size=(1, 900, 3))
+    rel = points - segs
+    assert same_bits(rot.rowdot(rel, segs), einsum_rows(rel, segs))
+    assert same_bits(rot.rowdot(segs, points), einsum_rows(segs, points))
+    assert same_bits(rot.rowdot(rel, rel), einsum_rows(rel, rel))
+
+
 def test_cross_matches_np_cross_bit_for_bit(rng):
     def same_bits(a, b):
         return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
