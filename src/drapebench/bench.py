@@ -7,6 +7,17 @@ of the full sweep bit for bit. A cell's coordinates are its motion class,
 build, drape class and method label; a config whose cells would share
 coordinates, or that names an unknown build or a drape class outside 1..6,
 is refused.
+
+The unit of work is a (motion, build, drape class) group: one job builds the
+body, clip, FK and ground-truth swing angles once, and the garment, cloth
+simulation and noiseless marker trajectory once if a marker_based method
+needs them, then scores every configured method against them. Shared
+products are pure functions of the config and no method writes to them, so
+a row does not depend on which other methods share its group. A failing
+shared product fails exactly the cells that need it, with its error. The
+report's `cell_wall_times_s` keeps one entry per cell; each counts the
+shared products that cell was first to need, so the entries add up to the
+sweep's work.
 """
 
 from __future__ import annotations
@@ -128,6 +139,8 @@ class BenchConfig:
             raise ValueError(
                 f"unknown garment category {', '.join(map(repr, unknown))}; choose from {GARMENT_CATEGORIES}"
             )
+        if isinstance(self.workers, bool) or not isinstance(self.workers, int) or self.workers < 1:
+            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
         if not self.resolution_scale > 0:
             raise ValueError(f"resolution_scale must be positive, got {self.resolution_scale!r}")
         for name, value in (("warmup_s", self.warmup_s), ("noise_rms_m", self.noise_rms_m)):
@@ -278,25 +291,53 @@ def _metric_row(gt_pos, est_pos, pos_valid, gt_ang, est_ang, ang_valid) -> dict:
     }
 
 
-def run_cell(
-    config: BenchConfig, motion: MotionSpec, build: str, drape: int, method: MethodSpec,
-    artifacts_dir: str | None = None,
-) -> CellResult:
-    """Execute one benchmark cell; deterministic given config.seed."""
-    label = config.method_label(method)
-    result = CellResult(motion.motion_class, build, drape, label)
-    cell_seed = _derive_seed(config.seed, motion.motion_class, build, drape, label)
-    body = build_parametric_body(build)
-    sk = body.skeleton
-    seq = _load_motion(config, motion, sk)
-    joint_pos, joint_orient = sequence_transforms(seq)
-    result.frames = seq.num_frames
-    gt_ang, gt_ang_mask = angles_from_positions(sk, joint_pos)
+def _once(make):
+    """`make`, called at most once: later calls return its value, or raise its error again."""
+    memo = []
 
-    if method.kind == "marker_based":
+    def get():
+        if not memo:
+            try:
+                memo.append((make(), None))
+            except Exception as exc:
+                memo.append((None, exc))
+        value, exc = memo[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return get
+
+
+def _run_group(
+    config: BenchConfig, motion: MotionSpec, build: str, drape: int,
+    methods: tuple[MethodSpec, ...], artifacts_dir: str | None = None,
+) -> list[tuple[CellResult, float]]:
+    """Run the `methods` cells of one (motion, build, drape) group, in order.
+
+    The cells share products made once, when the first cell needs them: the
+    body, clip, FK and ground-truth swing angles; and for marker_based cells
+    the garment, cloth simulation, marker placement and noiseless trajectory.
+    No cell writes to a shared product, so each row equals the row of its
+    cell run alone. A product that fails fails every cell that needs it with
+    its error; a cell's own failure fails that cell only. Returns each row
+    with its wall time, which counts the shared products it was first to need.
+    """
+
+    @_once
+    def truth():
+        body = build_parametric_body(build)
+        seq = _load_motion(config, motion, body.skeleton)
+        joint_pos, joint_orient = sequence_transforms(seq)
+        return body, seq, joint_pos, joint_orient, *angles_from_positions(body.skeleton, joint_pos)
+
+    @_once
+    def markers():
+        body, seq, joint_pos, joint_orient, *_ = truth()
+        drape_ratio = 0.0
         if config.garment_categories:
             garment = _build_garment(config, body, drape)
-            result.drape_ratio = garment.drape_ratio
+            drape_ratio = garment.drape_ratio
             cloth_states = _simulate_garment(config, body, garment, seq, joint_pos, joint_orient)
             placement = place_markers(body, garment.mesh)
             traj = track_markers(
@@ -306,6 +347,31 @@ def run_cell(
             # Unclothed baseline: every marker lands on skin.
             placement = place_markers(body, None)
             traj = track_markers(placement, joint_pos, joint_orient, seq.fps)
+        cloth_joints = np.isin(np.arange(body.skeleton.num_joints), placement.joint[placement.on_cloth])
+        return traj, cloth_joints, drape_ratio
+
+    rows = []
+    for method in methods:
+        tic = time.perf_counter()
+        label = config.method_label(method)
+        try:
+            cell = _score_cell(config, motion, build, drape, method, label, truth, markers, artifacts_dir)
+        except Exception as exc:  # cell isolation: a blow-up must not kill the sweep
+            cell = CellResult(motion.motion_class, build, drape, label, status="error", error=f"{exc}")
+        rows.append((cell, time.perf_counter() - tic))
+    return rows
+
+
+def _score_cell(config, motion, build, drape, method, label, truth, markers, artifacts_dir) -> CellResult:
+    """Score one method against its group's shared products; raises on failure."""
+    result = CellResult(motion.motion_class, build, drape, label)
+    cell_seed = _derive_seed(config.seed, motion.motion_class, build, drape, label)
+    body, seq, joint_pos, _, gt_ang, gt_ang_mask = truth()
+    sk = body.skeleton
+    result.frames = seq.num_frames
+
+    if method.kind == "marker_based":
+        traj, cloth_joints, result.drape_ratio = markers()
         if method.noise and config.noise_rms_m > 0:
             traj = add_marker_noise(traj, cell_seed, config.noise_rms_m)
         # Joint position estimates are the pair midpoints; the hierarchical
@@ -313,7 +379,6 @@ def run_cell(
         est_pos = marker_pair_midpoints(traj)
         est_ang, est_ang_mask = angles_from_positions(sk, est_pos)
         ang_mask = gt_ang_mask & est_ang_mask
-        cloth_joints = np.isin(np.arange(sk.num_joints), placement.joint[placement.on_cloth])
         result.variants["all_markers"] = _metric_row(
             joint_pos, est_pos, None, gt_ang, est_ang, ang_mask
         )
@@ -357,39 +422,44 @@ def run_cell(
     return result
 
 
-def _cell_worker(args) -> tuple[CellResult, float]:
-    config, motion, build, drape, method, artifacts_dir = args
-    tic = time.perf_counter()
-    try:
-        cell = run_cell(config, motion, build, drape, method, artifacts_dir)
-    except Exception as exc:  # cell isolation: a blow-up must not kill the sweep
-        label = config.method_label(method)
-        cell = CellResult(motion.motion_class, build, drape, label, status="error", error=f"{exc}")
-    return cell, time.perf_counter() - tic
+def run_cell(
+    config: BenchConfig, motion: MotionSpec, build: str, drape: int, method: MethodSpec,
+    artifacts_dir: str | None = None,
+) -> CellResult:
+    """Execute one benchmark cell, a group of one; a failure comes back as its error row."""
+    return _run_group(config, motion, build, drape, (method,), artifacts_dir)[0][0]
 
 
 def run_benchmark(config: BenchConfig, artifacts_dir: str | None = None) -> BenchmarkReport:
     """Run every cell of the configured matrix.
 
-    Cells are independent; failures are recorded per cell and the sweep
-    continues. Rows come back in coordinate order, serial or parallel.
+    One job per (motion, build, drape) group runs all of the group's methods.
+    Failures are recorded per cell and the sweep continues. Rows come back in
+    coordinate order, serial or parallel.
     """
-    coords = cell_coordinates(config)
+    groups = [
+        (motion, build, drape)
+        for motion in config.motions
+        for build in config.builds
+        for drape in config.drape_classes
+    ]
     if config.export_bvh and artifacts_dir is None:
         artifacts_dir = config.output_dir
     if artifacts_dir:
         os.makedirs(artifacts_dir, exist_ok=True)
-    jobs = [(config, *coord, artifacts_dir) for coord in coords]
+    jobs = [(config, *group, config.methods, artifacts_dir) for group in groups]
     tic = time.perf_counter()
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_cell_worker, jobs))
+    workers = min(config.workers, len(groups))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_group, *zip(*jobs)))
     else:
-        results = [_cell_worker(job) for job in jobs]
-    cells = [cell for cell, _ in results]
+        results = [_run_group(*job) for job in jobs]
+    rows = [row for group_rows in results for row in group_rows]
+    cells = [cell for cell, _ in rows]
     wall_times = {
-        cell_id(motion, cell.build, cell.drape_class, cell.method): round(wall, 3)
-        for (motion, *_), (cell, wall) in zip(coords, results)
+        cell_id(motion, build, drape, cell.method): round(wall, 3)
+        for (motion, build, drape, _), (cell, wall) in zip(cell_coordinates(config), rows)
     }
     metadata = {
         "engine_version": __version__,

@@ -9,12 +9,12 @@ import sys
 
 from .bench import (
     BenchConfig,
-    _cell_worker,
     cell_coordinates,
     cell_id,
     emit_plot_data,
     read_report,
     run_benchmark,
+    run_cell,
     write_report,
 )
 from .garment import classify_drape, measure_drape
@@ -25,7 +25,7 @@ def _cmd_run(args) -> int:
     config = BenchConfig.load(args.config)
     if args.out:
         config = dataclasses.replace(config, output_dir=args.out)
-    if args.workers:
+    if args.workers is not None:
         config = dataclasses.replace(config, workers=args.workers)
     report = run_benchmark(config)
     paths = write_report(report, config.output_dir)
@@ -55,7 +55,7 @@ def _cmd_simulate(args) -> int:
     want = args.cell
     for motion, build, drape, method in cell_coordinates(config):
         if cell_id(motion, build, drape, config.method_label(method)) == want:
-            cell, _ = _cell_worker((config, motion, build, drape, method, None))
+            cell = run_cell(config, motion, build, drape, method)
             print(json.dumps(cell.to_dict(), sort_keys=True, indent=1))
             return 0 if cell.status == "ok" else 1
     print(f"cell {want!r} not in the configured matrix", file=sys.stderr)
@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run the full benchmark matrix from a config file")
     p_run.add_argument("--config", required=True, help="JSON config path")
     p_run.add_argument("--out", default="", help="override the output directory")
-    p_run.add_argument("--workers", type=int, default=0, help="override worker count")
+    p_run.add_argument("--workers", type=int, help="override the worker count (an integer >= 1)")
     p_run.set_defaults(func=_cmd_run)
 
     p_drape = sub.add_parser("drape", help="measure the drape of a garment OBJ over a body OBJ")

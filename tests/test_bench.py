@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -443,3 +444,152 @@ def test_plot_tables_are_per_build(tmp_path):
     for build, value in (("female_small", 0.008), ("male_large", 0.0094)):
         rows = (tmp_path / f"plot_basic_{build}_mpjpe_m.csv").read_text().strip().splitlines()
         assert rows[1] == f"1,{value!r}"
+
+
+class _NoPool:
+    """Stands in for the process pool where a test must start none."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was opened")
+
+
+def test_config_refuses_a_bad_worker_count(tmp_path, monkeypatch):
+    import drapebench.bench as bench
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", _NoPool)
+    for bad in (0, -2, 1.5, "2", True):
+        with pytest.raises(ValueError, match=f"workers .* {bad!r}"):
+            tiny_config(workers=bad)
+    with pytest.raises(ValueError, match="workers .* '2'"):
+        BenchConfig.from_json('{"workers": "2"}')
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(_unclothed(methods=(MethodSpec("markerless_surrogate"),),
+                                   output_dir=str(tmp_path / "out")).to_json())
+    for bad in ("0", "-2"):
+        with pytest.raises(ValueError, match=f"workers .* {bad}"):
+            cli_main(["run", "--config", str(cfg_path), "--workers", bad])
+    with pytest.raises(SystemExit):
+        cli_main(["run", "--config", str(cfg_path), "--workers", "1.5"])
+    assert not (tmp_path / "out").exists()
+
+
+def test_pool_starts_no_idle_worker(monkeypatch):
+    import drapebench.bench as bench
+
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    cfg = replace(_unclothed(methods=(MethodSpec("markerless_surrogate"),), workers=4), drape_classes=(1, 2))
+    assert run_benchmark(cfg).body_json() == run_benchmark(replace(cfg, workers=1)).body_json()
+    assert opened == [2]  # one process per (motion, build, drape) group
+    run_benchmark(replace(cfg, drape_classes=(1,)))
+    assert opened == [2]  # a single group runs in this process
+
+
+def _clothed_trio(methods=None):
+    return tiny_config(
+        motions=(MotionSpec("basic", duration_s=0.5, fps=30.0),),
+        warmup_s=0.25,
+        methods=methods or (
+            MethodSpec("marker_based", noise=True),
+            MethodSpec("marker_based", noise=False),
+            MethodSpec("markerless_surrogate"),
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def counted_trio():
+    """The clothed 1 motion x 2 classes x 3 methods sweep, with call counts of its shared products."""
+    import drapebench.bench as bench
+
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("procedural_motion", "simulate_sequence", "angles_from_positions"):
+            mp.setattr(bench, name, counted(name, getattr(bench, name)))
+        report = run_benchmark(_clothed_trio())
+    return report, counts
+
+
+def test_group_makes_clip_ground_truth_and_cloth_once(counted_trio):
+    report, counts = counted_trio
+    cfg = _clothed_trio()
+    groups, cells = 2, 6
+    assert not report.failed_cells
+    assert counts == {
+        "procedural_motion": groups,
+        "simulate_sequence": groups,
+        "angles_from_positions": groups + cells,  # ground truth per group, estimate per cell
+    }
+    labels = ["marker_based[noise]", "marker_based[no_noise]", "markerless_surrogate"]
+    assert [c.key() for c in report.cells] == [
+        ("basic", "female_average", drape, label) for drape in (1, 2) for label in labels
+    ]
+    assert list(report.metadata["cell_wall_times_s"]) == [
+        f"basic/female_average/{drape}/{label}" for drape in (1, 2) for label in labels
+    ]
+    for cell in report.cells:
+        method = next(m for m in cfg.methods if cfg.method_label(m) == cell.method)
+        alone = run_cell(cfg, cfg.motions[0], cell.build, cell.drape_class, method)
+        assert json.dumps(alone.to_dict(), sort_keys=True) == json.dumps(cell.to_dict(), sort_keys=True)
+
+
+def test_rows_do_not_depend_on_method_order(counted_trio):
+    report, _ = counted_trio
+    cfg = _clothed_trio()
+    reversed_report = run_benchmark(replace(cfg, methods=cfg.methods[::-1]))
+    rows = {c.key(): json.dumps(c.to_dict(), sort_keys=True) for c in report.cells}
+    again = {c.key(): json.dumps(c.to_dict(), sort_keys=True) for c in reversed_report.cells}
+    assert again == rows
+
+
+def test_a_failing_shared_product_fails_only_the_cells_that_need_it(tmp_path, monkeypatch):
+    import drapebench.bench as bench
+    from drapebench.cloth import ClothSimulationError
+
+    calls = []
+
+    def blow_up(*args, **kwargs):
+        calls.append(1)
+        raise ClothSimulationError("non-finite state for particle 7 at substep 3")
+
+    monkeypatch.setattr(bench, "simulate_sequence", blow_up)
+    report = run_benchmark(replace(_clothed_trio(), drape_classes=(1,)))
+    rows = {c.method: c for c in report.cells}
+    assert len(calls) == 1
+    for label in ("marker_based[noise]", "marker_based[no_noise]"):
+        assert rows[label].status == "error"
+        assert rows[label].error == "non-finite state for particle 7 at substep 3"
+    assert rows["markerless_surrogate"].status == "ok"
+
+    # A clip that cannot load fails every cell of its groups, and only those.
+    missing = str(tmp_path / "missing.bvh")
+    cfg = _unclothed(
+        motions=(MotionSpec("basic", duration_s=1.0), MotionSpec("fast", source=missing, duration_s=1.0)),
+        methods=(MethodSpec("marker_based"), MethodSpec("markerless_surrogate")),
+    )
+    report = run_benchmark(cfg)
+    assert [(c.motion_class, c.status) for c in report.cells] == [
+        ("basic", "ok"), ("basic", "ok"), ("fast", "error"), ("fast", "error"),
+    ]
+    assert all(missing in c.error for c in report.cells if c.motion_class == "fast")
