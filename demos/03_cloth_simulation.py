@@ -14,10 +14,10 @@ from drapebench.cloth import (
     max_capsule_penetration,
     simulate_sequence,
 )
-from drapebench.garment import GarmentSpec, generate_garment
+from drapebench.garment import generate_garment
 
 body = build_parametric_body("male_average")
-garment = generate_garment(body, GarmentSpec("tshirt", 4, "male_average"))
+garment = generate_garment(body, ("tshirt",), 4)
 net = build_spring_network(garment.mesh)
 print(f"garment: {garment.mesh.num_vertices} particles, springs: "
       f"{len(net.structural)} structural / {len(net.shear)} shear / {len(net.bend)} bend")

@@ -9,7 +9,7 @@ import numpy as np
 
 from drapebench.body import build_parametric_body
 from drapebench.bench import _simulate_garment, BenchConfig  # reuse the cell plumbing
-from drapebench.garment import GarmentSpec, generate_garment, merge_garments
+from drapebench.garment import generate_garment
 from drapebench.kinematics import procedural_motion, sequence_transforms
 from drapebench.markers import (
     add_marker_noise,
@@ -21,10 +21,9 @@ from drapebench.markers import (
 from drapebench.metrics import angles_from_positions, crmse, mpjpe
 
 body = build_parametric_body("female_average")
-garment = merge_garments([
-    generate_garment(body, GarmentSpec("tshirt", 3, "female_average")),
-    generate_garment(body, GarmentSpec("trousers", 3, "female_average")),
-])
+garment = generate_garment(body, ("tshirt", "trousers"), 3)
+print(f"tshirt + trousers at class 3: drape {garment.drape_ratio:.3f} over their summed volumes, "
+      f"radial slack {', '.join(f'{s * 1000:.1f}' for s in garment.slack)} mm")
 
 placement = place_markers(body, garment.mesh)
 joints = np.arange(body.skeleton.num_joints)

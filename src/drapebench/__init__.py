@@ -21,9 +21,8 @@ from .mesh import TriMesh, cap_boundaries, enclosed_volume, surface_points
 from .body import BUILD_CATALOG, Capsule, SkinnedBody, build_parametric_body
 from .cloth import ClothParams, ClothState, SpringNetwork, build_spring_network, simulate_sequence, step
 from .garment import (
-    DrapeClassTable,
+    DRAPE_THRESHOLDS,
     Garment,
-    GarmentSpec,
     classify_drape,
     generate_garment,
     measure_drape,

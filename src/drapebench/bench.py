@@ -32,13 +32,11 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .body import BUILD_CATALOG, SkinnedBody, body_capsules, build_parametric_body
+from .body import BUILD_CATALOG, body_capsules, build_parametric_body
 from .bvh import parse_bvh, write_bvh
 from .cloth import ClothParams, simulate_sequence
 from .estimates import SURROGATE_PROFILES, ingest_estimates, normalize_estimate, surrogate_estimator
-from .garment import (
-    GARMENT_CATEGORIES, DrapeClassTable, Garment, GarmentSpec, generate_garment, merge_garments,
-)
+from .garment import DRAPE_THRESHOLDS, GARMENT_CATEGORIES, Garment, generate_garment
 from .kinematics import (
     MOTION_CLASSES,
     MotionSequence,
@@ -170,9 +168,9 @@ class BenchConfig:
     def cloth_params(self) -> ClothParams:
         return ClothParams(**self.cloth)
 
-    def drape_table(self) -> DrapeClassTable:
-        """The class boundaries garments are fitted to: always the default ones."""
-        return DrapeClassTable()
+    def drape_table(self) -> tuple[float, ...]:
+        """The class boundaries garments are fitted to: always the engine's."""
+        return DRAPE_THRESHOLDS
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -256,15 +254,6 @@ def _load_motion(config: BenchConfig, spec: MotionSpec, skeleton) -> MotionSeque
     return rescale_to_height(seq, skeleton.rest_height())
 
 
-def _build_garment(config: BenchConfig, body: SkinnedBody, drape: int) -> Garment:
-    table = config.drape_table()
-    pieces = [
-        generate_garment(body, GarmentSpec(cat, drape, body.build_label), table, config.resolution_scale)
-        for cat in config.garment_categories
-    ]
-    return pieces[0] if len(pieces) == 1 else merge_garments(pieces)
-
-
 def _simulate_garment(config, body, garment: Garment, seq, joint_pos, joint_orient):
     sk = body.skeleton
     rest_pos = sk.rest_positions()
@@ -336,7 +325,7 @@ def _run_group(
         body, seq, joint_pos, joint_orient, *_ = truth()
         drape_ratio = 0.0
         if config.garment_categories:
-            garment = _build_garment(config, body, drape)
+            garment = generate_garment(body, config.garment_categories, drape, config.resolution_scale)
             drape_ratio = garment.drape_ratio
             cloth_states = _simulate_garment(config, body, garment, seq, joint_pos, joint_orient)
             placement = place_markers(body, garment.mesh)

@@ -146,8 +146,8 @@ def parse_bvh(text: str, motion_class: str = "basic") -> MotionSequence:
         frame_time = float(line.split(":", 1)[1])
     except ValueError:
         raise BvhParseError("Frame Time must be a number", num) from None
-    if frame_time <= 0:
-        raise BvhParseError("Frame Time must be positive", num)
+    if not 0 < frame_time < np.inf:
+        raise BvhParseError(f"Frame Time must be finite and positive, got {frame_time!r}", num)
 
     # Zero-offset roots are common in the wild; the Skeleton type requires a
     # non-degenerate hierarchy only for non-root joints.

@@ -35,8 +35,8 @@ class ExternalEstimate:
         object.__setattr__(self, "positions", p)
         if self.convention not in CONVENTION_JOINTS:
             raise ValueError(f"unknown convention {self.convention!r}")
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
+        if not 0 < self.fps < np.inf:
+            raise ValueError(f"fps must be finite and positive, got {self.fps!r}")
         j = CONVENTION_JOINTS[self.convention]
         if p.ndim != 3 or p.shape[1] != j or p.shape[2] != 3:
             raise ValueError(
@@ -128,6 +128,8 @@ def ingest_estimates(text_or_path: str) -> ExternalEstimate:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"estimate file is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"estimate must be a JSON object, got {type(doc).__name__}")
     for key in ("convention", "fps", "frames"):
         if key not in doc:
             raise ValueError(f"estimate file missing required field '{key}'")

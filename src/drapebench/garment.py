@@ -1,15 +1,15 @@
 """Garment generation at target drape levels, drape measurement and classes.
 
 Garments are open tube meshes that follow bone chains and wrap the body's
-capsule silhouette with a radial slack; the slack is bisected until the
-measured drape ratio lands inside the requested class interval. The "covered
-body" used as the drape denominator is the same tube at zero slack, i.e. a
-garment that fits the body perfectly.
+capsule silhouette with a radial slack; each category's slack is bisected
+until its measured drape ratio lands inside the requested class interval.
+The "covered body" used as the drape denominator is the same tube at zero
+slack, i.e. a garment that fits the body perfectly. A garment of several
+categories has one drape ratio, over their summed volumes.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,57 +19,18 @@ from .body import Capsule, SkinnedBody, _ray_capsule_exit, body_capsules
 from .mesh import (
     TriMesh, boundary_caps, cap_vertices, enclosed_volume, is_closed, merge_meshes, signed_volume,
 )
-from .primitives import _grid_tube_faces, _orthonormal_frame
 
 GARMENT_CATEGORIES = ("tshirt", "trousers", "unicloth")
 
 # Class thresholds over the drape ratio. The six classes are the half-open
 # intervals between consecutive thresholds (class 1 starts at 0, class 6 is
-# unbounded above). Engine constants, overridable per run.
-DEFAULT_DRAPE_THRESHOLDS = (0.05, 0.15, 0.30, 0.60, 1.00)
+# unbounded above). Engine constants.
+DRAPE_THRESHOLDS = (0.05, 0.15, 0.30, 0.60, 1.00)
 
 _MIN_RING_RADIUS = 0.02
 _MIN_SLACK = 0.002
 _MAX_SLACK = 0.80
 _BISECTION_STEPS = 40
-
-
-@dataclass(frozen=True)
-class DrapeClassTable:
-    thresholds: tuple[float, ...] = DEFAULT_DRAPE_THRESHOLDS
-
-    def __post_init__(self):
-        t = tuple(float(x) for x in self.thresholds)
-        object.__setattr__(self, "thresholds", t)
-        if len(t) != 5 or any(b <= a for a, b in zip(t, t[1:])) or t[0] <= 0:
-            raise ValueError("need 5 increasing positive thresholds for 6 classes")
-
-    def classify(self, ratio: float) -> int:
-        if ratio < 0:
-            raise ValueError("drape ratio must be non-negative")
-        return int(np.searchsorted(self.thresholds, ratio, side="right")) + 1
-
-    def target_ratio(self, drape_class: int) -> float:
-        """Aim point inside a class: interval midpoint (class 6: 1.5x its floor)."""
-        if not 1 <= drape_class <= 6:
-            raise ValueError("drape class must be 1..6")
-        edges = (0.0,) + self.thresholds
-        if drape_class == 6:
-            return 1.5 * edges[5]
-        return 0.5 * (edges[drape_class - 1] + edges[drape_class])
-
-
-@dataclass(frozen=True)
-class GarmentSpec:
-    category: str
-    target_class: int
-    body: str  # build label
-
-    def __post_init__(self):
-        if self.category not in GARMENT_CATEGORIES:
-            raise ValueError(f"category must be one of {GARMENT_CATEGORIES}")
-        if not 1 <= self.target_class <= 6:
-            raise ValueError("target_class must be in 1..6")
 
 
 @dataclass(frozen=True)
@@ -79,35 +40,66 @@ class Garment:
     mesh: TriMesh
     pinned: np.ndarray          # (V,) bool, anchor ring vertices
     binding_joint: np.ndarray   # (V,) int, nearest chain joint per vertex
-    covered_body: TriMesh       # zero-slack capped mesh (drape denominator)
-    drape_ratio: float
-    drape_class: int
-    slack: float
-    category: str
+    drape_ratio: float          # over the summed volumes of all categories
+    slack: tuple[float, ...]    # radial slack per category, in order
 
 
 def measure_drape(garment: TriMesh, covered_body: TriMesh) -> float:
     """(V_garment - V_covered) / V_covered over watertight meshes.
 
-    Negative values indicate the garment is smaller than the body it covers;
-    they are clamped to zero with a warning.
+    A garment smaller than the body it covers does not fit and is refused.
     """
     v_body = enclosed_volume(covered_body)
     if v_body <= 0.0:
         raise ValueError("covered body volume must be positive")
     v_garment = enclosed_volume(garment)
-    ratio = (v_garment - v_body) / v_body
-    if ratio < 0.0:
-        warnings.warn("garment volume below covered-body volume; clamping drape to 0")
-        return 0.0
-    return float(ratio)
+    if v_garment < v_body:
+        raise ValueError(
+            f"garment volume {v_garment:.6g} is below covered-body volume {v_body:.6g}"
+        )
+    return float((v_garment - v_body) / v_body)
 
 
-def classify_drape(ratio: float, table: DrapeClassTable | None = None) -> int:
-    return (table or DrapeClassTable()).classify(ratio)
+def classify_drape(ratio: float) -> int:
+    if ratio < 0:
+        raise ValueError("drape ratio must be non-negative")
+    return int(np.searchsorted(DRAPE_THRESHOLDS, ratio, side="right")) + 1
+
+
+def _target_ratio(drape_class: int) -> float:
+    """Aim point inside a class: interval midpoint (class 6: 1.5x its floor)."""
+    if not 1 <= drape_class <= 6:
+        raise ValueError(f"drape class must be 1..6, got {drape_class!r}")
+    edges = (0.0,) + DRAPE_THRESHOLDS
+    if drape_class == 6:
+        return 1.5 * edges[5]
+    return 0.5 * (edges[drape_class - 1] + edges[drape_class])
 
 
 # --- tube construction ----------------------------------------------------
+
+
+def _grid_tube_faces(n_rings: int, n_theta: int) -> np.ndarray:
+    """Quad-strip faces between consecutive rings of n_theta vertices each.
+
+    Ring k, step i contributes [a, b, c] and [a, c, d], in that order.
+    """
+    i = np.arange(n_theta)
+    a = np.arange(n_rings - 1)[:, None] * n_theta + i
+    b = a - i + (i + 1) % n_theta
+    c = b + n_theta
+    d = a + n_theta
+    return np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+
+
+def _orthonormal_frame(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two unit vectors u, w with (u, w, t) right-handed."""
+    t = t / np.linalg.norm(t)
+    helper = np.array([1.0, 0.0, 0.0]) if abs(t[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    u = rot.cross(helper, t)
+    u /= np.linalg.norm(u)
+    w = rot.cross(t, u)
+    return u, w
 
 
 def _bridge_hollows(radii: np.ndarray, stations: np.ndarray, slope: float = 1.1, passes: int = 12) -> np.ndarray:
@@ -304,37 +296,32 @@ def _sleeves(body: SkinnedBody, category: str, resolution_scale: float) -> list[
     ]
 
 
-def generate_garment(
-    body: SkinnedBody,
-    spec: GarmentSpec,
-    table: DrapeClassTable | None = None,
-    resolution_scale: float = 1.0,
-) -> Garment:
-    """Build a garment whose measured drape classifies to the target class.
+def _fit_slack(
+    sleeves: list[_SleeveGeometry], category: str, drape_class: int
+) -> tuple[float, float, float]:
+    """Bisect one category's radial slack onto the class's aim point.
 
-    A single radial slack is bisected against the drape ratio, which is
-    strictly increasing in slack. Deterministic for identical inputs.
+    The drape ratio is strictly increasing in slack. Returns the slack and
+    the capped garment and covered-body volumes at it.
     """
-    if spec.body != body.build_label:
-        raise ValueError(f"garment spec is for build {spec.body!r}, body is {body.build_label!r}")
-    table = table or DrapeClassTable()
-    sleeves = _sleeves(body, spec.category, resolution_scale)
     covered = merge_meshes([s.capped(0.0) for s in sleeves])
     # Each sleeve's capped faces were checked closed, so the merge is closed too.
     v_body = signed_volume(covered.vertices, covered.faces)
 
-    def ratio_at(slack: float) -> float:
-        v = sum(s.capped_volume(slack) for s in sleeves)
-        return (v - v_body) / v_body
+    def volume_at(slack: float) -> float:
+        return sum(s.capped_volume(slack) for s in sleeves)
 
-    target = table.target_ratio(spec.target_class)
+    def ratio_at(slack: float) -> float:
+        return (volume_at(slack) - v_body) / v_body
+
+    target = _target_ratio(drape_class)
     lo, hi = _MIN_SLACK, _MAX_SLACK
     r_lo, r_hi = ratio_at(lo), ratio_at(hi)
     if target <= r_lo:
         slack = lo  # tightest manufacturable garment
     elif target >= r_hi:
         raise ValueError(
-            f"target class {spec.target_class} unreachable: achievable drape range "
+            f"{category}: target class {drape_class} unreachable: achievable drape range "
             f"[{r_lo:.4f}, {r_hi:.4f}], target {target:.4f}"
         )
     else:
@@ -346,39 +333,44 @@ def generate_garment(
                 hi = mid
         slack = 0.5 * (lo + hi)
 
-    ratio = ratio_at(slack)
-    achieved = table.classify(ratio)
-    if achieved != spec.target_class:
+    v_garment = volume_at(slack)
+    ratio = (v_garment - v_body) / v_body
+    achieved = classify_drape(ratio)
+    if achieved != drape_class:
         raise ValueError(
-            f"target class {spec.target_class} unreachable with slack bounds: "
+            f"{category}: target class {drape_class} unreachable with slack bounds: "
             f"closest achieved drape {ratio:.4f} (class {achieved})"
         )
-    mesh = merge_meshes([s.mesh(slack) for s in sleeves])
-    pinned = np.concatenate([s.pinned_mask() for s in sleeves])
-    binding = np.concatenate([s.vertex_joints() for s in sleeves])
-    return Garment(mesh, pinned, binding, covered, ratio, achieved, slack, spec.category)
+    return slack, v_garment, v_body
 
 
-def merge_garments(pieces: list[Garment]) -> Garment:
-    """Combine garment pieces (e.g. an upper and a lower) into one garment.
+def generate_garment(
+    body: SkinnedBody,
+    categories: tuple[str, ...] | list[str],
+    drape_class: int,
+    resolution_scale: float = 1.0,
+) -> Garment:
+    """Dress the body in one garment of `categories` at one drape class.
 
-    Pieces must share a drape class; the combined drape ratio is volume-pooled
-    over all pieces.
+    Each category's slack is fitted to the class on its own; the garment's
+    drape ratio is (summed garment volume - summed covered-body volume) /
+    summed covered-body volume. Deterministic for identical inputs.
     """
-    if not pieces:
-        raise ValueError("nothing to merge")
-    classes = {p.drape_class for p in pieces}
-    if len(classes) != 1:
-        raise ValueError("pieces must share one combined drape class")
-    mesh = merge_meshes([p.mesh for p in pieces])
-    pinned = np.concatenate([p.pinned for p in pieces])
-    binding = np.concatenate([p.binding_joint for p in pieces])
-    covered = merge_meshes([p.covered_body for p in pieces])
-    volumes = [enclosed_volume(p.covered_body) for p in pieces]
-    v_body = sum(volumes)
-    v_garment = sum((1.0 + p.drape_ratio) * v for p, v in zip(pieces, volumes))
-    ratio = (v_garment - v_body) / v_body
-    return Garment(
-        mesh, pinned, binding, covered, ratio, pieces[0].drape_class,
-        float(np.mean([p.slack for p in pieces])), "+".join(p.category for p in pieces),
-    )
+    unknown = [c for c in categories if c not in GARMENT_CATEGORIES]
+    if unknown or not categories:
+        raise ValueError(
+            f"garment categories must be one or more of {GARMENT_CATEGORIES}, got {list(categories)}"
+        )
+    sleeves, slacks = [], []
+    v_garment = v_body = 0.0
+    for category in categories:
+        pieces = _sleeves(body, category, resolution_scale)
+        slack, v_g, v_b = _fit_slack(pieces, category, drape_class)
+        sleeves += [(s, slack) for s in pieces]
+        slacks.append(slack)
+        v_garment += v_g
+        v_body += v_b
+    mesh = merge_meshes([s.mesh(slack) for s, slack in sleeves])
+    pinned = np.concatenate([s.pinned_mask() for s, _ in sleeves])
+    binding = np.concatenate([s.vertex_joints() for s, _ in sleeves])
+    return Garment(mesh, pinned, binding, (v_garment - v_body) / v_body, tuple(slacks))

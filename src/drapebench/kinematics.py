@@ -153,8 +153,8 @@ class MotionSequence:
     motion_class: str = "basic"
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
+        if not 0 < self.fps < np.inf:
+            raise ValueError(f"fps must be finite and positive, got {self.fps!r}")
         if self.motion_class not in MOTION_CLASSES:
             raise ValueError(f"motion_class must be one of {MOTION_CLASSES}")
         root = np.asarray(self.root_translations, dtype=float)

@@ -30,7 +30,7 @@ from drapebench.cloth import (
     step,
 )
 from drapebench.estimates import estimate_from_sequence, export_estimate, ingest_estimates
-from drapebench.garment import GarmentSpec, generate_garment, measure_drape
+from drapebench.garment import generate_garment, measure_drape
 from drapebench.kinematics import (
     MotionSequence,
     default_skeleton,
@@ -45,7 +45,8 @@ from drapebench.markers import (
 )
 from drapebench.mesh import cap_boundaries, enclosed_volume
 from drapebench.metrics import angles_from_positions, crmse, mpjpe
-from drapebench.primitives import icosphere, open_cylinder, unit_cube
+
+from conftest import icosphere, open_cylinder, unit_cube
 
 
 def _ok(n, text):
@@ -206,7 +207,7 @@ def test_criterion_8_cloth_stability():
     assert drift < 1e-12
 
     body = build_parametric_body("female_average")
-    garment = generate_garment(body, GarmentSpec("tshirt", 3, "female_average"))
+    garment = generate_garment(body, ("tshirt",), 3)
     caps = body_capsules(body.skeleton, body.build_label)
     frames = 90
     pin_idx = np.nonzero(garment.pinned)[0]

@@ -20,6 +20,8 @@ from drapebench.bench import (
 )
 from drapebench.cli import main as cli_main
 
+from conftest import open_cylinder
+
 
 def tiny_config(**overrides):
     base = dict(
@@ -212,7 +214,7 @@ def test_ingest_method_round_trip(tmp_path, skeleton):
     assert cell.source_label == f"file:{path}"
 
 
-def test_cli_run_drape_simulate_report(tmp_path, capsys, body):
+def test_cli_run_drape_simulate_report(tmp_path, capsys):
     cfg = tiny_config(drape_classes=(1,), methods=(MethodSpec("markerless_surrogate"),),
                       output_dir=str(tmp_path / "out"))
     cfg_path = tmp_path / "config.json"
@@ -224,14 +226,13 @@ def test_cli_run_drape_simulate_report(tmp_path, capsys, body):
     assert (tmp_path / "out" / "report.csv").exists()
     capsys.readouterr()
 
-    from drapebench.garment import GarmentSpec, generate_garment
     from drapebench.mesh import dump_obj
 
-    garment = generate_garment(body, GarmentSpec("tshirt", 3, "female_average"))
+    # Coaxial tubes, capped by the command: the shell holds 1.21x the body's volume.
     g_path = tmp_path / "garment.obj"
     b_path = tmp_path / "body.obj"
-    g_path.write_text(dump_obj(garment.mesh))
-    b_path.write_text(dump_obj(garment.covered_body))
+    g_path.write_text(dump_obj(open_cylinder(0.11, 0.6, 48, 6)))
+    b_path.write_text(dump_obj(open_cylinder(0.10, 0.6, 48, 6)))
     rc = cli_main(["drape", "--garment", str(g_path), "--body", str(b_path)])
     out = capsys.readouterr().out
     assert rc == 0

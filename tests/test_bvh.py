@@ -26,6 +26,14 @@ Frame Time: 0.033333
 """
 
 
+@pytest.mark.parametrize("frame_time", ["nan", "inf", "0", "-0.04"])
+def test_frame_time_must_be_finite_and_positive(frame_time):
+    text = MINIMAL.replace("Frame Time: 0.033333", f"Frame Time: {frame_time}")
+    with pytest.raises(BvhParseError, match=f"finite and positive, got {float(frame_time)!r}") as err:
+        parse_bvh(text)
+    assert text.splitlines()[err.value.line - 1].startswith("Frame Time:")
+
+
 def test_minimal_zero_channel_file():
     seq = parse_bvh(MINIMAL)
     assert seq.skeleton.num_joints == 2

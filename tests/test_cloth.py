@@ -3,7 +3,7 @@ import pytest
 
 from drapebench import rotations as rot
 from drapebench.body import Capsule, body_capsules, build_parametric_body
-from drapebench.bench import BenchConfig, MotionSpec, _build_garment, _load_motion, _simulate_garment
+from drapebench.bench import BenchConfig, MotionSpec, _load_motion, _simulate_garment
 from drapebench.cloth import (
     AIR_DRAG,
     COLLISION_OFFSET,
@@ -25,7 +25,7 @@ from drapebench.cloth import (
     simulate_sequence,
     step,
 )
-from drapebench.garment import GarmentSpec, generate_garment, merge_garments
+from drapebench.garment import generate_garment
 from drapebench.kinematics import procedural_motion, sequence_transforms
 from drapebench.mesh import TriMesh
 
@@ -181,10 +181,7 @@ def fast_frame_scene():
     """
     body = build_parametric_body("female_average")
     sk = body.skeleton
-    garment = merge_garments([
-        generate_garment(body, GarmentSpec(category, 6, "female_average"))
-        for category in ("tshirt", "trousers")
-    ])
+    garment = generate_garment(body, ("tshirt", "trousers"), 6)
     joint_pos, joint_orient = sequence_transforms(procedural_motion("fast", 1.0, 30.0, 1, sk))
     k = 10
     binding = garment.binding_joint
@@ -227,10 +224,7 @@ def test_advance_matches_masked_reference(fast_frame_scene):
 def male_large_scene():
     """A merged class-6 male_large garment at resolution 1.5 and its body."""
     body = build_parametric_body("male_large")
-    garment = merge_garments([
-        generate_garment(body, GarmentSpec(category, 6, "male_large"), resolution_scale=1.5)
-        for category in ("tshirt", "trousers")
-    ])
+    garment = generate_garment(body, ("tshirt", "trousers"), 6, resolution_scale=1.5)
     return body, garment
 
 
@@ -459,7 +453,7 @@ def test_fast_motion_keeps_cloth_outside_the_body(drape):
     sk = body.skeleton
     seq = _load_motion(config, config.motions[0], sk)
     joint_pos, joint_orient = sequence_transforms(seq)
-    garment = _build_garment(config, body, drape)
+    garment = generate_garment(body, config.garment_categories, drape)
     states = _simulate_garment(config, body, garment, seq, joint_pos, joint_orient)
     free = ~garment.pinned
     for frame, (state, pos) in enumerate(zip(states, joint_pos)):
@@ -549,7 +543,7 @@ def test_pinned_particles_follow_targets_exactly():
 @pytest.fixture(scope="module")
 def settled_garment_scene():
     body = build_parametric_body("female_average")
-    garment = generate_garment(body, GarmentSpec("tshirt", 3, "female_average"))
+    garment = generate_garment(body, ("tshirt",), 3)
     caps = body_capsules(body.skeleton, body.build_label)
     n = 90  # 3 s of static frames recorded after the warm start
     pin_idx = np.nonzero(garment.pinned)[0]

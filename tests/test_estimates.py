@@ -48,6 +48,23 @@ def test_ingest_missing_field():
         ingest_estimates(json.dumps({"convention": "smpl24", "frames": [[[0, 0, 0]] * 24]}))
 
 
+@pytest.mark.parametrize("fps", ["NaN", "Infinity", "0", "-30"])
+def test_ingest_refuses_a_frame_rate_that_is_not_finite_and_positive(fps):
+    text = '{"convention": "smpl24", "fps": %s, "frames": %s}' % (fps, json.dumps([[[0, 0, 0]] * 24]))
+    with pytest.raises(ValueError, match=rf"fps must be finite and positive, got {float(fps)!r}"):
+        ingest_estimates(text)
+    with pytest.raises(ValueError, match="fps must be finite and positive"):
+        ExternalEstimate("smpl24", float(fps), np.zeros((1, 24, 3)))
+
+
+@pytest.mark.parametrize("content", ["5", "[]", '"smpl24"', "null"])
+def test_ingest_refuses_a_file_that_is_not_a_json_object(tmp_path, content):
+    path = tmp_path / "est.json"
+    path.write_text(content)
+    with pytest.raises(ValueError, match="estimate must be a JSON object"):
+        ingest_estimates(str(path))
+
+
 def test_export_ingest_round_trip(skeleton):
     seq = procedural_motion("basic", 1.0, 30, 3, skeleton)
     est = estimate_from_sequence(seq)

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
+from drapebench import garment
 from drapebench.body import build_parametric_body
 from drapebench.garment import (
-    DrapeClassTable,
-    GarmentSpec,
+    _MAX_SLACK,
+    _MIN_SLACK,
+    _sleeves,
     classify_drape,
     generate_garment,
     measure_drape,
-    merge_garments,
 )
-from drapebench.mesh import cap_boundaries, enclosed_volume, merge_meshes
-from drapebench.primitives import open_cylinder
+from drapebench.mesh import cap_boundaries, enclosed_volume, merge_meshes, signed_volume
+
+from conftest import open_cylinder
 
 
 def capped_cylinder(r, h, n_theta=48):
@@ -53,15 +55,14 @@ def test_drape_rigid_motion_invariant(rng):
     assert abs(measure_drape(shell2, body2) - base) < 1e-9
 
 
-def test_smaller_garment_clamps_with_warning():
+def test_smaller_garment_refused():
     body = capped_cylinder(0.1, 0.6)
     tight = capped_cylinder(0.08, 0.6)
-    with pytest.warns(UserWarning, match="clamping"):
-        assert measure_drape(tight, body) == 0.0
+    with pytest.raises(ValueError, match="below covered-body volume"):
+        measure_drape(tight, body)
 
 
 def test_classify_boundaries():
-    table = DrapeClassTable()
     assert classify_drape(0.0) == 1
     assert classify_drape(0.05) == 2  # lower boundary belongs to the class above
     assert classify_drape(0.15) == 3
@@ -70,7 +71,7 @@ def test_classify_boundaries():
     assert classify_drape(1.00) == 6
     assert classify_drape(7.5) == 6
     with pytest.raises(ValueError):
-        table.classify(-0.1)
+        classify_drape(-0.1)
 
 
 def test_classify_monotone(rng):
@@ -79,24 +80,16 @@ def test_classify_monotone(rng):
     assert all(a <= b for a, b in zip(classes, classes[1:]))
 
 
-def test_table_validation():
-    with pytest.raises(ValueError):
-        DrapeClassTable((0.1, 0.05, 0.3, 0.6, 1.0))
-    with pytest.raises(ValueError):
-        DrapeClassTable((0.1, 0.2))
-
-
 @pytest.mark.parametrize("target", [1, 6])
 def test_generate_hits_target_class(body, target):
-    g = generate_garment(body, GarmentSpec("tshirt", target, "female_average"))
-    assert g.drape_class == target
+    g = generate_garment(body, ("tshirt",), target)
     assert classify_drape(g.drape_ratio) == target
 
 
 def test_class1_garment_hugs_body(body):
     from drapebench.body import body_capsules
 
-    g = generate_garment(body, GarmentSpec("tshirt", 1, "female_average"))
+    g = generate_garment(body, ("tshirt",), 1)
     best = np.full(g.mesh.num_vertices, np.inf)
     for c in body_capsules(body.skeleton, body.build_label):
         d = c.p1 - c.p0
@@ -108,14 +101,14 @@ def test_class1_garment_hugs_body(body):
 
 
 def test_generate_deterministic(body):
-    a = generate_garment(body, GarmentSpec("trousers", 3, "female_average"))
-    b = generate_garment(body, GarmentSpec("trousers", 3, "female_average"))
+    a = generate_garment(body, ("trousers",), 3)
+    b = generate_garment(body, ("trousers",), 3)
     assert np.array_equal(a.mesh.vertices, b.mesh.vertices)
     assert a.slack == b.slack
 
 
 def test_generated_garment_caps_watertight(body):
-    g = generate_garment(body, GarmentSpec("unicloth", 4, "female_average"))
+    g = generate_garment(body, ("unicloth",), 4)
     capped = cap_boundaries(g.mesh)
     assert capped.is_watertight
     assert enclosed_volume(capped) > 0
@@ -125,70 +118,65 @@ def test_generated_garment_caps_watertight(body):
 def test_all_categories_and_classes(body):
     for category in ("tshirt", "trousers", "unicloth"):
         for cls in (2, 5):
-            g = generate_garment(body, GarmentSpec(category, cls, "female_average"))
-            assert g.drape_class == cls
+            g = generate_garment(body, (category,), cls)
+            assert classify_drape(g.drape_ratio) == cls
             assert g.pinned.any()
 
 
-def test_merge_requires_same_class(body):
-    a = generate_garment(body, GarmentSpec("tshirt", 2, "female_average"))
-    b = generate_garment(body, GarmentSpec("trousers", 3, "female_average"))
-    with pytest.raises(ValueError, match="share"):
-        merge_garments([a, b])
-
-
 def test_merged_pair_shares_class(body):
-    a = generate_garment(body, GarmentSpec("tshirt", 3, "female_average"))
-    b = generate_garment(body, GarmentSpec("trousers", 3, "female_average"))
-    combined = merge_garments([a, b])
-    assert combined.drape_class == 3
+    a = generate_garment(body, ("tshirt",), 3)
+    b = generate_garment(body, ("trousers",), 3)
+    combined = generate_garment(body, ("tshirt", "trousers"), 3)
     assert classify_drape(combined.drape_ratio) == 3
     assert combined.mesh.num_vertices == a.mesh.num_vertices + b.mesh.num_vertices
+    assert combined.slack == a.slack + b.slack
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        GarmentSpec("poncho", 3, "female_average")
-    with pytest.raises(ValueError):
-        GarmentSpec("tshirt", 7, "female_average")
+def test_spec_validation(body):
+    with pytest.raises(ValueError, match="poncho"):
+        generate_garment(body, ("tshirt", "poncho"), 3)
+    with pytest.raises(ValueError, match="categories"):
+        generate_garment(body, (), 3)
+    for cls in (0, 7):
+        with pytest.raises(ValueError, match="1..6"):
+            generate_garment(body, ("tshirt",), cls)
 
 
-def test_spec_for_another_build_refused():
-    small = build_parametric_body("female_small")
-    with pytest.raises(ValueError, match="'male_large', body is 'female_small'"):
-        generate_garment(small, GarmentSpec("tshirt", 3, "male_large"))
+def test_unreachable_target_reports_achieved_range(body, monkeypatch):
+    # A slack bound far too tight for class 6's aim point.
+    monkeypatch.setattr(garment, "_MAX_SLACK", 0.01)
+    with pytest.raises(ValueError, match="tshirt: target class 6 unreachable.*range"):
+        generate_garment(body, ("tshirt",), 6)
 
 
-def test_unreachable_target_reports_achieved_range(body):
-    # Thresholds far beyond what any slack within bounds can reach.
-    table = DrapeClassTable((1000.0, 2000.0, 3000.0, 4000.0, 5000.0))
-    with pytest.raises(ValueError, match="unreachable.*range"):
-        generate_garment(body, GarmentSpec("tshirt", 2, "female_average"), table)
+# Aim point per class: the midpoint of its interval, 1.5x the floor of class 6.
+_TARGETS = {1: 0.025, 2: 0.10, 3: 0.225, 4: 0.45, 5: 0.80, 6: 1.5}
 
 
-def _reference_fit(body, spec, resolution_scale):
+def _bisect(ratio_at, cls):
+    target = _TARGETS[cls]
+    lo, hi = _MIN_SLACK, _MAX_SLACK
+    if target <= ratio_at(lo):
+        return lo
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if ratio_at(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _reference_fit(body, category, cls, resolution_scale):
     """Reference: the bisection with every sleeve re-capped and re-checked per slack."""
-    from drapebench.garment import _MAX_SLACK, _MIN_SLACK, _sleeves
-
-    sleeves = _sleeves(body, spec.category, resolution_scale)
+    sleeves = _sleeves(body, category, resolution_scale)
     v_body = enclosed_volume(merge_meshes([cap_boundaries(s.mesh(0.0)) for s in sleeves]))
 
     def ratio_at(slack):
         v = sum(enclosed_volume(cap_boundaries(s.mesh(slack))) for s in sleeves)
         return (v - v_body) / v_body
 
-    target = DrapeClassTable().target_ratio(spec.target_class)
-    lo, hi = _MIN_SLACK, _MAX_SLACK
-    if target <= ratio_at(lo):
-        slack = lo
-    else:
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if ratio_at(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        slack = 0.5 * (lo + hi)
+    slack = _bisect(ratio_at, cls)
     return slack, ratio_at(slack), merge_meshes([s.mesh(slack) for s in sleeves]).vertices
 
 
@@ -200,9 +188,68 @@ def test_fit_matches_per_evaluation_reference(build, classes, resolution):
     body = build_parametric_body(build)
     for category in ("tshirt", "trousers"):
         for cls in classes:
-            spec = GarmentSpec(category, cls, build)
-            g = generate_garment(body, spec, resolution_scale=resolution)
-            slack, ratio, vertices = _reference_fit(body, spec, resolution)
-            assert g.slack == slack, (category, cls)
+            g = generate_garment(body, (category,), cls, resolution_scale=resolution)
+            slack, ratio, vertices = _reference_fit(body, category, cls, resolution)
+            assert g.slack == (slack,), (category, cls)
             assert g.drape_ratio == ratio, (category, cls)
             assert np.array_equal(g.mesh.vertices, vertices), (category, cls)
+
+
+def _piece_reference(body, category, cls, resolution_scale):
+    """Reference: one category fitted as a garment of its own, with its
+    zero-slack covered body kept for the merge."""
+    sleeves = _sleeves(body, category, resolution_scale)
+    covered = merge_meshes([s.capped(0.0) for s in sleeves])
+    v_body = signed_volume(covered.vertices, covered.faces)
+
+    def ratio_at(slack):
+        return (sum(s.capped_volume(slack) for s in sleeves) - v_body) / v_body
+
+    slack = _bisect(ratio_at, cls)
+    return dict(
+        mesh=merge_meshes([s.mesh(slack) for s in sleeves]),
+        pinned=np.concatenate([s.pinned_mask() for s in sleeves]),
+        binding=np.concatenate([s.vertex_joints() for s in sleeves]),
+        covered=covered, ratio=ratio_at(slack), slack=slack,
+    )
+
+
+def _merge_reference(pieces):
+    """Reference: separately fitted pieces merged, the drape ratio pooled
+    over each piece's re-measured covered-body volume."""
+    volumes = [enclosed_volume(p["covered"]) for p in pieces]
+    v_body = sum(volumes)
+    v_garment = sum((1.0 + p["ratio"]) * v for p, v in zip(pieces, volumes))
+    return dict(
+        mesh=merge_meshes([p["mesh"] for p in pieces]),
+        pinned=np.concatenate([p["pinned"] for p in pieces]),
+        binding=np.concatenate([p["binding"] for p in pieces]),
+        ratio=(v_garment - v_body) / v_body,
+        slack=tuple(p["slack"] for p in pieces),
+    )
+
+
+@pytest.mark.parametrize(
+    "build, resolution", [("female_average", 1.0), ("female_small", 1.5), ("male_large", 1.5)]
+)
+def test_one_fit_matches_two_fits_and_merge(build, resolution):
+    body = build_parametric_body(build)
+    categories = ("tshirt", "trousers")
+    for cls in range(1, 7):
+        g = generate_garment(body, categories, cls, resolution_scale=resolution)
+        ref = _merge_reference([_piece_reference(body, c, cls, resolution) for c in categories])
+        assert np.array_equal(g.mesh.vertices, ref["mesh"].vertices), cls
+        assert np.array_equal(g.mesh.faces, ref["mesh"].faces), cls
+        assert np.array_equal(g.pinned, ref["pinned"]), cls
+        assert np.array_equal(g.binding_joint, ref["binding"]), cls
+        assert g.slack == ref["slack"], cls
+        assert abs(g.drape_ratio - ref["ratio"]) <= 1e-14 * ref["ratio"], cls
+        # The ratio of summed volumes, each sleeve re-capped and re-checked.
+        v_body = v_garment = 0.0
+        for category, slack in zip(categories, g.slack):
+            for s in _sleeves(body, category, resolution):
+                v_body += enclosed_volume(cap_boundaries(s.mesh(0.0)))
+                v_garment += enclosed_volume(cap_boundaries(s.mesh(slack)))
+        want = (v_garment - v_body) / v_body
+        assert abs(g.drape_ratio - want) <= 1e-12 * want, cls
+        assert classify_drape(g.drape_ratio) == cls

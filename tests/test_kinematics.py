@@ -171,8 +171,9 @@ def _recovered_fk(skeleton, positions, valid=None):
 def test_motion_sequence_validation(skeleton):
     rest = MotionSequence.rest(skeleton, num_frames=3)
     root, q = rest.root_translations, rest.local_rotations
-    with pytest.raises(ValueError, match="fps"):
-        MotionSequence(skeleton, 0.0, root, q)
+    for fps in (0.0, -30.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"fps must be finite and positive, got {fps!r}"):
+            MotionSequence(skeleton, fps, root, q)
     with pytest.raises(ValueError, match="at least one frame"):
         MotionSequence(skeleton, 30.0, root[:0], q[:0])
     with pytest.raises(ValueError, match="motion_class"):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from drapebench import bench, rotations as rot
-from drapebench.bench import BenchConfig, MotionSpec, _build_garment, _load_motion, _simulate_garment
+from drapebench.bench import BenchConfig, MotionSpec, _load_motion, _simulate_garment
 from drapebench.body import BUILD_CATALOG, _closest_on_segments, body_capsules, build_parametric_body
 from drapebench.cloth import ClothState
-from drapebench.garment import GarmentSpec, generate_garment
+from drapebench.garment import generate_garment
 from drapebench.kinematics import procedural_motion, sequence_transforms
 from drapebench.markers import (
     MARKER_BASE_HEIGHT,
@@ -41,12 +41,12 @@ def test_pairs_symmetric_about_joint(unclothed_placement):
 
 
 def test_unicloth_covers_all_markers(body):
-    uni = generate_garment(body, GarmentSpec("unicloth", 3, "female_average"))
+    uni = generate_garment(body, ("unicloth",), 3)
     assert place_markers(body, uni.mesh).on_cloth.all()
 
 
 def test_tshirt_coverage_split(body):
-    tee = generate_garment(body, GarmentSpec("tshirt", 3, "female_average"))
+    tee = generate_garment(body, ("tshirt",), 3)
     placement = place_markers(body, tee.mesh)
     names = body.skeleton.joint_names
     targets = {}
@@ -192,7 +192,7 @@ def test_placement_and_tracking_match_reference_unclothed(body):
 
 
 def test_placement_and_tracking_match_reference_tshirt(body, rng):
-    tee = generate_garment(body, GarmentSpec("tshirt", 3, "female_average")).mesh
+    tee = generate_garment(body, ("tshirt",), 3).mesh
     seq = procedural_motion("basic", 0.5, 30, 4, body.skeleton)
     jp, jq = sequence_transforms(seq)
     # Tracking gathers the cloth frames; any frames serve, so perturb the rest shape.
@@ -212,7 +212,7 @@ def test_placement_and_tracking_match_reference_merged_fast():
     body = build_parametric_body("female_average")
     seq = _load_motion(config, config.motions[0], body.skeleton)
     jp, jq = sequence_transforms(seq)
-    garment = _build_garment(config, body, 6)
+    garment = generate_garment(body, config.garment_categories, 6)
     states = _simulate_garment(config, body, garment, seq, jp, jq)
     placement = _assert_matches_reference(body, garment.mesh, jp, jq, states)
     assert placement.on_cloth.sum() > 24
@@ -232,7 +232,7 @@ def test_bone_frame_ride_matches_inline_formulas(body, monkeypatch):
     )
     seq = _load_motion(config, config.motions[0], body.skeleton)
     jp, jq = sequence_transforms(seq)
-    garment = _build_garment(config, body, 6)
+    garment = generate_garment(body, config.garment_categories, 6)
     captured = {}
 
     def capture(mesh, pinned, pin_frames, *args, initial_positions):
@@ -344,7 +344,7 @@ def test_noise_deterministic_and_disableable(body, unclothed_placement):
 
 
 def test_cloth_frame_misalignment_rejected(body):
-    tee = generate_garment(body, GarmentSpec("tshirt", 2, "female_average"))
+    tee = generate_garment(body, ("tshirt",), 2)
     placement = place_markers(body, tee.mesh)
     seq = procedural_motion("basic", 0.5, 30, 3, body.skeleton)
     jp, jq = sequence_transforms(seq)

@@ -14,7 +14,8 @@ from drapebench.mesh import (
     ray_union_exits,
     surface_points,
 )
-from drapebench.primitives import icosphere, open_cylinder, unit_cube
+
+from conftest import icosphere, open_cylinder, unit_cube
 
 
 def _loop_face_components(mesh):
@@ -166,15 +167,12 @@ def test_ray_union_exit_picks_enclosing_surface():
 
 
 def test_face_components_match_union_find(body):
-    from drapebench.garment import GarmentSpec, generate_garment
+    from drapebench.garment import generate_garment
 
     spheres = merge_meshes([icosphere(0.5, 2), icosphere(0.5, 2).translated((2.0, 0.0, 0.0))])
     # Overlapping pieces share no vertex, so each stays its own component.
     overlapping = merge_meshes([icosphere(0.1 + 0.02 * k, 1).translated((0.15 * k, 0.0, 0.0)) for k in range(5)])
-    garments = merge_meshes([
-        generate_garment(body, GarmentSpec(category, 4, body.build_label)).mesh
-        for category in ("tshirt", "trousers")
-    ])
+    garments = generate_garment(body, ("tshirt", "trousers"), 4).mesh
     for mesh, count in ((spheres, 2), (overlapping, 5), (garments, 6)):
         ours = face_components(mesh)
         ref = _loop_face_components(mesh)

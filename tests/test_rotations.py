@@ -4,7 +4,8 @@ from scipy.spatial.transform import Rotation as R
 
 from drapebench import rotations as rot
 from drapebench.mesh import merge_meshes
-from drapebench.primitives import icosphere
+
+from conftest import icosphere
 
 
 def _random_quats(rng, n):
