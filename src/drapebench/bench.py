@@ -26,7 +26,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -70,8 +69,8 @@ class MotionSpec:
         if self.motion_class not in MOTION_CLASSES:
             raise ValueError(f"unknown motion class {self.motion_class!r}; choose from {MOTION_CLASSES}")
         for name, value in (("duration_s", self.duration_s), ("fps", self.fps)):
-            if not value > 0:
-                raise ValueError(f"motion {name} must be positive, got {value!r}")
+            if not (value > 0 and np.isfinite(value)):
+                raise ValueError(f"motion {name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -149,10 +148,11 @@ class BenchConfig:
             ("builds repeat", list(self.builds)),
             ("drape_classes repeat", [str(c) for c in self.drape_classes]),
             ("methods share the label", [self.method_label(m) for m in self.methods]),
+            ("garment_categories repeat", list(self.garment_categories)),
         ):
             repeated = sorted({x for x in labels if labels.count(x) > 1})
             if repeated:
-                raise ValueError(f"{what} {', '.join(repeated)}; their rows would collide")
+                raise ValueError(f"{what} {', '.join(repeated)}; a config lists each once")
 
     def method_label(self, method: MethodSpec) -> str:
         """The method's row label: its kind, qualified by the field that
@@ -440,6 +440,9 @@ def run_benchmark(config: BenchConfig, artifacts_dir: str | None = None) -> Benc
     tic = time.perf_counter()
     workers = min(config.workers, len(groups))
     if workers > 1:
+        # Imported here: a serial sweep never loads the pool's modules.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_group, *zip(*jobs)))
     else:

@@ -144,8 +144,10 @@ def _closest_on_segments(
 
     Rows of points, p0 and seg pair up; a single (3,) segment serves every
     point. seg_sq, if given, is max(|seg|^2, 1e-18) per segment, computed
-    once by a caller that reuses its segments. Returns (closest,
-    points - closest, distance).
+    once by a caller that reuses its segments. Every step is elementwise, so
+    transposed views of (3, K) columns give the same bits as rows, and the
+    results follow the layout of points. Returns (closest, points - closest,
+    distance).
     """
     if seg_sq is None:
         seg_sq = np.maximum(rot.rowdot(seg, seg), 1e-18)
@@ -153,9 +155,7 @@ def _closest_on_segments(
     t = rot.rowdot(rel, seg)
     t /= seg_sq
     np.clip(t, 0.0, 1.0, out=t)
-    closest = np.empty(t.shape + (3,))
-    for axis in range(3):
-        np.multiply(t, seg[..., axis], out=closest[..., axis])
+    closest = np.multiply(seg, t[..., None], out=np.empty_like(points))
     closest += p0
     delta = points - closest
     dist = rot.rowdot(delta, delta)

@@ -12,6 +12,14 @@ stretches by (strain_ref / S) of its rest length under one vertex weight.
 The mapping is an engine constant; only relative comparisons are meaningful.
 Each spring family (structural, shear, bend) has one stiffness and one
 damping, alike in tension and compression.
+
+The substep works on (3, N) columns: each frame transposes positions and
+velocities once each way, and the forces, integration, pin and capsule
+lerps, candidate search and collision response read contiguous rows.
+Spring ends are gathered with np.take(..., mode="clip"), which writes
+straight into its buffer; the default mode="raise" gathers into a hidden
+one and copies it. Clipping would hide a bad index, so _Solver checks every
+spring index once, when it compiles the network.
 """
 
 from __future__ import annotations
@@ -164,48 +172,55 @@ class _Solver:
             (net.shear, net.shear_rest, params.stiffness_shear, params.damping_shear),
             (net.bend, net.bend_rest, params.stiffness_bending, params.damping_bending),
         )
-        self.ei, self.ej = np.concatenate([g[0] for g in groups]).T.copy()
+        pairs = np.concatenate([g[0] for g in groups])
+        # The substep gathers with mode="clip", which would clamp a bad index
+        # silently, so every spring end is checked here once.
+        outside = np.flatnonzero(((pairs < 0) | (pairs >= num_particles)).any(axis=1))
+        if len(outside):
+            bad = int(outside[0])
+            raise ValueError(
+                f"spring {bad} joins particles {pairs[bad].tolist()}, outside [0, {num_particles})"
+            )
+        self.ei, self.ej = pairs.T.copy()
         self.rest = np.concatenate([g[1] for g in groups])
         sizes = [len(g[0]) for g in groups]
         m = params.vertex_mass
         self.k = np.repeat([g[2] for g in groups], sizes) * (m * STANDARD_GRAVITY / (STRAIN_REF * self.rest))
         self.damp = np.repeat([g[3] for g in groups], sizes) * (m * np.sqrt(STANDARD_GRAVITY / self.rest))
         self.n = num_particles
-        # Flat (particle, axis) bins of each spring end: bin 3 * i + axis sums
+        # Flat (axis, particle) bins of each spring end: bin axis * n + i sums
         # the same springs in the same order as a per-axis bincount over i.
-        axes = np.arange(3)
-        self.flat_i = (3 * self.ei[:, None] + axes).ravel()
-        self.flat_j = (3 * self.ej[:, None] + axes).ravel()
-        # Buffers reused by every call: x | v side by side, so that one gather
-        # per spring end fetches both. The spring forces are written over the
-        # first half of the ei ends, which nothing reads once subtracted.
-        self._xv = np.empty((num_particles, 6))
-        self._end_i, self._end_j = (np.empty((len(self.rest), 6)) for _ in range(2))
-        self._fvec = self._end_i.reshape(-1)[: 3 * len(self.rest)].reshape(-1, 3)
+        axes = num_particles * np.arange(3)[:, None]
+        self.flat_i = (axes + self.ei).ravel()
+        self.flat_j = (axes + self.ej).ravel()
+        # Buffers reused by every call: x over v, so that one gather per
+        # spring end fetches both. The spring forces are written over the
+        # first three rows of the ei ends, which nothing reads once subtracted.
+        self._xv = np.empty((6, num_particles))
+        self._end_i, self._end_j = (np.empty((6, len(self.rest))) for _ in range(2))
 
     def forces(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Spring forces (3, N) on the columns x, v (3, N)."""
         xv = self._xv
-        xv[:, :3] = x
-        xv[:, 3:] = v
-        diff = np.take(xv, self.ej, axis=0, out=self._end_j)
-        diff -= np.take(xv, self.ei, axis=0, out=self._end_i)
-        d, dv = diff[:, :3], diff[:, 3:]
-        length = rot.rowdot(d, d)
+        xv[:3] = x
+        xv[3:] = v
+        diff = np.take(xv, self.ej, axis=1, out=self._end_j, mode="clip")
+        diff -= np.take(xv, self.ei, axis=1, out=self._end_i, mode="clip")
+        d, dv = diff[:3], diff[3:]
+        length = rot.rowdot(d.T, d.T)
         np.sqrt(length, out=length)
         np.maximum(length, 1e-12, out=length)
         stretch = length - self.rest
-        v_along = rot.rowdot(dv, d)
+        v_along = rot.rowdot(dv.T, d.T)
         v_along /= length
         scalar = self.k * stretch
         scalar += self.damp * v_along
         scalar /= length
-        fvec = self._fvec
-        for axis in range(3):
-            np.multiply(d[:, axis], scalar, out=fvec[:, axis])
+        fvec = np.multiply(d, scalar, out=self._end_i[:3])
         weights = fvec.ravel()
         out = np.bincount(self.flat_i, weights=weights, minlength=3 * self.n)
         out -= np.bincount(self.flat_j, weights=weights, minlength=3 * self.n)
-        return out.reshape(self.n, 3)
+        return out.reshape(3, self.n)
 
 
 def _collision_candidates(
@@ -219,13 +234,14 @@ def _collision_candidates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flat (particle, capsule) candidate pairs valid for one frame.
 
-    p0/seg are the capsules' mid-frame poses and reach their radii plus half
-    their travel over the frame, so every pose the frame lerps through lies
-    within reach of the mid pose. A pair is kept when the particle is within
-    reach plus the particle's worst-case travel under `gravity`. Pairs come
-    in capsule-major order. Returns (particle_index, capsule_index).
+    x and v are (3, N) columns. p0/seg are the capsules' mid-frame poses,
+    one row each, and reach their radii plus half their travel over the
+    frame, so every pose the frame lerps through lies within reach of the
+    mid pose. A pair is kept when the particle is within reach plus the
+    particle's worst-case travel under `gravity`. Pairs come in
+    capsule-major order. Returns (particle_index, capsule_index).
     """
-    speeds = rot.rowdot(v, v)
+    speeds = rot.rowdot(v.T, v.T)
     np.sqrt(speeds, out=speeds)
     # Worst-case particle travel this frame: current velocity plus gravity,
     # plus a base allowance for spring-driven acceleration.
@@ -234,7 +250,7 @@ def _collision_candidates(
     part_idx = [np.zeros(0, dtype=np.int64)]
     cap_idx = [np.zeros(0, dtype=np.int64)]
     for c in range(len(reach)):
-        hits = np.nonzero(_closest_on_segments(x, p0[c], seg[c])[2] < reach[c] + margin)[0]
+        hits = np.flatnonzero(_closest_on_segments(x.T, p0[c], seg[c])[2] < reach[c] + margin)
         part_idx.append(hits)
         cap_idx.append(np.full(len(hits), c, dtype=np.int64))
     return np.concatenate(part_idx), np.concatenate(cap_idx)
@@ -251,25 +267,32 @@ def _collide_pairs(
 ) -> None:
     """Resolve candidate pairs in one vectorized pass, in place.
 
-    p0/seg/seg_sq/radius are already gathered per pair (seg_sq as in
-    _closest_on_segments). Where a particle penetrates several capsules the
-    deepest projection wins (written last, sorted by depth, so the result
-    is deterministic).
+    x and v are (3, N) columns; p0/seg are (3, P) columns and seg_sq/radius
+    (P,), already gathered per pair (seg_sq as in _closest_on_segments).
+    Where a particle penetrates several capsules the deepest projection
+    wins; of equally deep ones, the later pair.
     """
-    closest, delta, dist = _closest_on_segments(np.take(x, pidx, axis=0), p0, seg, seg_sq)
+    closest, delta, dist = _closest_on_segments(np.take(x, pidx, axis=1).T, p0.T, seg.T, seg_sq)
+    closest, delta = closest.T, delta.T
     depth = radius - dist
     hit = np.flatnonzero(depth > 0.0)
     if not len(hit):
         return
-    sel = hit[np.argsort(depth[hit], kind="stable")]
-    sub = pidx[sel]
-    n = delta[sel] / np.maximum(dist[sel], 1e-12)[:, None]
-    x[sub] = closest[sel] + n * radius[sel][:, None]
+    # Each particle's deepest pairs, in pair order: writing them in that
+    # order leaves the later of two equally deep pairs.
+    sub = pidx[hit]
+    deepest = np.zeros(x.shape[1])
+    np.maximum.at(deepest, sub, depth[hit])
+    keep = depth[hit] == deepest[sub]
+    sel, sub = hit[keep], sub[keep]
+    n = delta[:, sel]
+    n /= np.maximum(dist[sel], 1e-12)
+    x[:, sub] = closest[:, sel] + n * radius[sel]
     # One gather of v serves both uses: every read precedes the write.
-    vs = v[sub]
-    vn = rot.rowdot(vs, n)
-    vs -= np.minimum(vn, 0.0)[:, None] * n
-    v[sub] = vs
+    vs = v[:, sub]
+    vn = rot.rowdot(vs.T, n.T)
+    vs -= np.minimum(vn, 0.0) * n
+    v[:, sub] = vs
 
 
 def _capsule_arrays(colliders: list[Capsule]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -288,10 +311,10 @@ def _shaped(name: str, array, expected: tuple) -> np.ndarray:
     return array
 
 
-def _refuse_non_finite(rows: np.ndarray, what: str, substep: int) -> None:
-    """Raise ClothSimulationError naming the first particle whose row is not finite."""
-    if not np.isfinite(rows).all():
-        bad = int(np.nonzero(~np.isfinite(rows).all(axis=1))[0][0])
+def _refuse_non_finite(columns: np.ndarray, what: str, substep: int) -> None:
+    """Raise ClothSimulationError naming the first particle whose column is not finite."""
+    if not np.isfinite(columns).all():
+        bad = int(np.nonzero(~np.isfinite(columns).all(axis=0))[0][0])
         raise ClothSimulationError(f"{what} for particle {bad} at substep {substep}")
 
 
@@ -312,16 +335,18 @@ def _advance(
     """Substep the cloth by dt, lerping capsules and pin targets across substeps.
 
     Passing one capsule pose as both cap_from and cap_to holds the body still.
+    The substeps run on (3, N) columns, transposed once each way per call.
     """
-    x = state.positions.copy()
-    v = state.velocities.copy()
-    _refuse_non_finite(np.hstack([x, v]), f"{frame_label}non-finite state", 0)
+    x = state.positions.T.copy()
+    v = state.velocities.T.copy()
+    _refuse_non_finite(np.vstack([x, v]), f"{frame_label}non-finite state", 0)
     pinned = state.pinned
     pin_idx = np.flatnonzero(pinned)
     n_sub = _substep_count(dt)
     h = dt / n_sub
-    g_vec = np.array([0.0, -params.gravity, 0.0])
-    pin_from = x[pin_idx]
+    g_col = np.array([[0.0], [-params.gravity], [0.0]])
+    pin_from = x[:, pin_idx]
+    pin_move = pin_to.T - pin_from
     p0, seg, radius = cap_from
     p0_move, seg_move = cap_to[0] - p0, cap_to[1] - seg
     # Half the farthest either capsule end travels: a still body adds exactly 0.
@@ -330,33 +355,34 @@ def _advance(
         x, v, p0 + 0.5 * p0_move, seg + 0.5 * seg_move, radius + half_travel, dt, params.gravity
     )
     r_pair = np.take(radius, cidx)
-    # Whole-array integration: pinned rows get +0 and *1, and the pin lerp
+    p0, seg, p0_move, seg_move = (a.T.copy() for a in (p0, seg, p0_move, seg_move))
+    # Whole-array integration: pinned columns get +0 and *1, and the pin lerp
     # then overwrites their positions.
-    free_factor = np.repeat((~pinned).astype(float)[:, None], 3, axis=1)
-    drag_factor = np.repeat(np.where(pinned, 1.0, max(0.0, 1.0 - AIR_DRAG * h))[:, None], 3, axis=1)
+    free_factor = (~pinned).astype(float)
+    drag_factor = np.where(pinned, 1.0, max(0.0, 1.0 - AIR_DRAG * h))
     step_x = np.empty_like(x)
     for s in range(n_sub):
         f = solver.forces(x, v)
         f /= params.vertex_mass
-        f += g_vec
+        f += g_col
         f *= h
         f *= free_factor
         v += f
         v *= drag_factor
         x += np.multiply(v, h, out=step_x)
         alpha = (s + 1) / n_sub
-        x[pin_idx] = pin_from + alpha * (pin_to - pin_from)
+        x[:, pin_idx] = pin_from + alpha * pin_move
         # The capsules of this substep, lerped once each and then gathered to their pairs.
         p0_s = p0 + alpha * p0_move
         seg_s = seg + alpha * seg_move
-        seg_sq = np.maximum(rot.rowdot(seg_s, seg_s), 1e-18)
+        seg_sq = np.maximum(rot.rowdot(seg_s.T, seg_s.T), 1e-18)
         _collide_pairs(
-            x, v, pidx, np.take(p0_s, cidx, axis=0), np.take(seg_s, cidx, axis=0),
+            x, v, pidx, np.take(p0_s, cidx, axis=1), np.take(seg_s, cidx, axis=1),
             np.take(seg_sq, cidx), r_pair,
         )
         _refuse_non_finite(x, f"{frame_label}non-finite position", s)
-    v[pin_idx] = 0.0
-    return ClothState(x, v, pinned.copy(), state.time + dt)
+    v[:, pin_idx] = 0.0
+    return ClothState(x.T.copy(), v.T.copy(), pinned.copy(), state.time + dt)
 
 
 def step(

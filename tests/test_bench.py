@@ -189,6 +189,16 @@ def test_config_validation():
         MethodSpec("markerless_surrogate", profile=profile)
 
 
+@pytest.mark.parametrize("field", ["duration_s", "fps"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_motion_refuses_non_finite_values(field, value):
+    # Python's json reads and writes Infinity and NaN, so a config file can carry them.
+    text = json.dumps({"motions": [{"motion_class": "basic", field: value}]})
+    for make in (lambda: MotionSpec("basic", **{field: value}), lambda: BenchConfig.from_json(text)):
+        with pytest.raises(ValueError, match=f"motion {field} must be positive and finite, got {value!r}"):
+            make()
+
+
 def test_ingest_method_round_trip(tmp_path, skeleton):
     # Export the ground truth itself as an estimate file: near-zero error.
     from drapebench.bench import _load_motion
@@ -320,6 +330,31 @@ def test_config_refuses_unknown_or_out_of_range_cloth_keys():
     with pytest.raises(ValueError, match="damping_shear"):
         BenchConfig.from_json(json.dumps({"cloth": {"damping_shear": -1.0}}))
     assert tiny_config(cloth={"stiffness_structural": 12.0}).cloth_params().stiffness_structural == 12.0
+
+
+def test_config_refuses_a_repeated_garment_category():
+    with pytest.raises(ValueError, match="garment_categories repeat tshirt"):
+        tiny_config(garment_categories=("tshirt", "trousers", "tshirt"))
+    with pytest.raises(ValueError, match="garment_categories repeat tshirt"):
+        BenchConfig.from_json('{"garment_categories": ["tshirt", "tshirt"]}')
+
+
+def test_serial_import_leaves_the_process_pool_out():
+    import subprocess
+    import sys
+
+    import drapebench
+
+    src = os.path.dirname(os.path.dirname(drapebench.__file__))
+    code = (
+        "import sys, drapebench, drapebench.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_config_refuses_colliding_cells():
@@ -455,9 +490,7 @@ class _NoPool:
 
 
 def test_config_refuses_a_bad_worker_count(tmp_path, monkeypatch):
-    import drapebench.bench as bench
-
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _NoPool)
     for bad in (0, -2, 1.5, "2", True):
         with pytest.raises(ValueError, match=f"workers .* {bad!r}"):
             tiny_config(workers=bad)
@@ -475,8 +508,6 @@ def test_config_refuses_a_bad_worker_count(tmp_path, monkeypatch):
 
 
 def test_pool_starts_no_idle_worker(monkeypatch):
-    import drapebench.bench as bench
-
     opened = []
 
     class SerialPool:
@@ -492,7 +523,7 @@ def test_pool_starts_no_idle_worker(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     cfg = replace(_unclothed(methods=(MethodSpec("markerless_surrogate"),), workers=4), drape_classes=(1, 2))
     assert run_benchmark(cfg).body_json() == run_benchmark(replace(cfg, workers=1)).body_json()
     assert opened == [2]  # one process per (motion, build, drape) group

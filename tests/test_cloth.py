@@ -17,6 +17,7 @@ from drapebench.cloth import (
     _advance,
     _capsule_arrays,
     _closest_on_segments,
+    _collide_pairs,
     _collision_candidates,
     _substep_count,
     build_spring_network,
@@ -25,6 +26,7 @@ from drapebench.cloth import (
     simulate_sequence,
     step,
 )
+from drapebench import cloth
 from drapebench.garment import generate_garment
 from drapebench.kinematics import procedural_motion, sequence_transforms
 from drapebench.mesh import TriMesh
@@ -150,7 +152,7 @@ def _reference_advance(state, solver, params, dt, cap_from, cap_to, pin_to):
     p0_move, seg_move = cap_to[0] - p0, cap_to[1] - seg
     half_travel = 0.5 * np.maximum(np.linalg.norm(p0_move, axis=-1), np.linalg.norm(p0_move + seg_move, axis=-1))
     pidx, cidx = _collision_candidates(
-        x, v, p0 + 0.5 * p0_move, seg + 0.5 * seg_move, radius + half_travel, dt, params.gravity
+        x.T, v.T, p0 + 0.5 * p0_move, seg + 0.5 * seg_move, radius + half_travel, dt, params.gravity
     )
     p0_a, seg_a, r_pair, p0_move, seg_move = (a[cidx] for a in (p0, seg, radius, p0_move, seg_move))
     drag = max(0.0, 1.0 - AIR_DRAG * h)
@@ -201,11 +203,11 @@ def test_forces_match_loop_reference(fast_frame_scene):
     state, solver, _, _ = fast_frame_scene
     x, v = state.positions, state.velocities
     x2 = x + np.random.default_rng(1).normal(0.0, 0.01, x.shape)
-    ours = solver.forces(x, v)
+    ours = solver.forces(x.T, v.T).T
     assert _same_bits(ours, _reference_forces(solver, x, v))
     # The reused gather buffers carry nothing from one call into the next.
-    assert _same_bits(solver.forces(x2, -v), _reference_forces(solver, x2, -v))
-    assert _same_bits(solver.forces(x, v), ours)
+    assert _same_bits(solver.forces(x2.T, -v.T).T, _reference_forces(solver, x2, -v))
+    assert _same_bits(solver.forces(x.T, v.T).T, ours)
 
 
 def test_advance_matches_masked_reference(fast_frame_scene):
@@ -218,6 +220,51 @@ def test_advance_matches_masked_reference(fast_frame_scene):
     ours = _advance(state, solver, params, dt, cap_from, cap_to, pin_to)
     assert _same_bits(ours.positions, x)
     assert _same_bits(ours.velocities, v)
+
+
+def test_collide_pairs_deepest_wins_on_ties():
+    # Particle 0 lies 0.25 deep in two coincident capsules and 0.125 deep in
+    # a third written after them; particle 1 is inside one capsule; particle
+    # 2 lies 0.25 deep in two capsules that push it opposite ways, so the
+    # later pair must win. Every figure is exact in binary.
+    x = np.array([[0.0, 0.0, 0.0], [3.0, 0.125, 0.0], [6.0, 0.0, 0.0], [9.0, 0.0, 0.0]])
+    v = np.array([[0.0, 0.3, 0.1], [0.0, 0.2, 0.0], [0.1, 0.25, -0.5], [1.0, 1.0, 1.0]])
+    pairs = [
+        (2, (5.0, -0.5, 0.0), 0.75),
+        (0, (-1.0, 0.5, 0.0), 0.75),
+        (1, (2.0, 0.0, 0.0), 0.5),
+        (0, (-1.0, 0.5, 0.0), 0.75),
+        (2, (5.0, 0.25, 0.0), 0.5),
+        (0, (-1.0, -1.0, 0.0), 1.125),
+    ]
+    pidx = np.array([p for p, _, _ in pairs])
+    p0 = np.array([a for _, a, _ in pairs])
+    seg = np.tile([2.0, 0.0, 0.0], (len(pairs), 1))
+    radius = np.array([r for _, _, r in pairs])
+    ref_x, ref_v = x.copy(), v.copy()
+    assert _reference_collide_pairs(ref_x, ref_v, pidx, p0, seg, radius) == len(pairs)
+    # The tie on particle 2 is real: the earlier pair would push it the other way.
+    assert ref_x[2, 1] == -0.25 and ref_v[2, 1] == 0.0
+    ours_x, ours_v = x.T.copy(), v.T.copy()
+    seg_sq = np.maximum(rot.rowdot(seg, seg), 1e-18)
+    _collide_pairs(ours_x, ours_v, pidx, p0.T.copy(), seg.T.copy(), seg_sq, radius)
+    assert _same_bits(ours_x.T.copy(), ref_x)
+    assert _same_bits(ours_v.T.copy(), ref_v)
+
+
+def test_spring_outside_the_particles_refused(monkeypatch):
+    empty = np.zeros((0, 2), dtype=np.int64)
+    net = SpringNetwork(np.array([[0, 5]]), np.array([0.1]), empty, np.zeros(0), empty, np.zeros(0))
+    tri = TriMesh(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], float), np.array([[0, 1, 2]]))
+    message = r"spring 0 joins particles \[0, 5\], outside \[0, 3\)"
+    with pytest.raises(ValueError, match=message):
+        step(ClothState.resting(tri), net, ClothParams(), None, 1.0 / 60.0)
+    # A mesh's own network cannot reach past its vertices, so the network is substituted.
+    monkeypatch.setattr(cloth, "build_spring_network", lambda mesh: net)
+    with pytest.raises(ValueError, match=message):
+        simulate_sequence(
+            tri, np.zeros(3, dtype=bool), np.zeros((1, 0, 3)), [[]], ClothParams(), 30.0, warmup=0.0
+        )
 
 
 @pytest.fixture(scope="module")
@@ -316,7 +363,7 @@ def test_collision_candidates_match_reference(male_large_scene):
     )
 
     # A still body tests the one pose at the capsule radius: the two-pose sets exactly.
-    ours = _collision_candidates(garment.mesh.vertices, v, rest[0], rest[1], rest[2], dt, STANDARD_GRAVITY)
+    ours = _collision_candidates(garment.mesh.vertices.T, v.T, rest[0], rest[1], rest[2], dt, STANDARD_GRAVITY)
     ref = _reference_collision_candidates(garment.mesh.vertices, v, rest, rest, dt)
     assert len(ours[0]) > 0
     for a, b in zip(ours, ref):
@@ -328,7 +375,7 @@ def test_collision_candidates_match_reference(male_large_scene):
         np.linalg.norm(p0_move, axis=-1), np.linalg.norm(p0_move + seg_move, axis=-1)
     )
     ours = _collision_candidates(
-        moved, v, start[0] + 0.5 * p0_move, start[1] + 0.5 * seg_move, reach, dt, STANDARD_GRAVITY
+        moved.T, v.T, start[0] + 0.5 * p0_move, start[1] + 0.5 * seg_move, reach, dt, STANDARD_GRAVITY
     )
     assert np.all(np.diff(ours[1]) >= 0)  # capsule-major
     num_caps = len(start[2])
