@@ -138,11 +138,11 @@ class BenchConfig:
             )
         if isinstance(self.workers, bool) or not isinstance(self.workers, int) or self.workers < 1:
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
-        if not self.resolution_scale > 0:
-            raise ValueError(f"resolution_scale must be positive, got {self.resolution_scale!r}")
+        if not 0 < self.resolution_scale < np.inf:
+            raise ValueError(f"resolution_scale must be positive and finite, got {self.resolution_scale!r}")
         for name, value in (("warmup_s", self.warmup_s), ("noise_rms_m", self.noise_rms_m)):
-            if not value >= 0:
-                raise ValueError(f"{name} must be non-negative, got {value!r}")
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
         for what, labels in (
             ("motions share the motion_class", [m.motion_class for m in self.motions]),
             ("builds repeat", list(self.builds)),

@@ -161,6 +161,7 @@ def parse_bvh(text: str, motion_class: str = "basic") -> MotionSequence:
         )
 
     rows: list[list[float]] = []
+    row_lines: list[int] = []
     while True:
         item = cur.peek()
         if item is None:
@@ -176,6 +177,7 @@ def parse_bvh(text: str, motion_class: str = "basic") -> MotionSequence:
             rows.append([float(v) for v in values])
         except ValueError:
             raise BvhParseError("frame values must be numbers", num) from None
+        row_lines.append(num)
 
     if len(rows) != declared_frames:
         raise BvhParseError(
@@ -185,6 +187,9 @@ def parse_bvh(text: str, motion_class: str = "basic") -> MotionSequence:
     if not rows:
         raise BvhParseError("no frame data", len(cur.raw))
     values = np.array(rows)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise BvhParseError("frame values must be finite", row_lines[int(np.argmin(finite))])
     root_t = np.zeros((len(rows), 3))
     quats = np.zeros((len(rows), skeleton.num_joints, 4))
     quats[..., 0] = 1.0

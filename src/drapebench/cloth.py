@@ -68,14 +68,15 @@ class ClothParams:
     gravity: float = 9.81
 
     def __post_init__(self):
-        if self.vertex_mass <= 0:
-            raise ValueError("vertex_mass must be positive")
+        # Written so that a NaN fails each check.
+        if not 0 < self.vertex_mass < np.inf:
+            raise ValueError(f"vertex_mass must be positive and finite, got {self.vertex_mass!r}")
         for name in (
             "stiffness_structural", "stiffness_shear", "stiffness_bending",
             "damping_structural", "damping_shear", "damping_bending", "gravity",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

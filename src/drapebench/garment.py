@@ -1,8 +1,9 @@
 """Garment generation at target drape levels, drape measurement and classes.
 
 Garments are open tube meshes that follow bone chains and wrap the body's
-capsule silhouette with a radial slack; each category's slack is bisected
-until its measured drape ratio lands inside the requested class interval.
+capsule silhouette with a radial slack. Ring vertices and cap centroids are
+affine in slack, so a category's capped volume is a cubic in it: four volumes
+fix the cubic, and its one root in the slack bounds is the class's aim point.
 The "covered body" used as the drape denominator is the same tube at zero
 slack, i.e. a garment that fits the body perfectly. A garment of several
 categories has one drape ratio, over their summed volumes.
@@ -30,7 +31,6 @@ DRAPE_THRESHOLDS = (0.05, 0.15, 0.30, 0.60, 1.00)
 _MIN_RING_RADIUS = 0.02
 _MIN_SLACK = 0.002
 _MAX_SLACK = 0.80
-_BISECTION_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ def measure_drape(garment: TriMesh, covered_body: TriMesh) -> float:
 
 
 def classify_drape(ratio: float) -> int:
-    if ratio < 0:
-        raise ValueError("drape ratio must be non-negative")
+    if not ratio >= 0:  # a NaN fails it too
+        raise ValueError(f"drape ratio must be non-negative, got {ratio!r}")
     return int(np.searchsorted(DRAPE_THRESHOLDS, ratio, side="right")) + 1
 
 
@@ -299,9 +299,11 @@ def _sleeves(body: SkinnedBody, category: str, resolution_scale: float) -> list[
 def _fit_slack(
     sleeves: list[_SleeveGeometry], category: str, drape_class: int
 ) -> tuple[float, float, float]:
-    """Bisect one category's radial slack onto the class's aim point.
+    """Solve one category's radial slack for the class's aim point.
 
-    The drape ratio is strictly increasing in slack. Returns the slack and
+    The drape ratio is a cubic in slack (module docstring), fixed by its
+    values at the Chebyshev-Lobatto nodes of the slack bounds; the fit
+    refuses a target it does not cross exactly once. Returns the slack and
     the capped garment and covered-body volumes at it.
     """
     covered = merge_meshes([s.capped(0.0) for s in sleeves])
@@ -315,23 +317,20 @@ def _fit_slack(
         return (volume_at(slack) - v_body) / v_body
 
     target = _target_ratio(drape_class)
-    lo, hi = _MIN_SLACK, _MAX_SLACK
-    r_lo, r_hi = ratio_at(lo), ratio_at(hi)
-    if target <= r_lo:
-        slack = lo  # tightest manufacturable garment
-    elif target >= r_hi:
+    r_lo, r_hi = ratio_at(_MIN_SLACK), ratio_at(_MAX_SLACK)
+    half = 0.5 * (_MAX_SLACK - _MIN_SLACK)  # slack = _MIN_SLACK + half * (1 + t), t in [-1, 1]
+    roots = [-1.0] if target <= r_lo else []  # -1: the tightest manufacturable garment
+    if r_lo < target < r_hi:
+        nodes = np.array([-1.0, -0.5, 0.5, 1.0])
+        ratios = [r_lo, ratio_at(_MIN_SLACK + 0.5 * half), ratio_at(_MIN_SLACK + 1.5 * half), r_hi]
+        cubic = np.linalg.solve(np.vander(nodes, 4), np.subtract(ratios, target))
+        roots = [t.real for t in np.roots(cubic) if t.imag == 0 and -1.0 <= t.real <= 1.0]
+    if len(roots) != 1:
         raise ValueError(
             f"{category}: target class {drape_class} unreachable: achievable drape range "
-            f"[{r_lo:.4f}, {r_hi:.4f}], target {target:.4f}"
+            f"[{r_lo:.4f}, {r_hi:.4f}] does not cross target {target:.4f} exactly once"
         )
-    else:
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            if ratio_at(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        slack = 0.5 * (lo + hi)
+    slack = float(_MIN_SLACK + half * (1.0 + roots[0]))
 
     v_garment = volume_at(slack)
     ratio = (v_garment - v_body) / v_body

@@ -95,6 +95,8 @@ class Skeleton:
         j = len(self.joint_names)
         if len(self.parents) != j or offsets.shape != (j, 3):
             raise ValueError("joint_names, parents and rest_offsets disagree on joint count")
+        if not np.isfinite(offsets).all():
+            raise ValueError("rest_offsets must be finite")
         roots = [i for i, p in enumerate(self.parents) if p < 0]
         if roots != [0]:
             raise ValueError("joint 0 must be the unique root")
@@ -166,8 +168,11 @@ class MotionSequence:
             raise ValueError("a motion sequence needs at least one frame")
         if root.shape != (len(q), 3):
             raise ValueError(f"root translations have shape {root.shape}, need ({len(q)}, 3)")
-        if np.any(np.abs(np.linalg.norm(q, axis=-1) - 1.0) > 1e-9):
-            raise ValueError("local rotations must be unit quaternions (within 1e-9)")
+        if not np.isfinite(root).all():
+            raise ValueError("root_translations must be finite")
+        # Written so that a NaN fails it.
+        if not np.all(np.abs(np.linalg.norm(q, axis=-1) - 1.0) <= 1e-9):
+            raise ValueError("local_rotations must be finite unit quaternions (within 1e-9)")
         object.__setattr__(self, "root_translations", root)
         object.__setattr__(self, "local_rotations", q)
 

@@ -27,6 +27,9 @@ class TriMesh:
             raise ValueError("faces must be (F, 3)")
         if len(f) and (f.min() < 0 or f.max() >= len(v)):
             raise ValueError("face index out of range")
+        if not np.isfinite(v).all():
+            bad = int(np.argmin(np.isfinite(v).all(axis=1)))
+            raise ValueError(f"vertices must be finite; vertex {bad} is not")
         areas = face_areas(v, f)
         if np.any(areas <= 0.0):
             bad = int(np.argmin(areas))

@@ -180,9 +180,30 @@ def test_config_validation():
         (lambda: BenchConfig(resolution_scale=0), "resolution_scale .* 0"),
         (lambda: BenchConfig(warmup_s=-1), "warmup_s .* -1"),
         (lambda: BenchConfig.from_json('{"motions": [{"motion_class": "basic", "fps": -30}]}'), "-30"),
+        (lambda: BenchConfig(cloth={"gravity": -1.0}), "gravity .* -1"),
     ):
         with pytest.raises(ValueError, match=names):
             make()
+    # Infinity and NaN are refused at load too, directly and through JSON,
+    # which reads and writes them.
+    for value in (float("inf"), float("nan")):
+        for key, want in (
+            ("resolution_scale", "positive and finite"),
+            ("warmup_s", "non-negative and finite"),
+            ("noise_rms_m", "non-negative and finite"),
+        ):
+            for make in (
+                lambda: BenchConfig(**{key: value}),
+                lambda: BenchConfig.from_json(json.dumps({key: value})),
+            ):
+                with pytest.raises(ValueError, match=f"{key} must be {want}, got {value!r}"):
+                    make()
+        for make in (
+            lambda: BenchConfig(cloth={"damping_shear": value}),
+            lambda: BenchConfig.from_json(json.dumps({"cloth": {"damping_shear": value}})),
+        ):
+            with pytest.raises(ValueError, match=f"damping_shear must be non-negative and finite, got {value!r}"):
+                make()
     # The profile names a surrogate's error model; other kinds ignore it.
     assert MethodSpec("marker_based", profile="nope").profile == "nope"
     for profile in ("auto", "basic_err", "fast_err", "extreme_err"):

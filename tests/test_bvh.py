@@ -105,6 +105,27 @@ Frame Time: 0.04
 """
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize("column", [0, 5])
+def test_non_finite_channel_is_error(skeleton, value, column):
+    # Column 0 is the root's Xposition, column 5 its Yrotation.
+    text = write_bvh(procedural_motion("basic", 0.2, 30, 1, skeleton))
+    lines = text.splitlines()
+    row = lines.index("Frame Time: " + repr(1.0 / 30.0)) + 3
+    words = lines[row].split()
+    words[column] = value
+    lines[row] = " ".join(words)
+    with pytest.raises(BvhParseError, match="frame values must be finite") as err:
+        parse_bvh("\n".join(lines) + "\n")
+    assert err.value.line == row + 1
+
+
+def test_non_finite_offset_is_error():
+    text = MINIMAL.replace("OFFSET 0.0 0.3 0.0", "OFFSET 0.0 nan 0.0")
+    with pytest.raises(ValueError, match="rest_offsets must be finite"):
+        parse_bvh(text)
+
+
 def test_frame_count_mismatch_is_error():
     bad = CHANNELED.replace("Frames: 2", "Frames: 5")
     with pytest.raises(BvhParseError, match="frames"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,12 @@ def test_params_validation():
         ClothParams(vertex_mass=0.0)
     with pytest.raises(ValueError):
         ClothParams(stiffness_shear=-1.0)
+    # The checks are written so that NaN fails them, as infinity does.
+    for name in (f.name for f in dataclasses.fields(ClothParams)):
+        want = "positive" if name == "vertex_mass" else "non-negative"
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"{name} must be {want} and finite, got {value!r}"):
+                ClothParams(**{name: value})
 
 
 def test_single_triangle_network():

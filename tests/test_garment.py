@@ -70,8 +70,9 @@ def test_classify_boundaries():
     assert classify_drape(0.60) == 5
     assert classify_drape(1.00) == 6
     assert classify_drape(7.5) == 6
-    with pytest.raises(ValueError):
-        classify_drape(-0.1)
+    for bad in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            classify_drape(bad)
 
 
 def test_classify_monotone(rng):
@@ -149,35 +150,68 @@ def test_unreachable_target_reports_achieved_range(body, monkeypatch):
         generate_garment(body, ("tshirt",), 6)
 
 
+def _lagrange(xs, ys, x):
+    """The polynomial through the points (xs, ys), evaluated at x."""
+    return sum(
+        y * np.prod([(x - xj) / (xi - xj) for xj in xs if xj != xi]) for xi, y in zip(xs, ys)
+    )
+
+
+@pytest.mark.parametrize("resolution", [1.0, 1.5])
+@pytest.mark.parametrize("category", ["tshirt", "trousers", "unicloth"])
+def test_capped_volume_is_a_cubic_in_slack(body, category, resolution):
+    # Ring vertices and cap centroids are affine in slack, so each signed
+    # tetrahedron, and the sum of them, is a cubic: the fit solves that cubic.
+    probes = np.linspace(_MIN_SLACK, _MAX_SLACK, 4)
+    for sleeve in _sleeves(body, category, resolution):
+        volumes = [sleeve.capped_volume(x) for x in probes]
+        for x in (0.0, 0.1234, 0.5678):
+            want = sleeve.capped_volume(x)
+            assert abs(_lagrange(probes, volumes, x) - want) <= 1e-12 * want, (category, x)
+
+
+def test_fit_evaluates_four_probes_and_the_slack(body, monkeypatch):
+    calls = {}
+    capped_volume = garment._SleeveGeometry.capped_volume
+
+    def counting(self, slack):
+        calls.setdefault(id(self), []).append(slack)
+        return capped_volume(self, slack)
+
+    monkeypatch.setattr(garment._SleeveGeometry, "capped_volume", counting)
+    g = generate_garment(body, ("tshirt",), 6)
+    assert len(calls) == len(garment._SLEEVES["tshirt"])
+    for slacks in calls.values():
+        assert len(slacks) <= 5
+        assert slacks[-1] == g.slack[0]
+
+
 # Aim point per class: the midpoint of its interval, 1.5x the floor of class 6.
 _TARGETS = {1: 0.025, 2: 0.10, 3: 0.225, 4: 0.45, 5: 0.80, 6: 1.5}
 
 
-def _bisect(ratio_at, cls):
-    target = _TARGETS[cls]
-    lo, hi = _MIN_SLACK, _MAX_SLACK
-    if target <= ratio_at(lo):
-        return lo
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if ratio_at(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _reference_fit(body, category, cls, resolution_scale):
-    """Reference: the bisection with every sleeve re-capped and re-checked per slack."""
+def _assert_on_aim(body, category, cls, resolution_scale, slack):
+    """The fitted slack, judged by re-capping every sleeve: the tightest
+    garment when the aim point lies below it, else the aim point itself."""
     sleeves = _sleeves(body, category, resolution_scale)
     v_body = enclosed_volume(merge_meshes([cap_boundaries(s.mesh(0.0)) for s in sleeves]))
 
-    def ratio_at(slack):
-        v = sum(enclosed_volume(cap_boundaries(s.mesh(slack))) for s in sleeves)
-        return (v - v_body) / v_body
+    def ratio_at(x):
+        return (sum(enclosed_volume(cap_boundaries(s.mesh(x))) for s in sleeves) - v_body) / v_body
 
-    slack = _bisect(ratio_at, cls)
-    return slack, ratio_at(slack), merge_meshes([s.mesh(slack) for s in sleeves]).vertices
+    target = _TARGETS[cls]
+    if target <= ratio_at(_MIN_SLACK):
+        assert slack == _MIN_SLACK, (category, cls)
+    else:
+        assert abs(ratio_at(slack) - target) <= 1e-12 * target, (category, cls)
+
+
+def _reference_fit(body, category, slack, resolution_scale):
+    """Reference: every sleeve re-capped and re-checked at the fitted slack."""
+    sleeves = _sleeves(body, category, resolution_scale)
+    v_body = enclosed_volume(merge_meshes([cap_boundaries(s.mesh(0.0)) for s in sleeves]))
+    v_garment = sum(enclosed_volume(cap_boundaries(s.mesh(slack))) for s in sleeves)
+    return (v_garment - v_body) / v_body, merge_meshes([s.mesh(slack) for s in sleeves]).vertices
 
 
 @pytest.mark.parametrize(
@@ -189,28 +223,25 @@ def test_fit_matches_per_evaluation_reference(build, classes, resolution):
     for category in ("tshirt", "trousers"):
         for cls in classes:
             g = generate_garment(body, (category,), cls, resolution_scale=resolution)
-            slack, ratio, vertices = _reference_fit(body, category, cls, resolution)
-            assert g.slack == (slack,), (category, cls)
+            (slack,) = g.slack
+            ratio, vertices = _reference_fit(body, category, slack, resolution)
+            _assert_on_aim(body, category, cls, resolution, slack)
             assert g.drape_ratio == ratio, (category, cls)
             assert np.array_equal(g.mesh.vertices, vertices), (category, cls)
 
 
-def _piece_reference(body, category, cls, resolution_scale):
-    """Reference: one category fitted as a garment of its own, with its
-    zero-slack covered body kept for the merge."""
+def _piece_reference(body, category, slack, resolution_scale):
+    """Reference: one category at its fitted slack as a garment of its own,
+    with its zero-slack covered body kept for the merge."""
     sleeves = _sleeves(body, category, resolution_scale)
     covered = merge_meshes([s.capped(0.0) for s in sleeves])
     v_body = signed_volume(covered.vertices, covered.faces)
-
-    def ratio_at(slack):
-        return (sum(s.capped_volume(slack) for s in sleeves) - v_body) / v_body
-
-    slack = _bisect(ratio_at, cls)
     return dict(
         mesh=merge_meshes([s.mesh(slack) for s in sleeves]),
         pinned=np.concatenate([s.pinned_mask() for s in sleeves]),
         binding=np.concatenate([s.vertex_joints() for s in sleeves]),
-        covered=covered, ratio=ratio_at(slack), slack=slack,
+        covered=covered, slack=slack,
+        ratio=(sum(s.capped_volume(slack) for s in sleeves) - v_body) / v_body,
     )
 
 
@@ -237,7 +268,9 @@ def test_one_fit_matches_two_fits_and_merge(build, resolution):
     categories = ("tshirt", "trousers")
     for cls in range(1, 7):
         g = generate_garment(body, categories, cls, resolution_scale=resolution)
-        ref = _merge_reference([_piece_reference(body, c, cls, resolution) for c in categories])
+        ref = _merge_reference(
+            [_piece_reference(body, c, slack, resolution) for c, slack in zip(categories, g.slack)]
+        )
         assert np.array_equal(g.mesh.vertices, ref["mesh"].vertices), cls
         assert np.array_equal(g.mesh.faces, ref["mesh"].faces), cls
         assert np.array_equal(g.pinned, ref["pinned"]), cls
@@ -247,6 +280,9 @@ def test_one_fit_matches_two_fits_and_merge(build, resolution):
         # The ratio of summed volumes, each sleeve re-capped and re-checked.
         v_body = v_garment = 0.0
         for category, slack in zip(categories, g.slack):
+            # Each category is fitted on its own: alone it gets the same slack.
+            assert generate_garment(body, (category,), cls, resolution_scale=resolution).slack == (slack,)
+            _assert_on_aim(body, category, cls, resolution, slack)
             for s in _sleeves(body, category, resolution):
                 v_body += enclosed_volume(cap_boundaries(s.mesh(0.0)))
                 v_garment += enclosed_volume(cap_boundaries(s.mesh(slack)))

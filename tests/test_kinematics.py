@@ -186,6 +186,19 @@ def test_motion_sequence_validation(skeleton):
         MotionSequence(skeleton, 30.0, root, bad)
     bad[1, 5, 0] = 1.0 + 5e-10
     assert MotionSequence(skeleton, 30.0, root, bad).num_frames == 3
+    for value in (np.nan, np.inf, -np.inf):
+        bad = q.copy()
+        bad[1, 5, 2] = value
+        with pytest.raises(ValueError, match="local_rotations must be finite unit quaternions"):
+            MotionSequence(skeleton, 30.0, root, bad)
+        moved = root.copy()
+        moved[2, 1] = value
+        with pytest.raises(ValueError, match="root_translations must be finite"):
+            MotionSequence(skeleton, 30.0, moved, q)
+        offsets = skeleton.rest_offsets.copy()
+        offsets[3, 0] = value
+        with pytest.raises(ValueError, match="rest_offsets must be finite"):
+            Skeleton(skeleton.joint_names, skeleton.parents, offsets)
 
 
 def test_rest_positions_match_fk_bit_for_bit():

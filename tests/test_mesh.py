@@ -109,6 +109,17 @@ def test_degenerate_face_rejected():
         TriMesh(v, np.array([[0, 1, 2]]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_rejected(value):
+    v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+    v[2, 1] = value
+    with pytest.raises(ValueError, match="vertices must be finite; vertex 2 is not"):
+        TriMesh(v, np.array([[0, 1, 3]]))
+    text = dump_obj(unit_cube()).replace("v 1.00000000", f"v {value}", 1)
+    with pytest.raises(ValueError, match="vertices must be finite"):
+        load_obj(text)
+
+
 def test_face_index_range_checked():
     v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
     with pytest.raises(ValueError):
