@@ -19,7 +19,7 @@ from .kinematics import (
 from .bvh import BvhParseError, parse_bvh, write_bvh
 from .mesh import TriMesh, cap_boundaries, enclosed_volume, surface_points
 from .body import BUILD_CATALOG, Capsule, SkinnedBody, build_parametric_body
-from .cloth import ClothParams, ClothState, SpringNetwork, build_spring_network, simulate_sequence, step
+from .cloth import ClothParams, ClothState, SpringNetwork, build_spring_network, simulate_sequence
 from .garment import (
     DRAPE_THRESHOLDS,
     Garment,

@@ -27,10 +27,14 @@ class Capsule:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p0", np.asarray(self.p0, dtype=float))
-        object.__setattr__(self, "p1", np.asarray(self.p1, dtype=float))
-        if self.radius <= 0:
-            raise ValueError("capsule radius must be positive")
+        for name in ("p0", "p1"):
+            end = np.asarray(getattr(self, name), dtype=float)
+            if end.shape != (3,) or not np.isfinite(end).all():
+                raise ValueError(f"capsule {name} must be a finite 3-vector, got {end.tolist()!r}")
+            object.__setattr__(self, name, end)
+        # Written so that a NaN fails the check.
+        if not 0 < self.radius < np.inf:
+            raise ValueError(f"capsule radius must be positive and finite, got {self.radius!r}")
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,12 @@ The mapping is an engine constant; only relative comparisons are meaningful.
 Each spring family (structural, shear, bend) has one stiffness and one
 damping, alike in tension and compression.
 
-The substep works on (3, N) columns: each frame transposes positions and
-velocities once each way, and the forces, integration, pin and capsule
-lerps, candidate search and collision response read contiguous rows.
+simulate_sequence is the one entry. It compiles the run once (_Solver):
+the spring arrays, the pinned index, the substep count and length, the
+gravity column, the free and drag factors and a step buffer. Each frame
+then advances the run's (3, N) position and velocity columns in place, and
+a recorded frame copies them out. The forces, integration, pin and capsule
+lerps, candidate search and collision response all read contiguous rows.
 Spring ends are gathered with np.take(..., mode="clip"), which writes
 straight into its buffer; the default mode="raise" gathers into a hidden
 one and copies it. Clipping would hide a bad index, so _Solver checks every
@@ -104,15 +107,6 @@ class ClothState:
     pinned: np.ndarray      # (N,) bool
     time: float = 0.0
 
-    @staticmethod
-    def resting(mesh: TriMesh, pinned: np.ndarray | None = None) -> "ClothState":
-        n = mesh.num_vertices
-        return ClothState(
-            mesh.vertices.copy(),
-            np.zeros((n, 3)),
-            np.zeros(n, dtype=bool) if pinned is None else np.asarray(pinned, dtype=bool).copy(),
-        )
-
 
 def build_spring_network(mesh: TriMesh) -> SpringNetwork:
     """Derive springs from mesh topology.
@@ -165,9 +159,10 @@ def build_spring_network(mesh: TriMesh) -> SpringNetwork:
 
 
 class _Solver:
-    """Spring arrays compiled from (network, params)."""
+    """One compiled run: built from (network, params, pinned mask, frame dt)."""
 
-    def __init__(self, net: SpringNetwork, params: ClothParams, num_particles: int):
+    def __init__(self, net: SpringNetwork, params: ClothParams, pinned: np.ndarray, dt: float):
+        num_particles = len(pinned)
         groups = (
             (net.structural, net.structural_rest, params.stiffness_structural, params.damping_structural),
             (net.shear, net.shear_rest, params.stiffness_shear, params.damping_shear),
@@ -199,6 +194,19 @@ class _Solver:
         # first three rows of the ei ends, which nothing reads once subtracted.
         self._xv = np.empty((6, num_particles))
         self._end_i, self._end_j = (np.empty((6, len(self.rest))) for _ in range(2))
+
+        self.pin_idx = np.flatnonzero(pinned)
+        self.dt = dt
+        self.n_sub = _substep_count(dt)
+        self.h = dt / self.n_sub
+        self.mass = params.vertex_mass
+        self.gravity = params.gravity
+        self.g_col = np.array([[0.0], [-params.gravity], [0.0]])
+        # Whole-array integration: pinned columns get +0 and *1, and the pin
+        # lerp then overwrites their positions.
+        self.free_factor = (~pinned).astype(float)
+        self.drag_factor = np.where(pinned, 1.0, max(0.0, 1.0 - AIR_DRAG * self.h))
+        self.step_x = np.empty((3, num_particles))
 
     def forces(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Spring forces (3, N) on the columns x, v (3, N)."""
@@ -247,7 +255,7 @@ def _collision_candidates(
     # Worst-case particle travel this frame: current velocity plus gravity,
     # plus a base allowance for spring-driven acceleration.
     margin = 0.02 + dt * speeds + gravity * dt * dt
-    # Seeded with empty arrays so that a step without capsules has no pairs.
+    # Seeded with empty arrays so that a frame without capsules has no pairs.
     part_idx = [np.zeros(0, dtype=np.int64)]
     cap_idx = [np.zeros(0, dtype=np.int64)]
     for c in range(len(reach)):
@@ -324,28 +332,21 @@ def _substep_count(dt: float) -> int:
 
 
 def _advance(
-    state: ClothState,
-    solver: _Solver,
-    params: ClothParams,
-    dt: float,
+    run: _Solver,
+    x: np.ndarray,
+    v: np.ndarray,
     cap_from: tuple,
     cap_to: tuple,
     pin_to: np.ndarray,
     frame_label: str = "",
-) -> ClothState:
-    """Substep the cloth by dt, lerping capsules and pin targets across substeps.
+) -> None:
+    """Advance the run's columns x and v (3, N) by one frame, in place.
 
-    Passing one capsule pose as both cap_from and cap_to holds the body still.
-    The substeps run on (3, N) columns, transposed once each way per call.
+    Capsules and pin targets are lerped across the substeps; passing one
+    capsule pose as both cap_from and cap_to holds the body still.
     """
-    x = state.positions.T.copy()
-    v = state.velocities.T.copy()
     _refuse_non_finite(np.vstack([x, v]), f"{frame_label}non-finite state", 0)
-    pinned = state.pinned
-    pin_idx = np.flatnonzero(pinned)
-    n_sub = _substep_count(dt)
-    h = dt / n_sub
-    g_col = np.array([[0.0], [-params.gravity], [0.0]])
+    pin_idx, n_sub, h = run.pin_idx, run.n_sub, run.h
     pin_from = x[:, pin_idx]
     pin_move = pin_to.T - pin_from
     p0, seg, radius = cap_from
@@ -353,27 +354,23 @@ def _advance(
     # Half the farthest either capsule end travels: a still body adds exactly 0.
     half_travel = 0.5 * np.maximum(np.linalg.norm(p0_move, axis=-1), np.linalg.norm(p0_move + seg_move, axis=-1))
     pidx, cidx = _collision_candidates(
-        x, v, p0 + 0.5 * p0_move, seg + 0.5 * seg_move, radius + half_travel, dt, params.gravity
+        x, v, p0 + 0.5 * p0_move, seg + 0.5 * seg_move, radius + half_travel, run.dt, run.gravity
     )
     r_pair = np.take(radius, cidx)
     p0, seg, p0_move, seg_move = (a.T.copy() for a in (p0, seg, p0_move, seg_move))
-    # Whole-array integration: pinned columns get +0 and *1, and the pin lerp
-    # then overwrites their positions.
-    free_factor = (~pinned).astype(float)
-    drag_factor = np.where(pinned, 1.0, max(0.0, 1.0 - AIR_DRAG * h))
-    step_x = np.empty_like(x)
     for s in range(n_sub):
-        f = solver.forces(x, v)
-        f /= params.vertex_mass
-        f += g_col
+        f = run.forces(x, v)
+        f /= run.mass
+        f += run.g_col
         f *= h
-        f *= free_factor
+        f *= run.free_factor
         v += f
-        v *= drag_factor
-        x += np.multiply(v, h, out=step_x)
+        v *= run.drag_factor
+        x += np.multiply(v, h, out=run.step_x)
+        # After integration, one ordered block: the pin lerp, then the contact
+        # response on capsules lerped once each and gathered to their pairs.
         alpha = (s + 1) / n_sub
         x[:, pin_idx] = pin_from + alpha * pin_move
-        # The capsules of this substep, lerped once each and then gathered to their pairs.
         p0_s = p0 + alpha * p0_move
         seg_s = seg + alpha * seg_move
         seg_sq = np.maximum(rot.rowdot(seg_s.T, seg_s.T), 1e-18)
@@ -383,32 +380,6 @@ def _advance(
         )
         _refuse_non_finite(x, f"{frame_label}non-finite position", s)
     v[:, pin_idx] = 0.0
-    return ClothState(x.T.copy(), v.T.copy(), pinned.copy(), state.time + dt)
-
-
-def step(
-    state: ClothState,
-    net: SpringNetwork,
-    params: ClothParams,
-    colliders: list[Capsule] | None = None,
-    dt: float = 1.0 / 60.0,
-    pin_targets: np.ndarray | None = None,
-) -> ClothState:
-    """Advance the cloth by dt (at most 1/60 s) using substeps of at most 1 ms.
-
-    Colliders are held fixed for the step; pinned particles stay put unless
-    pin_targets, shape (n_pinned, 3), gives them destinations. Raises
-    ClothSimulationError naming the first non-finite particle and the
-    substep where it appeared.
-    """
-    if not 0.0 < dt <= 1.0 / 60.0 + 1e-12:
-        raise ValueError("dt must be in (0, 1/60]")
-    if pin_targets is None:
-        pin_targets = state.positions[state.pinned]
-    pin_targets = _shaped("pin_targets", pin_targets, (int(state.pinned.sum()), 3))
-    caps = _capsule_arrays(colliders or [])
-    solver = _Solver(net, params, len(state.positions))
-    return _advance(state, solver, params, dt, caps, caps, pin_targets)
 
 
 def simulate_sequence(
@@ -426,35 +397,46 @@ def simulate_sequence(
     pin_frames holds per-frame world targets for the pinned vertices, shape
     (T, n_pinned, 3); collider_frames the per-frame body capsules, the same
     number in every frame; initial_positions, if given, shape (N, 3). Other
-    shapes, and a motion without frames, are refused. The state is settled
-    for `warmup` seconds of simulated time at frame 0 before recording
-    begins. Deterministic for identical inputs.
+    shapes, a motion without frames, an fps that is not positive and finite
+    and a warmup that is negative or not finite are refused. The state is
+    settled for `warmup` seconds of simulated time at frame 0 before
+    recording begins. Deterministic for identical inputs.
     """
-    pinned = np.asarray(pinned, dtype=bool)
+    # Written so that a NaN fails each check.
+    if not 0 < fps < np.inf:
+        raise ValueError(f"fps must be positive and finite, got {fps!r}")
+    if not 0 <= warmup < np.inf:
+        raise ValueError(f"warmup must be non-negative and finite, got {warmup!r}")
     n_frames = len(collider_frames)
     if n_frames == 0:
         raise ValueError("the motion has no frames")
+    # One read-only copy of the mask, shared by every recorded state.
+    pinned = np.array(pinned, dtype=bool)
+    pinned.flags.writeable = False
+    if pinned.shape != (garment.num_vertices,):
+        raise ValueError(f"pinned has shape {pinned.shape}, expected ({garment.num_vertices},)")
     pin_frames = _shaped("pin_frames", pin_frames, (n_frames, int(pinned.sum()), 3))
     if len({len(frame) for frame in collider_frames}) > 1:
         raise ValueError("collider frames disagree on capsule count")
     caps = [_capsule_arrays(frame) for frame in collider_frames]
-    solver = _Solver(build_spring_network(garment), params, garment.num_vertices)
-    state = ClothState.resting(garment, pinned)
-    if initial_positions is not None:
-        state.positions = _shaped("initial_positions", initial_positions, (garment.num_vertices, 3)).copy()
-    state.positions[pinned] = pin_frames[0]
-
     dt = 1.0 / fps
+    run = _Solver(build_spring_network(garment), params, pinned, dt)
+    if initial_positions is None:
+        initial_positions = garment.vertices
+    x = _shaped("initial_positions", initial_positions, (garment.num_vertices, 3)).T.copy()
+    x[:, run.pin_idx] = pin_frames[0].T
+    v = np.zeros_like(x)
+
+    t = 0.0
     for _ in range(int(np.ceil(warmup / dt))):
-        state = _advance(state, solver, params, dt, caps[0], caps[0], pin_frames[0], "warmup: ")
-    # _advance returns fresh arrays, so each recorded state owns its own.
-    recorded = [state]
+        _advance(run, x, v, caps[0], caps[0], pin_frames[0], "warmup: ")
+        t += dt
+    # x and v are advanced in place, so each record copies them out.
+    recorded = [ClothState(x.T.copy(), v.T.copy(), pinned, t)]
     for fidx in range(1, n_frames):
-        state = _advance(
-            state, solver, params, dt, caps[fidx - 1], caps[fidx], pin_frames[fidx],
-            f"frame {fidx}: ",
-        )
-        recorded.append(state)
+        _advance(run, x, v, caps[fidx - 1], caps[fidx], pin_frames[fidx], f"frame {fidx}: ")
+        t += dt
+        recorded.append(ClothState(x.T.copy(), v.T.copy(), pinned, t))
     return recorded
 
 

@@ -191,6 +191,9 @@ def normalize_estimate(est: ExternalEstimate, target_height: float = 1.70) -> No
     vertical extent over the mapped joints (the tallest frame stands in for
     the rest pose).
     """
+    # Written so that a NaN fails the check.
+    if not 0 < target_height < np.inf:
+        raise ValueError(f"target_height must be positive and finite, got {target_height!r}")
     pairs, valid = BUILTIN_JOINT_MAPS[est.convention]
     p = est.positions
     mapped = np.where(valid[:, None], 0.5 * (p[:, pairs[:, 0]] + p[:, pairs[:, 1]]), 0.0)

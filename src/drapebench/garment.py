@@ -286,7 +286,7 @@ def _sleeves(body: SkinnedBody, category: str, resolution_scale: float) -> list[
     }
     n_theta_torso = max(8, int(round(22 * resolution_scale)))
     n_theta_limb = max(6, int(round(14 * resolution_scale)))
-    spacing = 0.045 / max(resolution_scale, 1e-6)
+    spacing = 0.045 / resolution_scale
     return [
         _SleeveGeometry(
             sl, joint_pos, name_to_index, caps_by_bone,
@@ -355,6 +355,9 @@ def generate_garment(
     drape ratio is (summed garment volume - summed covered-body volume) /
     summed covered-body volume. Deterministic for identical inputs.
     """
+    # Written so that a NaN fails the check.
+    if not 0 < resolution_scale < np.inf:
+        raise ValueError(f"resolution_scale must be positive and finite, got {resolution_scale!r}")
     unknown = [c for c in categories if c not in GARMENT_CATEGORIES]
     if unknown or not categories:
         raise ValueError(

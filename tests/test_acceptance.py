@@ -23,11 +23,8 @@ from drapebench.body import body_capsules, build_parametric_body
 from drapebench.bvh import parse_bvh, write_bvh
 from drapebench.cloth import (
     ClothParams,
-    ClothState,
-    build_spring_network,
     max_capsule_penetration,
     simulate_sequence,
-    step,
 )
 from drapebench.estimates import estimate_from_sequence, export_estimate, ingest_estimates
 from drapebench.garment import generate_garment, measure_drape
@@ -200,10 +197,12 @@ def test_criterion_8_cloth_stability():
     from drapebench.mesh import TriMesh
 
     mesh = TriMesh(verts, mesh_faces)
-    net = build_spring_network(mesh)
-    state = ClothState.resting(mesh)
-    stepped = step(state, net, ClothParams(gravity=0.0), None, 1.0 / 60.0)
-    drift = np.abs(stepped.positions - state.positions).max()
+    rest, stepped = simulate_sequence(
+        mesh, np.zeros(4, dtype=bool), np.zeros((2, 0, 3)), [[], []],
+        ClothParams(gravity=0.0), 60.0, warmup=0.0,
+    )
+    assert np.array_equal(rest.positions, verts)
+    drift = np.abs(stepped.positions - rest.positions).max()
     assert drift < 1e-12
 
     body = build_parametric_body("female_average")

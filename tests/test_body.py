@@ -49,6 +49,19 @@ def test_unknown_label_rejected():
         body_skeleton("giant")
 
 
+def test_capsule_refuses_bad_fields():
+    Capsule([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 0.05)
+    nan, inf = float("nan"), float("inf")
+    for radius in (0.0, -0.05, nan, inf):
+        with pytest.raises(ValueError, match=f"radius must be positive and finite, got {radius!r}"):
+            Capsule([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], radius)
+    for bad in ([nan, 0.0, 0.0], [0.0, inf, 0.0], [0.0, 0.0, -inf], [0.0, 1.0], [[0.0, 0.0, 0.0]]):
+        for name in ("p0", "p1"):
+            ends = {"p0": [0.0, 0.0, 0.0], "p1": [0.0, 1.0, 0.0], name: bad}
+            with pytest.raises(ValueError, match=f"capsule {name} must be a finite 3-vector"):
+                Capsule(ends["p0"], ends["p1"], 0.05)
+
+
 def test_body_capsules_cover_every_bone(body):
     caps = body_capsules(body.skeleton, body.build_label)
     assert len(caps) == body.skeleton.num_joints - 1

@@ -26,7 +26,6 @@ from drapebench.cloth import (
     kinetic_energy,
     max_capsule_penetration,
     simulate_sequence,
-    step,
 )
 from drapebench import cloth
 from drapebench.garment import generate_garment
@@ -197,7 +196,7 @@ def fast_frame_scene():
         _capsule_arrays(body_capsules(sk, body.build_label, joint_positions=joint_pos[f]))
         for f in (k, k + 1)
     ]
-    solver = _Solver(build_spring_network(garment.mesh), ClothParams(), garment.mesh.num_vertices)
+    solver = _Solver(build_spring_network(garment.mesh), ClothParams(), garment.pinned, 1.0 / 30.0)
     return state, solver, caps, ride[1][garment.pinned]
 
 
@@ -219,9 +218,11 @@ def test_advance_matches_masked_reference(fast_frame_scene):
     assert state.pinned.any() and not state.pinned.all()
     x, v, resolved = _reference_advance(state, solver, params, dt, cap_from, cap_to, pin_to)
     assert resolved > 0  # candidate pairs penetrate, so the collision response runs
-    ours = _advance(state, solver, params, dt, cap_from, cap_to, pin_to)
-    assert _same_bits(ours.positions, x)
-    assert _same_bits(ours.velocities, v)
+    assert solver.dt == dt
+    ours_x, ours_v = state.positions.T.copy(), state.velocities.T.copy()
+    _advance(solver, ours_x, ours_v, cap_from, cap_to, pin_to)
+    assert _same_bits(ours_x.T.copy(), x)
+    assert _same_bits(ours_v.T.copy(), v)
 
 
 def test_collide_pairs_deepest_wins_on_ties():
@@ -260,7 +261,7 @@ def test_spring_outside_the_particles_refused(monkeypatch):
     tri = TriMesh(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], float), np.array([[0, 1, 2]]))
     message = r"spring 0 joins particles \[0, 5\], outside \[0, 3\)"
     with pytest.raises(ValueError, match=message):
-        step(ClothState.resting(tri), net, ClothParams(), None, 1.0 / 60.0)
+        _Solver(net, ClothParams(), np.zeros(3, dtype=bool), 1.0 / 60.0)
     # A mesh's own network cannot reach past its vertices, so the network is substituted.
     monkeypatch.setattr(cloth, "build_spring_network", lambda mesh: net)
     with pytest.raises(ValueError, match=message):
@@ -418,11 +419,12 @@ def test_non_manifold_rejected():
 
 def test_zero_gravity_rest_is_fixed_point():
     mesh = grid_mesh(6)
-    net = build_spring_network(mesh)
-    params = ClothParams(gravity=0.0)
-    state = ClothState.resting(mesh)
-    stepped = step(state, net, params, None, 1.0 / 60.0)
-    assert np.abs(stepped.positions - state.positions).max() < 1e-12
+    rest, stepped = simulate_sequence(
+        mesh, np.zeros(mesh.num_vertices, dtype=bool), np.zeros((2, 0, 3)), [[], []],
+        ClothParams(gravity=0.0), 60.0, warmup=0.0,
+    )
+    assert np.array_equal(rest.positions, mesh.vertices)
+    assert np.abs(stepped.positions - rest.positions).max() < 1e-12
     assert np.abs(stepped.velocities).max() < 1e-12
 
 
@@ -432,15 +434,15 @@ def test_oscillator_frequency_matches_analytic():
     params = ClothParams(gravity=0.0, damping_structural=0.3)
     k = params.stiffness_structural * params.vertex_mass * STANDARD_GRAVITY / (STRAIN_REF * rest)
     f_analytic = np.sqrt(k / params.vertex_mass) / (2.0 * np.pi)
-    state = ClothState(
-        np.array([[0.0, 0, 0], [rest * 1.1, 0, 0]]),
-        np.zeros((2, 3)),
-        np.array([True, False]),
-    )
+    # One spring is no mesh's network, so the compiled run is driven directly.
+    run = _Solver(net, params, np.array([True, False]), 0.001)
+    x = np.array([[0.0, rest * 1.1], [0.0, 0.0], [0.0, 0.0]])
+    v = np.zeros((3, 2))
+    still = _capsule_arrays([])
     xs = []
     for _ in range(3000):
-        state = step(state, net, params, None, 0.001)
-        xs.append(state.positions[1, 0] - rest)
+        _advance(run, x, v, still, still, x[:, :1].T.copy())
+        xs.append(x[0, 1] - rest)
     xs = np.array(xs)
     crossings = np.nonzero(np.diff(np.sign(xs)) != 0)[0]
     period = 2.0 * np.mean(np.diff(crossings[:20])) * 0.001
@@ -452,12 +454,13 @@ def test_oscillator_frequency_matches_analytic():
 
 def test_square_dropped_on_capsule_settles_on_surface():
     mesh = grid_mesh(12, 0.02, origin=(-0.11, 0.15, -0.11))
-    net = build_spring_network(mesh)
     capsule = Capsule(np.array([-0.3, 0.0, 0.0]), np.array([0.3, 0.0, 0.0]), 0.05)
-    state = ClothState.resting(mesh)
-    params = ClothParams()
-    for _ in range(120):
-        state = step(state, net, params, [capsule], 1.0 / 60.0)
+    n = 121  # the rest state and 2 s of frames at 60 fps
+    states = simulate_sequence(
+        mesh, np.zeros(mesh.num_vertices, dtype=bool), np.zeros((n, 0, 3)), [[capsule]] * n,
+        ClothParams(), 60.0, warmup=0.0,
+    )
+    state = states[-1]
     assert max_capsule_penetration(state.positions, [capsule]) < 0.001
     # at least the center of the square rests near the capsule surface
     assert state.positions[:, 1].max() <= 0.055 + 0.02
@@ -548,6 +551,65 @@ def test_pin_frames_of_wrong_shape_refused():
         simulate_sequence(mesh, pinned, np.zeros((3, 2, 3)), [[cap], [cap]], ClothParams(), 30.0, warmup=0.0)
 
 
+def test_pinned_mask_of_wrong_shape_refused():
+    mesh = grid_mesh(3)
+    with pytest.raises(ValueError, match=r"pinned has shape \(8,\), expected \(9,\)"):
+        simulate_sequence(mesh, np.zeros(8, dtype=bool), np.zeros((1, 0, 3)), [[]], ClothParams(), 30.0)
+
+
+@pytest.mark.parametrize(
+    "argument, value",
+    [("fps", v) for v in (0.0, -30.0, float("inf"), float("nan"))]
+    + [("warmup", v) for v in (-1.0, float("inf"), float("nan"))],
+)
+def test_rate_and_warmup_refused_before_any_work(monkeypatch, argument, value):
+    def no_work(mesh):
+        raise AssertionError("the spring network was built before the inputs were checked")
+
+    monkeypatch.setattr(cloth, "build_spring_network", no_work)
+    mesh = grid_mesh(3)
+    kwargs = {"fps": 30.0, "warmup": 0.0, argument: value}
+    want = "positive" if argument == "fps" else "non-negative"
+    with pytest.raises(ValueError, match=f"{argument} must be {want} and finite, got {value!r}"):
+        simulate_sequence(mesh, np.zeros(9, dtype=bool), np.zeros((2, 0, 3)), [[], []], ClothParams(), **kwargs)
+
+
+def test_records_own_their_arrays():
+    # A pinned corner dragged sideways under gravity: every frame moves.
+    mesh = grid_mesh(4)
+    pinned = np.zeros(16, dtype=bool)
+    pinned[0] = True
+    n = 5
+    pin_frames = mesh.vertices[[0]][None] + np.arange(n)[:, None, None] * np.array([0.01, 0.0, 0.0])
+
+    def run(frames):
+        return simulate_sequence(
+            mesh, pinned, pin_frames[:frames], [[]] * frames, ClothParams(), 30.0, warmup=0.1
+        )
+
+    states = run(n)
+    arrays = [a for state in states for a in (state.positions, state.velocities)]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+    for earlier, later in zip(states, states[1:]):
+        assert not np.array_equal(earlier.positions, later.positions)
+    # Each record reads as it did when its frame was the last one simulated.
+    for k in range(n - 1):
+        last = run(k + 1)[-1]
+        assert np.array_equal(states[k].positions, last.positions)
+        assert np.array_equal(states[k].velocities, last.velocities)
+    # One read-only copy of the mask; times summed frame by frame, warmup included.
+    assert all(state.pinned is states[0].pinned for state in states)
+    assert not states[0].pinned.flags.writeable and not np.shares_memory(states[0].pinned, pinned)
+    assert np.array_equal(states[0].pinned, pinned)
+    t = 0.0
+    for _ in range(3):
+        t += 1.0 / 30.0
+    for state in states:
+        assert state.time == t
+        t += 1.0 / 30.0
+
+
 def test_initial_positions_of_wrong_shape_refused():
     mesh = grid_mesh(3)
     with pytest.raises(ValueError, match=r"initial_positions has shape \(8, 3\), expected \(9, 3\)"):
@@ -557,40 +619,22 @@ def test_initial_positions_of_wrong_shape_refused():
         )
 
 
-def test_step_pin_targets_of_wrong_shape_refused():
-    mesh = grid_mesh(3)
-    pinned = np.zeros(9, dtype=bool)
-    pinned[:2] = True
-    state = ClothState.resting(mesh, pinned)
-    net = build_spring_network(mesh)
-    with pytest.raises(ValueError, match=r"pin_targets has shape \(1, 3\), expected \(2, 3\)"):
-        step(state, net, ClothParams(), None, 1.0 / 60.0, pin_targets=mesh.vertices[:1])
-
-
-def test_step_dt_bounds():
-    mesh = grid_mesh(3)
-    net = build_spring_network(mesh)
-    with pytest.raises(ValueError):
-        step(ClothState.resting(mesh), net, ClothParams(), None, 0.05)
-
-
 def test_nan_detection_names_particle_and_substep():
-    net = single_spring_network(0.1)
-    state = ClothState(
-        np.array([[0.0, 0, 0], [np.inf, 0, 0]]), np.zeros((2, 3)), np.zeros(2, dtype=bool)
-    )
-    with pytest.raises(ClothSimulationError, match=r"particle \d+ at substep 0"):
-        step(state, net, ClothParams(), None, 0.001)
+    run = _Solver(single_spring_network(0.1), ClothParams(), np.zeros(2, dtype=bool), 0.001)
+    x = np.array([[0.0, np.inf], [0.0, 0.0], [0.0, 0.0]])
+    still = _capsule_arrays([])
+    with pytest.raises(ClothSimulationError, match=r"non-finite state for particle 1 at substep 0"):
+        _advance(run, x, np.zeros((3, 2)), still, still, np.zeros((0, 3)))
 
 
 def test_pinned_particles_follow_targets_exactly():
     mesh = grid_mesh(4)
-    net = build_spring_network(mesh)
     pinned = np.zeros(16, dtype=bool)
     pinned[0] = True
-    state = ClothState.resting(mesh, pinned)
     target = mesh.vertices[[0]] + np.array([0.05, 0.0, 0.0])
-    out = step(state, net, ClothParams(), None, 1.0 / 60.0, pin_targets=target)
+    _, out = simulate_sequence(
+        mesh, pinned, np.stack([mesh.vertices[[0]], target]), [[], []], ClothParams(), 60.0, warmup=0.0
+    )
     assert np.abs(out.positions[0] - target[0]).max() < 1e-15
     assert np.abs(out.velocities[0]).max() == 0.0
 

@@ -104,6 +104,13 @@ def test_normalize_zero_height_rejected():
         normalize_estimate(flat)
 
 
+@pytest.mark.parametrize("height", [0.0, -1.7, float("nan"), float("inf")])
+def test_normalize_refuses_a_target_height_that_is_not_positive_and_finite(skeleton, height):
+    est = estimate_from_sequence(rest_sequence(skeleton))
+    with pytest.raises(ValueError, match=f"target_height must be positive and finite, got {height!r}"):
+        normalize_estimate(est, target_height=height)
+
+
 def test_h36m_absent_joints_masked(skeleton):
     _, mask = BUILTIN_JOINT_MAPS["h36m17"]
     names = skeleton.joint_names

@@ -141,6 +141,9 @@ def test_spec_validation(body):
     for cls in (0, 7):
         with pytest.raises(ValueError, match="1..6"):
             generate_garment(body, ("tshirt",), cls)
+    for scale in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=f"resolution_scale must be positive and finite, got {scale!r}"):
+            generate_garment(body, ("tshirt",), 3, resolution_scale=scale)
 
 
 def test_unreachable_target_reports_achieved_range(body, monkeypatch):
