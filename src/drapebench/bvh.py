@@ -1,9 +1,13 @@
 """BVH motion-capture file reading and writing.
 
-Reading accepts any mix of position/rotation channels and any rotation order;
-writing always emits ZXY rotation channels and a 6-channel root. Offsets and
-positions are kept in the skeleton's native units (meters for sequences
-produced by this package).
+Reading accepts any mix of rotation channels in any order. Only the root
+translates: a position channel on another joint must equal that joint's
+OFFSET on its axis, within 1e-6 in file units, in every frame. That, a
+malformed line, a ROOT inside the hierarchy, a row that disagrees with the
+channels and a non-finite value are refused with a BvhParseError naming its
+1-based line; Skeleton refuses repeated joint names. Writing always emits ZXY
+rotation channels and a 6-channel root. Offsets and positions keep the
+skeleton's native units (meters for sequences produced by this package).
 """
 
 from __future__ import annotations
@@ -25,133 +29,94 @@ class BvhParseError(ValueError):
         self.line = line
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.raw = text.splitlines()
-        self.pos = 0
-
-    def peek(self) -> tuple[str, int] | None:
-        i = self.pos
-        while i < len(self.raw):
-            stripped = self.raw[i].strip()
-            if stripped:
-                return stripped, i + 1
-            i += 1
-        return None
-
-    def next(self) -> tuple[str, int]:
-        item = self.peek()
-        if item is None:
-            raise BvhParseError("unexpected end of file", len(self.raw))
-        line, num = item
-        self.pos = num
-        return line, num
+def _numbers(convert, words: list[str], message: str, line: int) -> list:
+    """Each word converted, or a BvhParseError at line if one does not convert."""
+    try:
+        return list(map(convert, words))
+    except ValueError:
+        raise BvhParseError(message, line) from None
 
 
 def parse_bvh(text: str, motion_class: str = "basic") -> MotionSequence:
     """Parse a BVH document into a MotionSequence.
 
-    End Sites are dropped (they carry no channels); Euler channels are
-    converted to quaternions respecting each joint's channel order.
+    One pass over the numbered non-empty lines: a stack of open joints reads
+    the hierarchy, and the lines after 'Frame Time:' are the frame rows. End
+    Sites are dropped; Euler channels become quaternions in each joint's order.
     """
-    cur = _Cursor(text)
-    line, num = cur.next()
+    raw = text.splitlines()
+    last = max(len(raw), 1)  # the line a refusal at the end of the text names
+    numbered = ((s, n) for n, line in enumerate(raw, 1) if (s := line.strip()))
+
+    def take(at_end: str = "unexpected end of file") -> tuple[str, list[str], int]:
+        item = next(numbered, None)
+        if item is None:
+            raise BvhParseError(at_end, last)
+        return item[0], item[0].split(), item[1]
+
+    line, words, num = take()
     if line != "HIERARCHY":
         raise BvhParseError(f"expected HIERARCHY, got {line!r}", num)
+    line, words, num = take("expected ROOT")
+    if not line.startswith("ROOT"):
+        raise BvhParseError("expected ROOT", num)
 
-    names: list[str] = []
-    parents: list[int] = []
-    offsets: list[np.ndarray] = []
-    channels: list[list[str]] = []
-
-    def parse_joint(parent: int):
-        line, num = cur.next()
-        words = line.split()
+    joints, open_joints = [], []  # (name, parent, offset, channels); indices of the open ones
+    while True:
         keyword = words[0]
-        if keyword in ("ROOT", "JOINT"):
-            if len(words) < 2:
-                raise BvhParseError(f"{keyword} missing a name", num)
-            is_end = False
-            names.append("_".join(words[1:]))
-            parents.append(parent)
-            index = len(names) - 1
-        elif keyword == "End":
-            is_end = True
-            index = -1
-        else:
+        if line == "}":
+            open_joints.pop()
+            if not open_joints:
+                break
+        elif keyword not in ("ROOT", "JOINT", "End"):
             raise BvhParseError(f"expected ROOT, JOINT or End Site, got {line!r}", num)
-
-        line, num = cur.next()
-        if line != "{":
-            raise BvhParseError("expected '{'", num)
-        line, num = cur.next()
-        words = line.split()
-        if words[0] != "OFFSET" or len(words) != 4:
-            raise BvhParseError("expected 'OFFSET x y z'", num)
-        try:
-            offset = np.array([float(w) for w in words[1:]])
-        except ValueError:
-            raise BvhParseError("OFFSET values must be numbers", num) from None
-        if not is_end:
-            offsets.append(offset)
-            line, num = cur.next()
-            words = line.split()
-            if words[0] != "CHANNELS":
-                raise BvhParseError("expected CHANNELS", num)
-            try:
-                count = int(words[1])
-            except (IndexError, ValueError):
-                raise BvhParseError("CHANNELS needs a count", num) from None
-            chans = words[2:]
-            if len(chans) != count:
-                raise BvhParseError(
-                    f"CHANNELS declares {count} but lists {len(chans)}", num
-                )
-            for c in chans:
-                if c not in _POSITION_CHANNELS and c not in _ROTATION_CHANNELS:
-                    raise BvhParseError(f"unsupported channel {c!r}", num)
-            channels.append(chans)
-            while True:
-                peeked = cur.peek()
-                if peeked is None:
-                    raise BvhParseError("unexpected end of hierarchy", len(cur.raw))
-                if peeked[0] == "}":
-                    cur.next()
-                    return
-                parse_joint(index)
+        elif keyword != "End" and len(words) < 2:
+            raise BvhParseError(f"{keyword} missing a name", num)
+        elif keyword == "ROOT" and open_joints:
+            raise BvhParseError(f"ROOT inside joint {joints[open_joints[-1]][0]!r}; a file has one ROOT", num)
         else:
-            line, num = cur.next()
-            if line != "}":
+            name = "_".join(words[1:])
+            line, words, num = take()
+            if line != "{":
+                raise BvhParseError("expected '{'", num)
+            line, words, num = take()
+            if words[0] != "OFFSET" or len(words) != 4:
+                raise BvhParseError("expected 'OFFSET x y z'", num)
+            offset = np.array(_numbers(float, words[1:], "OFFSET values must be numbers", num))
+            line, words, num = take()
+            if keyword == "End" and line != "}":
                 raise BvhParseError("End Site must close after OFFSET", num)
+            elif keyword != "End":
+                if words[0] != "CHANNELS":
+                    raise BvhParseError("expected CHANNELS", num)
+                count = _numbers(int, words[1:2] or [""], "CHANNELS needs a count", num)[0]
+                if len(words) - 2 != count:
+                    raise BvhParseError(f"CHANNELS declares {count} but lists {len(words) - 2}", num)
+                for c in words[2:]:
+                    if c not in _POSITION_CHANNELS and c not in _ROTATION_CHANNELS:
+                        raise BvhParseError(f"unsupported channel {c!r}", num)
+                joints.append((name, open_joints[-1] if open_joints else -1, offset, words[2:]))
+                open_joints.append(len(joints) - 1)
+        line, words, num = take("unexpected end of hierarchy")
 
-    first = cur.peek()
-    if first is None or not first[0].startswith("ROOT"):
-        raise BvhParseError("expected ROOT", first[1] if first else len(cur.raw))
-    parse_joint(-1)
-
-    line, num = cur.next()
+    line, words, num = take()
     if line != "MOTION":
         raise BvhParseError(f"expected MOTION, got {line!r}", num)
-    line, num = cur.next()
+    line, words, num = take()
     if not line.startswith("Frames:"):
         raise BvhParseError("expected 'Frames:' count", num)
-    try:
-        declared_frames = int(line.split(":", 1)[1])
-    except ValueError:
-        raise BvhParseError("Frames count must be an integer", num) from None
-    line, num = cur.next()
+    declared_frames = _numbers(int, [line.split(":", 1)[1]], "Frames count must be an integer", num)[0]
+    line, words, num = take()
     if not line.startswith("Frame Time:"):
         raise BvhParseError("expected 'Frame Time:'", num)
-    try:
-        frame_time = float(line.split(":", 1)[1])
-    except ValueError:
-        raise BvhParseError("Frame Time must be a number", num) from None
+    frame_time = _numbers(float, [line.split(":", 1)[1]], "Frame Time must be a number", num)[0]
     if not 0 < frame_time < np.inf:
         raise BvhParseError(f"Frame Time must be finite and positive, got {frame_time!r}", num)
 
+    names, parents, offsets, channels = zip(*joints)
     # Zero-offset roots are common in the wild; the Skeleton type requires a
     # non-degenerate hierarchy only for non-root joints.
-    skeleton = Skeleton(tuple(names), tuple(parents), np.array(offsets))
+    skeleton = Skeleton(names, parents, np.array(offsets))
     n_channels = sum(len(c) for c in channels)
 
     if n_channels == 0:
@@ -160,53 +125,46 @@ def parse_bvh(text: str, motion_class: str = "basic") -> MotionSequence:
             skeleton, 1.0 / frame_time, max(declared_frames, 1), motion_class=motion_class
         )
 
-    rows: list[list[float]] = []
-    row_lines: list[int] = []
-    while True:
-        item = cur.peek()
-        if item is None:
-            break
-        line, num = cur.next()
-        values = line.split()
-        if len(values) != n_channels:
+    rows = list(numbered)
+    values = []
+    for line, num in rows:
+        words = line.split()
+        if len(words) != n_channels:
             raise BvhParseError(
-                f"frame row has {len(values)} values, hierarchy declares {n_channels} channels",
-                num,
+                f"frame row has {len(words)} values, hierarchy declares {n_channels} channels", num
             )
-        try:
-            rows.append([float(v) for v in values])
-        except ValueError:
-            raise BvhParseError("frame values must be numbers", num) from None
-        row_lines.append(num)
-
+        values.append(_numbers(float, words, "frame values must be numbers", num))
     if len(rows) != declared_frames:
         raise BvhParseError(
-            f"MOTION declares {declared_frames} frames but {len(rows)} data rows found",
-            len(cur.raw),
+            f"MOTION declares {declared_frames} frames but {len(rows)} data rows found", last
         )
     if not rows:
-        raise BvhParseError("no frame data", len(cur.raw))
-    values = np.array(rows)
+        raise BvhParseError("no frame data", last)
+    values = np.array(values)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
-        raise BvhParseError("frame values must be finite", row_lines[int(np.argmin(finite))])
+        raise BvhParseError("frame values must be finite", rows[int(np.argmin(finite))][1])
+
     root_t = np.zeros((len(rows), 3))
     quats = np.zeros((len(rows), skeleton.num_joints, 4))
     quats[..., 0] = 1.0
     k = 0
     for j, chans in enumerate(channels):
-        order = ""
-        columns = []
-        for c in chans:
-            if c in _POSITION_CHANNELS:
-                if j == 0:
-                    root_t[:, _POSITION_CHANNELS[c]] = values[:, k]
-            else:
-                order += _ROTATION_CHANNELS[c]
-                columns.append(k)
-            k += 1
+        block, k = values[:, k:k + len(chans)], k + len(chans)
+        position = [c in _POSITION_CHANNELS for c in chans]
+        axes = [_POSITION_CHANNELS[c] for c in chans if c in _POSITION_CHANNELS]
+        if j == 0:
+            root_t[:, axes] = block[:, position]
+        elif axes:
+            held = (np.abs(block[:, position] - offsets[j][axes]) <= 1e-6).all(axis=1)
+            if not held.all():
+                raise BvhParseError(
+                    f"position channels of joint {names[j]!r} must equal its OFFSET within 1e-6",
+                    rows[int(np.argmin(held))][1],
+                )
+        order = "".join(_ROTATION_CHANNELS[c] for c in chans if c in _ROTATION_CHANNELS)
         if order:
-            quats[:, j] = rot.from_euler(order, values[:, columns], degrees=True)
+            quats[:, j] = rot.from_euler(order, block[:, [not p for p in position]], degrees=True)
     return MotionSequence(skeleton, 1.0 / frame_time, root_t, quats, motion_class)
 
 

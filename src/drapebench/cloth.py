@@ -396,11 +396,11 @@ def simulate_sequence(
 
     pin_frames holds per-frame world targets for the pinned vertices, shape
     (T, n_pinned, 3); collider_frames the per-frame body capsules, the same
-    number in every frame; initial_positions, if given, shape (N, 3). Other
-    shapes, a motion without frames, an fps that is not positive and finite
-    and a warmup that is negative or not finite are refused. The state is
-    settled for `warmup` seconds of simulated time at frame 0 before
-    recording begins. Deterministic for identical inputs.
+    number and radii in every frame; initial_positions, if given, shape
+    (N, 3). Other shapes, a motion without frames, an fps that is not
+    positive and finite and a warmup that is negative or not finite are
+    refused. The state is settled for `warmup` seconds of simulated time at
+    frame 0 before recording begins. Deterministic for identical inputs.
     """
     # Written so that a NaN fails each check.
     if not 0 < fps < np.inf:
@@ -419,6 +419,12 @@ def simulate_sequence(
     if len({len(frame) for frame in collider_frames}) > 1:
         raise ValueError("collider frames disagree on capsule count")
     caps = [_capsule_arrays(frame) for frame in collider_frames]
+    # _advance sweeps each capsule's pose between frames but reads only the
+    # from-frame radius, so a radius may not change.
+    for fidx, (_, _, radius) in enumerate(caps[1:], start=1):
+        changed = radius != caps[0][2]
+        if changed.any():
+            raise ValueError(f"collider frame {fidx} changes the radius of capsule {int(np.argmax(changed))}")
     dt = 1.0 / fps
     run = _Solver(build_spring_network(garment), params, pinned, dt)
     if initial_positions is None:

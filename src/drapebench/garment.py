@@ -199,7 +199,12 @@ class _SleeveGeometry:
         seg = np.linalg.norm(np.diff(poly, axis=0), axis=1)
         arc = np.concatenate([[0.0], np.cumsum(seg)])
         total = arc[-1]
-        n_rings = max(3, int(round(total / ring_spacing)) + 1)
+        n_rings = int(round(total / ring_spacing)) + 1
+        if n_rings < 3:
+            raise ValueError(
+                f"a {total:.3f} m sleeve gets {n_rings} rings at {ring_spacing:.4f} m spacing, fewer than 3; "
+                "raise resolution_scale"
+            )
         s = np.linspace(0.0, total, n_rings)
         self.stations = np.stack([np.interp(s, arc, poly[:, k]) for k in range(3)], axis=-1)
 
@@ -284,8 +289,14 @@ def _sleeves(body: SkinnedBody, category: str, resolution_scale: float) -> list[
     caps_by_bone = {
         body.skeleton.joint_names[j]: cap for j, cap in zip(range(1, body.skeleton.num_joints), capsules)
     }
-    n_theta_torso = max(8, int(round(22 * resolution_scale)))
-    n_theta_limb = max(6, int(round(14 * resolution_scale)))
+    n_theta_torso = int(round(22 * resolution_scale))
+    n_theta_limb = int(round(14 * resolution_scale))
+    # Every category has a torso sleeve and limb sleeves.
+    if n_theta_torso < 8 or n_theta_limb < 6:
+        raise ValueError(
+            f"resolution_scale {resolution_scale!r} gives {n_theta_torso} torso and {n_theta_limb} limb "
+            "columns, fewer than 8 and 6"
+        )
     spacing = 0.045 / resolution_scale
     return [
         _SleeveGeometry(
@@ -363,6 +374,8 @@ def generate_garment(
         raise ValueError(
             f"garment categories must be one or more of {GARMENT_CATEGORIES}, got {list(categories)}"
         )
+    if len(set(categories)) != len(categories):
+        raise ValueError(f"garment categories repeat, got {list(categories)}; a garment lists each once")
     sleeves, slacks = [], []
     v_garment = v_body = 0.0
     for category in categories:

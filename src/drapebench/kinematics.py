@@ -95,6 +95,9 @@ class Skeleton:
         j = len(self.joint_names)
         if len(self.parents) != j or offsets.shape != (j, 3):
             raise ValueError("joint_names, parents and rest_offsets disagree on joint count")
+        if len(set(self.joint_names)) != j:
+            name = next(n for i, n in enumerate(self.joint_names) if n in self.joint_names[:i])
+            raise ValueError(f"joint name {name!r} repeats; joints are looked up by name")
         if not np.isfinite(offsets).all():
             raise ValueError("rest_offsets must be finite")
         roots = [i for i, p in enumerate(self.parents) if p < 0]
@@ -229,12 +232,18 @@ def ride_joints(
 
 def default_skeleton(height: float = 1.70) -> Skeleton:
     """The built-in 24-joint body scaled so rest joint extent equals height."""
+    # Written so that a NaN fails it.
+    if not 0 < height < np.inf:
+        raise ValueError(f"height must be positive and finite, got {height!r}")
     raw = Skeleton(SMPL_JOINT_NAMES, SMPL_PARENTS, _TEMPLATE_OFFSETS.copy())
     return raw.scaled(height / raw.rest_height())
 
 
 def rescale_to_height(seq: MotionSequence, target_height: float) -> MotionSequence:
     """Uniformly rescale offsets and root translations; rotations unchanged."""
+    # Written so that a NaN fails it.
+    if not 0 < target_height < np.inf:
+        raise ValueError(f"target_height must be positive and finite, got {target_height!r}")
     current = seq.skeleton.rest_height()
     if current <= 0.0:
         raise ValueError("skeleton rest height is zero; cannot rescale")
@@ -267,8 +276,11 @@ def procedural_motion(
     perpendicular to the child bone, so clips are pure-swing: marker-based
     reconstruction and swing angle recovery are exact on them.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    # Written so that a NaN fails each check.
+    if not 0 < duration < np.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration!r}")
+    if not 0 < fps < np.inf:
+        raise ValueError(f"fps must be positive and finite, got {fps!r}")
     if motion_class not in MOTION_CLASSES:
         raise ValueError(f"unknown motion class {motion_class!r}")
     skeleton = skeleton if skeleton is not None else default_skeleton()

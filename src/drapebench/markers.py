@@ -136,8 +136,9 @@ def add_marker_noise(
     The per-axis sigma is rms_3d_m / sqrt(3) so the RMS 3D displacement of a
     marker equals rms_3d_m. rms_3d_m = 0 returns the input unchanged.
     """
-    if rms_3d_m < 0:
-        raise ValueError("noise RMS must be non-negative")
+    # Written so that a NaN fails it.
+    if not 0 <= rms_3d_m < np.inf:
+        raise ValueError(f"rms_3d_m must be non-negative and finite, got {rms_3d_m!r}")
     if rms_3d_m == 0.0:
         return traj
     rng = np.random.default_rng(seed)

@@ -574,6 +574,24 @@ def test_rate_and_warmup_refused_before_any_work(monkeypatch, argument, value):
         simulate_sequence(mesh, np.zeros(9, dtype=bool), np.zeros((2, 0, 3)), [[], []], ClothParams(), **kwargs)
 
 
+def test_capsule_radius_change_refused(monkeypatch):
+    # _advance reads only the from-frame radius, so a growing capsule would
+    # leave the cloth inside it.
+    def no_work(mesh):
+        raise AssertionError("the spring network was built before the inputs were checked")
+
+    monkeypatch.setattr(cloth, "build_spring_network", no_work)
+    mesh = grid_mesh(3, 0.1, origin=(-0.1, 0.2, -0.1))
+    still = Capsule(np.array([0.0, -1.0, 0.0]), np.array([0.0, -0.5, 0.0]), 0.05)
+
+    def arm(radius):
+        return Capsule(np.array([-0.3, 0.0, 0.0]), np.array([0.3, 0.0, 0.0]), radius)
+
+    frames = [[still, arm(0.1)], [still, arm(0.1)], [still, arm(0.3)]]
+    with pytest.raises(ValueError, match="collider frame 2 changes the radius of capsule 1"):
+        simulate_sequence(mesh, np.zeros(9, dtype=bool), np.zeros((3, 0, 3)), frames, ClothParams(), 30.0, warmup=0.0)
+
+
 def test_records_own_their_arrays():
     # A pinned corner dragged sideways under gravity: every frame moves.
     mesh = grid_mesh(4)

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from drapebench import garment
-from drapebench.body import build_parametric_body
+from drapebench.body import body_capsules, build_parametric_body
 from drapebench.garment import (
     _MAX_SLACK,
     _MIN_SLACK,
+    _SLEEVES,
+    GARMENT_CATEGORIES,
+    _SleeveGeometry,
     _sleeves,
     classify_drape,
     generate_garment,
@@ -144,6 +147,25 @@ def test_spec_validation(body):
     for scale in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match=f"resolution_scale must be positive and finite, got {scale!r}"):
             generate_garment(body, ("tshirt",), 3, resolution_scale=scale)
+    with pytest.raises(ValueError, match=r"garment categories repeat, got \['tshirt', 'trousers', 'tshirt'\]"):
+        generate_garment(body, ("tshirt", "trousers", "tshirt"), 3)
+
+
+@pytest.mark.parametrize("category", GARMENT_CATEGORIES)
+@pytest.mark.parametrize("scale, torso, limb", [(1e-9, 0, 0), (1e-3, 0, 0), (0.05, 1, 1), (0.38, 8, 5)])
+def test_too_coarse_a_resolution_is_refused(body, category, scale, torso, limb):
+    with pytest.raises(ValueError, match=f"resolution_scale {scale!r} gives {torso} torso and {limb} limb columns"):
+        generate_garment(body, (category,), 3, resolution_scale=scale)
+
+
+def test_sleeve_of_fewer_than_three_rings_is_refused(body):
+    joint_pos = body.skeleton.rest_positions()
+    names = {n: i for i, n in enumerate(body.skeleton.joint_names)}
+    caps = dict(zip(body.skeleton.joint_names[1:], body_capsules(body.skeleton, body.build_label)))
+    arm = _SLEEVES["tshirt"][1]
+    assert _SleeveGeometry(arm, joint_pos, names, caps, 14, 0.045).n_rings >= 3
+    with pytest.raises(ValueError, match="gets 2 rings at 0.3000 m spacing, fewer than 3"):
+        _SleeveGeometry(arm, joint_pos, names, caps, 14, 0.3)
 
 
 def test_unreachable_target_reports_achieved_range(body, monkeypatch):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation as R
 
-from drapebench import rotations as rot
+from drapebench import kinematics, rotations as rot
 from drapebench.kinematics import (
     MotionSequence,
     Skeleton,
+    default_skeleton,
     max_joint_angle,
     max_joint_speed,
     poses_from_joint_positions,
@@ -91,6 +92,34 @@ def test_skeleton_rejects_cycles_and_bad_roots():
         Skeleton(("a", "b"), (1, 0), np.ones((2, 3)))
     with pytest.raises(ValueError):
         Skeleton(("a", "b"), (-1, -1), np.ones((2, 3)))
+
+
+def test_skeleton_refuses_repeated_joint_names():
+    with pytest.raises(ValueError, match="joint name 'hips' repeats"):
+        Skeleton(("hips", "chest", "hips"), (-1, 0, 1), np.ones((3, 3)))
+
+
+BAD_SIZES = [0.0, -1.7, float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("height", BAD_SIZES)
+def test_heights_must_be_positive_and_finite(skeleton, height):
+    with pytest.raises(ValueError, match=f"height must be positive and finite, got {height!r}"):
+        default_skeleton(height)
+    with pytest.raises(ValueError, match=f"target_height must be positive and finite, got {height!r}"):
+        rescale_to_height(MotionSequence.rest(skeleton), height)
+
+
+@pytest.mark.parametrize("argument", ["duration", "fps"])
+@pytest.mark.parametrize("value", BAD_SIZES)
+def test_procedural_motion_refuses_a_bad_duration_or_rate_before_any_work(monkeypatch, argument, value):
+    def no_work(*args):
+        raise AssertionError("the skeleton was built before the inputs were checked")
+
+    monkeypatch.setattr(kinematics, "default_skeleton", no_work)
+    kwargs = {"duration": 1.0, "fps": 30.0, argument: value}
+    with pytest.raises(ValueError, match=f"{argument} must be positive and finite, got {value!r}"):
+        procedural_motion("basic", seed=1, **kwargs)
 
 
 def test_rescale_identity(skeleton):

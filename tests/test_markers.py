@@ -343,6 +343,13 @@ def test_noise_deterministic_and_disableable(body, unclothed_placement):
     assert np.array_equal(off.positions, traj.positions)
 
 
+@pytest.mark.parametrize("rms", [-0.001, float("nan"), float("inf"), float("-inf")])
+def test_noise_rms_must_be_non_negative_and_finite(rms):
+    traj = MarkerTrajectory(np.zeros((2, 48, 3)), 30.0)
+    with pytest.raises(ValueError, match=f"rms_3d_m must be non-negative and finite, got {rms!r}"):
+        add_marker_noise(traj, seed=1, rms_3d_m=rms)
+
+
 def test_cloth_frame_misalignment_rejected(body):
     tee = generate_garment(body, ("tshirt",), 2)
     placement = place_markers(body, tee.mesh)
