@@ -35,7 +35,7 @@ from .body import BUILD_CATALOG, body_capsules, build_parametric_body
 from .bvh import parse_bvh, write_bvh
 from .cloth import ClothParams, simulate_sequence
 from .estimates import SURROGATE_PROFILES, ingest_estimates, normalize_estimate, surrogate_estimator
-from .garment import DRAPE_THRESHOLDS, GARMENT_CATEGORIES, Garment, generate_garment
+from .garment import DRAPE_THRESHOLDS, GARMENT_CATEGORIES, Garment, generate_garment, sleeve_columns
 from .kinematics import (
     MOTION_CLASSES,
     MotionSequence,
@@ -140,6 +140,8 @@ class BenchConfig:
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
         if not 0 < self.resolution_scale < np.inf:
             raise ValueError(f"resolution_scale must be positive and finite, got {self.resolution_scale!r}")
+        if self.garment_categories:
+            sleeve_columns(self.resolution_scale)  # the garment's column floor, refused at load
         for name, value in (("warmup_s", self.warmup_s), ("noise_rms_m", self.noise_rms_m)):
             if not 0 <= value < np.inf:
                 raise ValueError(f"{name} must be non-negative and finite, got {value!r}")

@@ -3,8 +3,9 @@
 Reading accepts any mix of rotation channels in any order. Only the root
 translates: a position channel on another joint must equal that joint's
 OFFSET on its axis, within 1e-6 in file units, in every frame. That, a
-malformed line, a ROOT inside the hierarchy, a row that disagrees with the
-channels and a non-finite value are refused with a BvhParseError naming its
+malformed line, a ROOT inside the hierarchy, a Frames count below 1, a row
+that disagrees with the channels (any row, in a file without channels) and
+a non-finite value are refused with a BvhParseError naming its
 1-based line; Skeleton refuses repeated joint names. Writing always emits ZXY
 rotation channels and a 6-channel root. Offsets and positions keep the
 skeleton's native units (meters for sequences produced by this package).
@@ -106,6 +107,7 @@ def parse_bvh(text: str, motion_class: str = "basic") -> MotionSequence:
     if not line.startswith("Frames:"):
         raise BvhParseError("expected 'Frames:' count", num)
     declared_frames = _numbers(int, [line.split(":", 1)[1]], "Frames count must be an integer", num)[0]
+    frames_line = num
     line, words, num = take()
     if not line.startswith("Frame Time:"):
         raise BvhParseError("expected 'Frame Time:'", num)
@@ -120,10 +122,13 @@ def parse_bvh(text: str, motion_class: str = "basic") -> MotionSequence:
     n_channels = sum(len(c) for c in channels)
 
     if n_channels == 0:
-        # Channel-less file: every frame is the rest pose.
-        return MotionSequence.rest(
-            skeleton, 1.0 / frame_time, max(declared_frames, 1), motion_class=motion_class
-        )
+        # Channel-less file: every frame is the rest pose, and no row follows.
+        if declared_frames < 1:
+            raise BvhParseError(f"Frames count must be at least 1, got {declared_frames}", frames_line)
+        row = next(numbered, None)
+        if row is not None:
+            raise BvhParseError(f"frame row has {len(row[0].split())} values, hierarchy declares 0 channels", row[1])
+        return MotionSequence.rest(skeleton, 1.0 / frame_time, declared_frames, motion_class=motion_class)
 
     rows = list(numbered)
     values = []

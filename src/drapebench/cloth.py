@@ -14,7 +14,7 @@ Each spring family (structural, shear, bend) has one stiffness and one
 damping, alike in tension and compression.
 
 simulate_sequence is the one entry. It compiles the run once (_Solver):
-the spring arrays, the pinned index, the substep count and length, the
+the spring arrays, the flat pinned index, the substep count and length, the
 gravity column, the free and drag factors and a step buffer. Each frame
 then advances the run's (3, N) position and velocity columns in place, and
 a recorded frame copies them out. The forces, integration, pin and capsule
@@ -23,6 +23,15 @@ Spring ends are gathered with np.take(..., mode="clip"), which writes
 straight into its buffer; the default mode="raise" gathers into a hidden
 one and copies it. Clipping would hide a bad index, so _Solver checks every
 spring index once, when it compiles the network.
+
+The spring forces are scattered onto their ends with np.add.at, once per
+end, into zeroed flat (axis, particle) bins. ufunc.at adds a bin's springs
+one at a time in spring order onto 0.0, as a weighted np.bincount does, so
+the sums keep bincount's bits at about two thirds of its cost. One add.at
+over both ends at once would interleave their springs and change the bits.
+The pin lerp and the contact response write x and v through flat indices
+with ndarray.put, which, like fancy assignment, keeps the last of repeated
+indices.
 """
 
 from __future__ import annotations
@@ -148,7 +157,11 @@ def build_spring_network(mesh: TriMesh) -> SpringNetwork:
     db = verts[nbr[b_idx]] - center
     cos_ab = rot.dot(da, db) / (np.sqrt(rot.dot(da, da)) * np.sqrt(rot.dot(db, db)))
     straight = cos_ab < _BEND_COS  # nearly opposite directions: straight path
-    bend = np.unique(np.stack([nbr[a_idx][straight], nbr[b_idx][straight]], axis=-1), axis=0)
+    # Neighbors ascend within a hub, so each pair is (lo, hi): unique rows by
+    # their int64 key lo * span + hi, with span the vertex count (edge_table).
+    span = len(verts)
+    keys = np.unique(nbr[a_idx][straight] * span + nbr[b_idx][straight])
+    bend = np.stack(np.divmod(keys, span), axis=-1)
 
     def rest(pairs):
         if len(pairs) == 0:
@@ -185,7 +198,7 @@ class _Solver:
         self.damp = np.repeat([g[3] for g in groups], sizes) * (m * np.sqrt(STANDARD_GRAVITY / self.rest))
         self.n = num_particles
         # Flat (axis, particle) bins of each spring end: bin axis * n + i sums
-        # the same springs in the same order as a per-axis bincount over i.
+        # the same springs in the same order as a per-axis scatter over i.
         axes = num_particles * np.arange(3)[:, None]
         self.flat_i = (axes + self.ei).ravel()
         self.flat_j = (axes + self.ej).ravel()
@@ -195,7 +208,8 @@ class _Solver:
         self._xv = np.empty((6, num_particles))
         self._end_i, self._end_j = (np.empty((6, len(self.rest))) for _ in range(2))
 
-        self.pin_idx = np.flatnonzero(pinned)
+        # Flat (axis, particle) index of the pinned columns, for take and put.
+        self.pin_flat = np.flatnonzero(pinned) + num_particles * np.arange(3)[:, None]
         self.dt = dt
         self.n_sub = _substep_count(dt)
         self.h = dt / self.n_sub
@@ -227,8 +241,11 @@ class _Solver:
         scalar /= length
         fvec = np.multiply(d, scalar, out=self._end_i[:3])
         weights = fvec.ravel()
-        out = np.bincount(self.flat_i, weights=weights, minlength=3 * self.n)
-        out -= np.bincount(self.flat_j, weights=weights, minlength=3 * self.n)
+        out = np.zeros(3 * self.n)
+        np.add.at(out, self.flat_i, weights)
+        out_j = np.zeros(3 * self.n)
+        np.add.at(out_j, self.flat_j, weights)
+        out -= out_j
         return out.reshape(3, self.n)
 
 
@@ -294,14 +311,17 @@ def _collide_pairs(
     np.maximum.at(deepest, sub, depth[hit])
     keep = depth[hit] == deepest[sub]
     sel, sub = hit[keep], sub[keep]
-    n = delta[:, sel]
-    n /= np.maximum(dist[sel], 1e-12)
-    x[:, sub] = closest[:, sel] + n * radius[sel]
+    # Flat (axis, particle) index into x and v; put, like fancy assignment,
+    # keeps the last of repeated indices.
+    flat = sub + x.shape[1] * np.arange(3)[:, None]
+    n = np.take(delta, sel, axis=1)
+    n /= np.maximum(np.take(dist, sel), 1e-12)
+    x.put(flat, np.take(closest, sel, axis=1) + n * np.take(radius, sel))
     # One gather of v serves both uses: every read precedes the write.
-    vs = v[:, sub]
+    vs = np.take(v, flat)
     vn = rot.rowdot(vs.T, n.T)
     vs -= np.minimum(vn, 0.0) * n
-    v[:, sub] = vs
+    v.put(flat, vs)
 
 
 def _capsule_arrays(colliders: list[Capsule]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -346,8 +366,8 @@ def _advance(
     capsule pose as both cap_from and cap_to holds the body still.
     """
     _refuse_non_finite(np.vstack([x, v]), f"{frame_label}non-finite state", 0)
-    pin_idx, n_sub, h = run.pin_idx, run.n_sub, run.h
-    pin_from = x[:, pin_idx]
+    n_sub, h = run.n_sub, run.h
+    pin_from = np.take(x, run.pin_flat)
     pin_move = pin_to.T - pin_from
     p0, seg, radius = cap_from
     p0_move, seg_move = cap_to[0] - p0, cap_to[1] - seg
@@ -370,7 +390,7 @@ def _advance(
         # After integration, one ordered block: the pin lerp, then the contact
         # response on capsules lerped once each and gathered to their pairs.
         alpha = (s + 1) / n_sub
-        x[:, pin_idx] = pin_from + alpha * pin_move
+        x.put(run.pin_flat, pin_from + alpha * pin_move)
         p0_s = p0 + alpha * p0_move
         seg_s = seg + alpha * seg_move
         seg_sq = np.maximum(rot.rowdot(seg_s.T, seg_s.T), 1e-18)
@@ -379,7 +399,7 @@ def _advance(
             np.take(seg_sq, cidx), r_pair,
         )
         _refuse_non_finite(x, f"{frame_label}non-finite position", s)
-    v[:, pin_idx] = 0.0
+    v.put(run.pin_flat, 0.0)
 
 
 def simulate_sequence(
@@ -430,7 +450,7 @@ def simulate_sequence(
     if initial_positions is None:
         initial_positions = garment.vertices
     x = _shaped("initial_positions", initial_positions, (garment.num_vertices, 3)).T.copy()
-    x[:, run.pin_idx] = pin_frames[0].T
+    x.put(run.pin_flat, pin_frames[0].T)
     v = np.zeros_like(x)
 
     t = 0.0

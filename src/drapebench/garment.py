@@ -213,9 +213,11 @@ class _SleeveGeometry:
         u, w = _orthonormal_frame(tangents[0])
         frames_u = [u]
         frames_w = [w]
+        # Parallel transport: each ring's frame is the previous one carried
+        # by the minimal rotation between their tangents.
+        turns = rot.between(tangents[:-1], tangents[1:])
         for k in range(1, n_rings):
-            q = rot.between(tangents[k - 1], tangents[k])
-            u = rot.rotate(q, frames_u[-1])
+            u = rot.rotate(turns[k - 1], frames_u[-1])
             u = u - (u @ tangents[k]) * tangents[k]
             u /= np.linalg.norm(u)
             frames_u.append(u)
@@ -282,6 +284,22 @@ class _SleeveGeometry:
         return mask
 
 
+def sleeve_columns(resolution_scale: float) -> tuple[int, int]:
+    """(torso, limb) vertex columns of a sleeve ring at this resolution.
+
+    Every category has a torso sleeve and limb sleeves, so a scale that gives
+    fewer than 8 torso or 6 limb columns is refused for any garment.
+    """
+    n_theta_torso = int(round(22 * resolution_scale))
+    n_theta_limb = int(round(14 * resolution_scale))
+    if n_theta_torso < 8 or n_theta_limb < 6:
+        raise ValueError(
+            f"resolution_scale {resolution_scale!r} gives {n_theta_torso} torso and {n_theta_limb} limb "
+            "columns, fewer than 8 and 6"
+        )
+    return n_theta_torso, n_theta_limb
+
+
 def _sleeves(body: SkinnedBody, category: str, resolution_scale: float) -> list[_SleeveGeometry]:
     joint_pos = body.skeleton.rest_positions()
     name_to_index = {n: i for i, n in enumerate(body.skeleton.joint_names)}
@@ -289,14 +307,7 @@ def _sleeves(body: SkinnedBody, category: str, resolution_scale: float) -> list[
     caps_by_bone = {
         body.skeleton.joint_names[j]: cap for j, cap in zip(range(1, body.skeleton.num_joints), capsules)
     }
-    n_theta_torso = int(round(22 * resolution_scale))
-    n_theta_limb = int(round(14 * resolution_scale))
-    # Every category has a torso sleeve and limb sleeves.
-    if n_theta_torso < 8 or n_theta_limb < 6:
-        raise ValueError(
-            f"resolution_scale {resolution_scale!r} gives {n_theta_torso} torso and {n_theta_limb} limb "
-            "columns, fewer than 8 and 6"
-        )
+    n_theta_torso, n_theta_limb = sleeve_columns(resolution_scale)
     spacing = 0.045 / resolution_scale
     return [
         _SleeveGeometry(

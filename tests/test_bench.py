@@ -178,6 +178,8 @@ def test_config_validation():
         (lambda: BenchConfig(garment_categories=("dress",)), "'dress'"),
         (lambda: BenchConfig(noise_rms_m=-1), "noise_rms_m .* -1"),
         (lambda: BenchConfig(resolution_scale=0), "resolution_scale .* 0"),
+        # A scale that generate_garment refuses for too few columns.
+        (lambda: BenchConfig(resolution_scale=0.2), "resolution_scale 0.2 gives 4 torso and 3 limb columns"),
         (lambda: BenchConfig(warmup_s=-1), "warmup_s .* -1"),
         (lambda: BenchConfig.from_json('{"motions": [{"motion_class": "basic", "fps": -30}]}'), "-30"),
         (lambda: BenchConfig(cloth={"gravity": -1.0}), "gravity .* -1"),
@@ -204,6 +206,8 @@ def test_config_validation():
         ):
             with pytest.raises(ValueError, match=f"damping_shear must be non-negative and finite, got {value!r}"):
                 make()
+    # Without a garment the columns do not apply.
+    assert BenchConfig(resolution_scale=0.2, garment_categories=()).resolution_scale == 0.2
     # The profile names a surrogate's error model; other kinds ignore it.
     assert MethodSpec("marker_based", profile="nope").profile == "nope"
     for profile in ("auto", "basic_err", "fast_err", "extreme_err"):

@@ -42,6 +42,8 @@ def test_minimal_zero_channel_file():
     assert seq.num_frames == 1
     assert np.allclose(seq.local_rotations[..., 0], 1.0)
     assert np.allclose(seq.skeleton.rest_offsets[1], [0.0, 0.3, 0.0])
+    # The declared count is kept, and blank lines after 'Frame Time:' are not rows.
+    assert parse_bvh(MINIMAL.replace("Frames: 1", "Frames: 4") + "\n  \n").num_frames == 4
 
 
 def test_write_has_frame_time_line(skeleton):
@@ -253,6 +255,12 @@ REFUSALS = [
     ("frames_disagree_with_rows", _edit("Frames: 2", "Frames: 3"), "MOTION declares 3 frames but 2 data rows found", 20),
     ("no_frame_data", TWO_JOINTS.replace("Frames: 2", "Frames: 0").split("0 1 0")[0], "no frame data", 18),
     ("nan_value", _edit("15 25 35", "15 25 nan"), "frame values must be finite", 20),
+    # A file without channels: the Frames count is checked first, then every
+    # line after 'Frame Time:' is a row of too many values.
+    ("no_channels_frames_negative", MINIMAL.replace("Frames: 1", "Frames: -3") + "garbage row here\n",
+     "Frames count must be at least 1, got -3", 17),
+    ("no_channels_frames_zero", MINIMAL.replace("Frames: 1", "Frames: 0"), "Frames count must be at least 1, got 0", 17),
+    ("no_channels_row", MINIMAL + "\ngarbage row here\n", "frame row has 3 values, hierarchy declares 0 channels", 20),
 ]
 
 

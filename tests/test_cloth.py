@@ -174,17 +174,21 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-@pytest.fixture(scope="module")
-def fast_frame_scene():
-    """One moving `fast` frame of a merged class-6 female_average garment.
+@pytest.fixture(
+    scope="module", params=[("female_average", 1.0), ("male_large", 1.5)], ids=lambda p: f"{p[0]}-{p[1]}"
+)
+def fast_frame_scene(request):
+    """One moving `fast` frame of a merged class-6 garment, at the smallest
+    and the largest size the benchmark simulates.
 
     The garment rides its binding joints' rest frames into frame k, so the
     limbs of frames k and k + 1 cut through it; velocities are random on every
     row, pinned rows included.
     """
-    body = build_parametric_body("female_average")
+    build, resolution_scale = request.param
+    body = build_parametric_body(build)
     sk = body.skeleton
-    garment = generate_garment(body, ("tshirt", "trousers"), 6)
+    garment = generate_garment(body, ("tshirt", "trousers"), 6, resolution_scale)
     joint_pos, joint_orient = sequence_transforms(procedural_motion("fast", 1.0, 30.0, 1, sk))
     k = 10
     binding = garment.binding_joint

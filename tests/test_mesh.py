@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from drapebench.body import build_parametric_body
+from drapebench.garment import generate_garment
 from drapebench.mesh import (
     TriMesh,
     cap_boundaries,
@@ -214,6 +216,27 @@ def test_obj_round_trip():
 def test_obj_rejects_quads():
     with pytest.raises(ValueError, match="triangular"):
         load_obj("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
+
+
+def _row_unique_edge_table(faces):
+    """Reference: distinct edges as np.unique over rows (axis=0)."""
+    directed = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    edges, inverse, counts = np.unique(
+        np.sort(directed, axis=1), axis=0, return_inverse=True, return_counts=True
+    )
+    return directed, edges, inverse, counts
+
+
+def test_edge_table_matches_row_unique_reference():
+    garments = [
+        generate_garment(build_parametric_body(build), ("tshirt", "trousers"), 6, scale).mesh.faces
+        for build, scale in (("female_average", 1.0), ("male_large", 1.5))
+    ]
+    random_faces = np.random.default_rng(0).integers(0, 60, (400, 3))
+    for faces in garments + [random_faces, np.zeros((0, 3), dtype=np.int64)]:
+        for ours, ref in zip(edge_table(faces), _row_unique_edge_table(faces)):
+            assert ours.dtype == ref.dtype and ours.shape == ref.shape
+            assert np.array_equal(ours, ref)
 
 
 def test_edge_table_counts_shared_edges():
