@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -58,6 +59,16 @@ CRMSE_CONVENTION = "swing_only"
 _AUTO_PROFILE = {"basic": "basic_err", "fast": "fast_err", "extreme": "extreme_err"}
 
 
+def _is_number(value) -> bool:
+    """A real number other than a bool: JSON's true and false are not numbers."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    """A Python int other than a bool: JSON's 1.0 and true are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MotionSpec:
     motion_class: str
@@ -69,7 +80,7 @@ class MotionSpec:
         if self.motion_class not in MOTION_CLASSES:
             raise ValueError(f"unknown motion class {self.motion_class!r}; choose from {MOTION_CLASSES}")
         for name, value in (("duration_s", self.duration_s), ("fps", self.fps)):
-            if not (value > 0 and np.isfinite(value)):
+            if not (_is_number(value) and 0 < value < np.inf):
                 raise ValueError(f"motion {name} must be positive and finite, got {value!r}")
 
 
@@ -108,6 +119,8 @@ class BenchConfig:
     export_bvh: bool = False
 
     def __post_init__(self):
+        if not _is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not (self.motions and self.builds and self.drape_classes and self.methods):
             raise ValueError("motions, builds, drape_classes and methods must be non-empty")
         object.__setattr__(self, "motions", tuple(
@@ -117,7 +130,7 @@ class BenchConfig:
             m if isinstance(m, MethodSpec) else MethodSpec(**m) for m in self.methods
         ))
         object.__setattr__(self, "builds", tuple(self.builds))
-        object.__setattr__(self, "drape_classes", tuple(int(c) for c in self.drape_classes))
+        object.__setattr__(self, "drape_classes", tuple(self.drape_classes))
         object.__setattr__(self, "garment_categories", tuple(self.garment_categories))
         unknown = sorted(set(self.cloth) - {f.name for f in fields(ClothParams)})
         if unknown:
@@ -128,6 +141,9 @@ class BenchConfig:
             raise ValueError(
                 f"unknown build {', '.join(map(repr, unknown))}; choose from {sorted(BUILD_CATALOG)}"
             )
+        not_integer = [repr(c) for c in self.drape_classes if not _is_integer(c)]
+        if not_integer:
+            raise ValueError(f"drape_classes must be integers, got {', '.join(not_integer)}")
         outside = [str(c) for c in self.drape_classes if not 1 <= c <= 6]
         if outside:
             raise ValueError(f"drape class {', '.join(outside)} outside 1..6")
@@ -136,14 +152,14 @@ class BenchConfig:
             raise ValueError(
                 f"unknown garment category {', '.join(map(repr, unknown))}; choose from {GARMENT_CATEGORIES}"
             )
-        if isinstance(self.workers, bool) or not isinstance(self.workers, int) or self.workers < 1:
+        if not _is_integer(self.workers) or self.workers < 1:
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
-        if not 0 < self.resolution_scale < np.inf:
+        if not (_is_number(self.resolution_scale) and 0 < self.resolution_scale < np.inf):
             raise ValueError(f"resolution_scale must be positive and finite, got {self.resolution_scale!r}")
         if self.garment_categories:
             sleeve_columns(self.resolution_scale)  # the garment's column floor, refused at load
         for name, value in (("warmup_s", self.warmup_s), ("noise_rms_m", self.noise_rms_m)):
-            if not 0 <= value < np.inf:
+            if not (_is_number(value) and 0 <= value < np.inf):
                 raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
         for what, labels in (
             ("motions share the motion_class", [m.motion_class for m in self.motions]),

@@ -117,6 +117,33 @@ class ClothState:
     time: float = 0.0
 
 
+def _bend_pairs(structural: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """build_spring_network's bend pairs (Eb, 2), sorted by row."""
+    # Every vertex's neighbors, ascending, as directed edges hub -> nbr.
+    hub = np.concatenate([structural[:, 0], structural[:, 1]])
+    nbr = np.concatenate([structural[:, 1], structural[:, 0]])
+    order = np.lexsort((nbr, hub))
+    hub, nbr = hub[order], nbr[order]
+    d = verts[nbr] - verts[hub]
+    length = np.sqrt(rot.dot(d, d))
+    # Entry p pairs with entry p + k for each k up to the `later[p]` entries
+    # after it in its hub's group: one offset k at a time, no array holds
+    # every pair.
+    later = np.searchsorted(hub, hub, side="right") - np.arange(len(hub)) - 1
+    # Neighbors ascend within a hub, so each pair is (lo, hi): unique rows by
+    # their int64 key lo * span + hi, with span the vertex count (edge_table).
+    span = len(verts)
+    keys = [np.zeros(0, dtype=np.int64)]
+    for k in range(1, later.max(initial=0) + 1):
+        a = np.flatnonzero(later >= k)
+        b = a + k
+        cos_ab = rot.dot(d[a], d[b]) / (length[a] * length[b])
+        straight = cos_ab < _BEND_COS  # nearly opposite directions: straight path
+        keys.append(nbr[a[straight]] * span + nbr[b[straight]])
+    keys = np.unique(np.concatenate(keys))
+    return np.stack(np.divmod(keys, span), axis=-1)
+
+
 def build_spring_network(mesh: TriMesh) -> SpringNetwork:
     """Derive springs from mesh topology.
 
@@ -141,27 +168,8 @@ def build_spring_network(mesh: TriMesh) -> SpringNetwork:
     order = np.lexsort((hi, lo))
     shear = np.stack([lo[order], hi[order]], axis=-1)
 
-    # Every vertex's neighbors, ascending, and all pairs a < b among them.
-    hub = np.concatenate([structural[:, 0], structural[:, 1]])
-    nbr = np.concatenate([structural[:, 1], structural[:, 0]])
-    order = np.lexsort((nbr, hub))
-    hub, nbr = hub[order], nbr[order]
-    group_end = np.searchsorted(hub, hub, side="right")
-    # Entry p pairs with each of the `later[p]` entries after it in its group.
-    later = group_end - np.arange(len(hub)) - 1
-    a_idx = np.repeat(np.arange(len(hub)), later)
-    b_idx = a_idx + 1 + np.arange(len(a_idx)) - np.repeat(np.cumsum(later) - later, later)
     verts = mesh.vertices
-    center = verts[hub[a_idx]]
-    da = verts[nbr[a_idx]] - center
-    db = verts[nbr[b_idx]] - center
-    cos_ab = rot.dot(da, db) / (np.sqrt(rot.dot(da, da)) * np.sqrt(rot.dot(db, db)))
-    straight = cos_ab < _BEND_COS  # nearly opposite directions: straight path
-    # Neighbors ascend within a hub, so each pair is (lo, hi): unique rows by
-    # their int64 key lo * span + hi, with span the vertex count (edge_table).
-    span = len(verts)
-    keys = np.unique(nbr[a_idx][straight] * span + nbr[b_idx][straight])
-    bend = np.stack(np.divmod(keys, span), axis=-1)
+    bend = _bend_pairs(structural, verts)
 
     def rest(pairs):
         if len(pairs) == 0:

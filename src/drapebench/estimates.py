@@ -151,10 +151,17 @@ def ingest_estimates(text_or_path: str) -> ExternalEstimate:
         for j, p in enumerate(frame):
             if not isinstance(p, list) or len(p) != 3:
                 raise ValueError(f"frames[{t}][{j}]: joint must be [x, y, z]")
+            # JSON's true and false would read as 1.0 and 0.0, and a numeric
+            # string as its number.
+            if not all(type(c) in (int, float) for c in p):
+                raise ValueError(f"frames[{t}][{j}]: coordinates must be numbers, got {p!r}")
     positions = np.asarray(frames, dtype=float)
     if not np.isfinite(positions).all():
         raise ValueError("frames: contain non-finite values")
-    return ExternalEstimate(convention, float(doc["fps"]), positions, label)
+    fps = doc["fps"]
+    if type(fps) not in (int, float):
+        raise ValueError(f"fps: must be a number, got {fps!r}")
+    return ExternalEstimate(convention, float(fps), positions, label)
 
 
 def export_estimate(est: ExternalEstimate) -> str:

@@ -31,6 +31,14 @@ DRAPE_THRESHOLDS = (0.05, 0.15, 0.30, 0.60, 1.00)
 _MIN_RING_RADIUS = 0.02
 _MIN_SLACK = 0.002
 _MAX_SLACK = 0.80
+# A ring radius may fall by at most this much per meter of arc or of axis to
+# its neighbors: a wall of atan(1.1) = 48 degrees. Fabric spans hollows with
+# steeper walls, such as the crotch and the armpits, and follows gentler ones.
+_BRIDGE_SLOPE = 1.1
+# Each pass moves a cap one column or ring further. On every build at
+# resolution 0.5-2.0 the radii stop changing after at most 8 passes; further
+# passes leave them as they are.
+_BRIDGE_PASSES = 12
 
 
 @dataclass(frozen=True)
@@ -102,7 +110,7 @@ def _orthonormal_frame(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, w
 
 
-def _bridge_hollows(radii: np.ndarray, stations: np.ndarray, slope: float = 1.1, passes: int = 12) -> np.ndarray:
+def _bridge_hollows(radii: np.ndarray, stations: np.ndarray) -> np.ndarray:
     """Cap how fast ring radii may shrink between neighbors (a closing pass).
 
     Limits the radial gradient along the ring and along the tube axis so the
@@ -111,13 +119,13 @@ def _bridge_hollows(radii: np.ndarray, stations: np.ndarray, slope: float = 1.1,
     radii = radii.copy()
     n_theta = radii.shape[1]
     ds_axial = np.linalg.norm(np.diff(stations, axis=0), axis=1)[:, None]
-    for _ in range(passes):
+    for _ in range(_BRIDGE_PASSES):
         arc = radii.mean(axis=1, keepdims=True) * (2.0 * np.pi / n_theta)
-        ring_floor = np.maximum(np.roll(radii, 1, axis=1), np.roll(radii, -1, axis=1)) - slope * arc
+        ring_floor = np.maximum(np.roll(radii, 1, axis=1), np.roll(radii, -1, axis=1)) - _BRIDGE_SLOPE * arc
         radii = np.maximum(radii, ring_floor)
         axial = radii.copy()
-        axial[1:] = np.maximum(axial[1:], radii[:-1] - slope * ds_axial)
-        axial[:-1] = np.maximum(axial[:-1], radii[1:] - slope * ds_axial)
+        axial[1:] = np.maximum(axial[1:], radii[:-1] - _BRIDGE_SLOPE * ds_axial)
+        axial[:-1] = np.maximum(axial[:-1], radii[1:] - _BRIDGE_SLOPE * ds_axial)
         radii = axial
     return radii
 

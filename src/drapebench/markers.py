@@ -105,7 +105,8 @@ def track_markers(
 
     joint_positions/orientations are FK results over the motion, shape
     (T, J, 3) and (T, J, 4). Cloth markers need the simulated cloth states and
-    the garment face array; skin markers follow their joint's bone frame.
+    the garment face array, and read only their faces' vertices; skin markers
+    follow their joint's bone frame.
     """
     t_count = joint_positions.shape[0]
     cloth = placement.on_cloth
@@ -117,9 +118,12 @@ def track_markers(
             raise ValueError(
                 f"cloth frames ({len(cloth_frames)}) misaligned with motion frames ({t_count})"
             )
-        frames = np.stack([s.positions for s in cloth_frames])
+        # Only the markers' face vertices are stacked, the faces renumbered to match.
+        faces = garment_faces[placement.face[cloth]]
+        used, local = np.unique(faces, return_inverse=True)
+        frames = np.stack([s.positions[used] for s in cloth_frames])
         out[:, cloth] = surface_points(
-            frames, garment_faces, placement.face[cloth], placement.barycentric[cloth]
+            frames, local.reshape(faces.shape), np.arange(len(faces)), placement.barycentric[cloth]
         )
     skin = ~cloth
     out[:, skin] = ride_joints(

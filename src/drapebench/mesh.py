@@ -184,9 +184,15 @@ def surface_points(
     return (barycentric[:, None, :] @ positions[..., faces[face], :])[..., 0, :]
 
 
+# For a unit ray direction, the Moeller-Trumbore determinant is twice a face's
+# area projected across the ray, and garment faces span square millimeters or
+# more: below this the ray runs in the face's plane and 1 / det would amplify
+# rounding. A hit this close ahead is the ray's own origin.
+_RAY_EPS = 1e-12
+
+
 def _ray_hits(
-    origin: np.ndarray, direction: np.ndarray, v0: np.ndarray, e1: np.ndarray, e2: np.ndarray,
-    eps: float = 1e-12,
+    origin: np.ndarray, direction: np.ndarray, v0: np.ndarray, e1: np.ndarray, e2: np.ndarray
 ) -> np.ndarray:
     """All ray/triangle hits as rows (t, face, u, v), unsorted.
 
@@ -198,14 +204,14 @@ def _ray_hits(
     direction = np.asarray(direction, dtype=float)
     pvec = rot.cross(direction, e2)
     det = rot.rowdot(e1, pvec)
-    ok = np.abs(det) > eps
+    ok = np.abs(det) > _RAY_EPS
     inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
     tvec = origin - v0
     u = rot.rowdot(tvec, pvec) * inv_det
     qvec = rot.cross(tvec, e1)
     v = (qvec @ direction) * inv_det
     t = rot.rowdot(e2, qvec) * inv_det
-    mask = ok & (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1.0 + 1e-9) & (t > eps)
+    mask = ok & (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1.0 + 1e-9) & (t > _RAY_EPS)
     idx = np.nonzero(mask)[0]
     return np.stack([t[idx], idx.astype(float), u[idx], v[idx]], axis=-1) if len(idx) else np.zeros((0, 4))
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -205,6 +206,27 @@ def test_config_validation():
             lambda: BenchConfig.from_json(json.dumps({"cloth": {"damping_shear": value}})),
         ):
             with pytest.raises(ValueError, match=f"damping_shear must be non-negative and finite, got {value!r}"):
+                make()
+    # A bool is not a number, and a seed or a drape class is an integer:
+    # JSON's true would read as 1, 3.7 as class 3, and seed 1.0 would hash
+    # apart from seed 1. Each is refused, directly and through JSON.
+    for doc, want in (
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": "x"}, "seed must be an integer, got 'x'"),
+        ({"drape_classes": [3.7]}, "drape_classes must be integers, got 3.7"),
+        ({"drape_classes": [1, True]}, "drape_classes must be integers, got True"),
+        ({"drape_classes": ["2"]}, "drape_classes must be integers, got '2'"),
+        ({"resolution_scale": True}, "resolution_scale must be positive and finite, got True"),
+        ({"warmup_s": True}, "warmup_s must be non-negative and finite, got True"),
+        ({"noise_rms_m": True}, "noise_rms_m must be non-negative and finite, got True"),
+        ({"motions": [{"motion_class": "basic", "duration_s": True}]}, "motion duration_s must be positive and finite, got True"),
+        ({"motions": [{"motion_class": "basic", "fps": True}]}, "motion fps must be positive and finite, got True"),
+        ({"motions": [{"motion_class": "basic", "fps": "30"}]}, "motion fps must be positive and finite, got '30'"),
+    ):
+        for make in (lambda: BenchConfig(**doc), lambda: BenchConfig.from_json(json.dumps(doc))):
+            with pytest.raises(ValueError, match=re.escape(want)):
                 make()
     # Without a garment the columns do not apply.
     assert BenchConfig(resolution_scale=0.2, garment_categories=()).resolution_scale == 0.2

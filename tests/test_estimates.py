@@ -57,6 +57,23 @@ def test_ingest_refuses_a_frame_rate_that_is_not_finite_and_positive(fps):
         ExternalEstimate("smpl24", float(fps), np.zeros((1, 24, 3)))
 
 
+@pytest.mark.parametrize("fps", ["true", '"30"'])
+def test_ingest_refuses_a_frame_rate_that_is_not_a_number(fps):
+    # JSON's true would read as 1.0 and a numeric string as its number.
+    text = '{"convention": "smpl24", "fps": %s, "frames": %s}' % (fps, json.dumps([[[0, 0, 0]] * 24]))
+    with pytest.raises(ValueError, match=f"fps: must be a number, got {json.loads(fps)!r}"):
+        ingest_estimates(text)
+
+
+@pytest.mark.parametrize("value", [True, False, "1.5", None])
+def test_ingest_refuses_a_coordinate_that_is_not_a_number(value):
+    frames = [[[0.0, 0.1 * j, 0.0] for j in range(24)] for _ in range(3)]
+    frames[2][5][1] = value
+    text = json.dumps({"convention": "smpl24", "fps": 30, "frames": frames})
+    with pytest.raises(ValueError, match=r"frames\[2\]\[5\]: coordinates must be numbers"):
+        ingest_estimates(text)
+
+
 @pytest.mark.parametrize("content", ["5", "[]", '"smpl24"', "null"])
 def test_ingest_refuses_a_file_that_is_not_a_json_object(tmp_path, content):
     path = tmp_path / "est.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from drapebench.markers import (
     reconstruct_pose_from_markers,
     track_markers,
 )
-from drapebench.mesh import _ray_hits, _union_exit, face_components
+from drapebench.mesh import _ray_hits, _union_exit, face_components, surface_points
 from drapebench.metrics import mpjpe
 
 
@@ -216,6 +218,35 @@ def test_placement_and_tracking_match_reference_merged_fast():
     states = _simulate_garment(config, body, garment, seq, jp, jq)
     placement = _assert_matches_reference(body, garment.mesh, jp, jq, states)
     assert placement.on_cloth.sum() > 24
+
+
+def test_tracking_stacks_only_the_markers_face_vertices():
+    """Tracking reads only the vertices of the cloth markers' faces from each
+    recorded frame: over about 100 frames of a 3204-vertex garment it
+    allocates far less than one (T, N, 3) stack of whole frames, and gives
+    that stack's marker positions bit for bit."""
+    body = build_parametric_body("male_large")
+    garment = generate_garment(body, ("tshirt", "trousers"), 6, resolution_scale=1.5).mesh
+    seq = procedural_motion("basic", 3.3, 30, 2, body.skeleton)
+    jp, jq = sequence_transforms(seq)
+    rng = np.random.default_rng(3)
+    frames = [
+        ClothState(garment.vertices + rng.normal(0.0, 0.01, garment.vertices.shape), None, None)
+        for _ in range(seq.num_frames)
+    ]
+    placement = place_markers(body, garment)
+    tracemalloc.start()
+    try:
+        traj = track_markers(placement, jp, jq, seq.fps, frames, garment.faces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = np.stack([s.positions for s in frames])
+    assert peak < stack.nbytes / 4
+    cloth = placement.on_cloth
+    assert cloth.any()
+    want = surface_points(stack, garment.faces, placement.face[cloth], placement.barycentric[cloth])
+    assert _same_bits(traj.positions[:, cloth], want)
 
 
 def _same_bits(a, b):
