@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _inputs
 from .body import BUILD_CATALOG, body_capsules, build_parametric_body
 from .bvh import parse_bvh, write_bvh
 from .cloth import ClothParams, simulate_sequence
@@ -40,6 +39,7 @@ from .garment import DRAPE_THRESHOLDS, GARMENT_CATEGORIES, Garment, generate_gar
 from .kinematics import (
     MOTION_CLASSES,
     MotionSequence,
+    clip_frames,
     procedural_motion,
     rescale_to_height,
     ride_joints,
@@ -59,16 +59,6 @@ CRMSE_CONVENTION = "swing_only"
 _AUTO_PROFILE = {"basic": "basic_err", "fast": "fast_err", "extreme": "extreme_err"}
 
 
-def _is_number(value) -> bool:
-    """A real number other than a bool: JSON's true and false are not numbers."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_integer(value) -> bool:
-    """A Python int other than a bool: JSON's 1.0 and true are not integers."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class MotionSpec:
     motion_class: str
@@ -79,9 +69,10 @@ class MotionSpec:
     def __post_init__(self):
         if self.motion_class not in MOTION_CLASSES:
             raise ValueError(f"unknown motion class {self.motion_class!r}; choose from {MOTION_CLASSES}")
-        for name, value in (("duration_s", self.duration_s), ("fps", self.fps)):
-            if not (_is_number(value) and 0 < value < np.inf):
-                raise ValueError(f"motion {name} must be positive and finite, got {value!r}")
+        _inputs.positive("motion duration_s", self.duration_s)
+        _inputs.positive("motion fps", self.fps)
+        if self.source == "procedural":
+            clip_frames(self.duration_s, self.fps)  # a clip too short to run, refused at load
 
 
 @dataclass(frozen=True)
@@ -94,6 +85,7 @@ class MethodSpec:
     def __post_init__(self):
         if self.kind not in ("marker_based", "markerless_surrogate", "markerless_ingest"):
             raise ValueError(f"unknown method kind {self.kind!r}")
+        _inputs.flag("method noise", self.noise)
         if self.kind == "markerless_surrogate" and self.profile not in ("auto", *SURROGATE_PROFILES):
             raise ValueError(
                 f"unknown surrogate profile {self.profile!r}; choose 'auto' or one of {sorted(SURROGATE_PROFILES)}"
@@ -119,8 +111,7 @@ class BenchConfig:
     export_bvh: bool = False
 
     def __post_init__(self):
-        if not _is_integer(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        _inputs.integer("seed", self.seed)
         if not (self.motions and self.builds and self.drape_classes and self.methods):
             raise ValueError("motions, builds, drape_classes and methods must be non-empty")
         object.__setattr__(self, "motions", tuple(
@@ -141,9 +132,7 @@ class BenchConfig:
             raise ValueError(
                 f"unknown build {', '.join(map(repr, unknown))}; choose from {sorted(BUILD_CATALOG)}"
             )
-        not_integer = [repr(c) for c in self.drape_classes if not _is_integer(c)]
-        if not_integer:
-            raise ValueError(f"drape_classes must be integers, got {', '.join(not_integer)}")
+        _inputs.integers("drape_classes", self.drape_classes)
         outside = [str(c) for c in self.drape_classes if not 1 <= c <= 6]
         if outside:
             raise ValueError(f"drape class {', '.join(outside)} outside 1..6")
@@ -152,15 +141,13 @@ class BenchConfig:
             raise ValueError(
                 f"unknown garment category {', '.join(map(repr, unknown))}; choose from {GARMENT_CATEGORIES}"
             )
-        if not _is_integer(self.workers) or self.workers < 1:
-            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
-        if not (_is_number(self.resolution_scale) and 0 < self.resolution_scale < np.inf):
-            raise ValueError(f"resolution_scale must be positive and finite, got {self.resolution_scale!r}")
+        _inputs.integer("workers", self.workers, minimum=1)
+        _inputs.positive("resolution_scale", self.resolution_scale)
         if self.garment_categories:
             sleeve_columns(self.resolution_scale)  # the garment's column floor, refused at load
-        for name, value in (("warmup_s", self.warmup_s), ("noise_rms_m", self.noise_rms_m)):
-            if not (_is_number(value) and 0 <= value < np.inf):
-                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+        _inputs.non_negative("warmup_s", self.warmup_s)
+        _inputs.non_negative("noise_rms_m", self.noise_rms_m)
+        _inputs.flag("export_bvh", self.export_bvh)
         for what, labels in (
             ("motions share the motion_class", [m.motion_class for m in self.motions]),
             ("builds repeat", list(self.builds)),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rotations as rot
+from . import _inputs, rotations as rot
 from .kinematics import Skeleton, default_skeleton
 
 
@@ -32,9 +32,7 @@ class Capsule:
             if end.shape != (3,) or not np.isfinite(end).all():
                 raise ValueError(f"capsule {name} must be a finite 3-vector, got {end.tolist()!r}")
             object.__setattr__(self, name, end)
-        # Written so that a NaN fails the check.
-        if not 0 < self.radius < np.inf:
-            raise ValueError(f"capsule radius must be positive and finite, got {self.radius!r}")
+        _inputs.positive("capsule radius", self.radius)
 
 
 @dataclass(frozen=True)

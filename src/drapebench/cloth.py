@@ -36,11 +36,11 @@ indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import rotations as rot
+from . import _inputs, rotations as rot
 from .body import Capsule, _closest_on_segments
 from .mesh import TriMesh, edge_table
 
@@ -80,15 +80,9 @@ class ClothParams:
     gravity: float = 9.81
 
     def __post_init__(self):
-        # Written so that a NaN fails each check.
-        if not 0 < self.vertex_mass < np.inf:
-            raise ValueError(f"vertex_mass must be positive and finite, got {self.vertex_mass!r}")
-        for name in (
-            "stiffness_structural", "stiffness_shear", "stiffness_bending",
-            "damping_structural", "damping_shear", "damping_bending", "gravity",
-        ):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be non-negative and finite, got {getattr(self, name)!r}")
+        _inputs.positive("vertex_mass", self.vertex_mass)
+        for constant in fields(self)[1:]:  # every constant after the mass may be zero
+            _inputs.non_negative(constant.name, getattr(self, constant.name))
 
 
 @dataclass(frozen=True)
@@ -430,11 +424,8 @@ def simulate_sequence(
     refused. The state is settled for `warmup` seconds of simulated time at
     frame 0 before recording begins. Deterministic for identical inputs.
     """
-    # Written so that a NaN fails each check.
-    if not 0 < fps < np.inf:
-        raise ValueError(f"fps must be positive and finite, got {fps!r}")
-    if not 0 <= warmup < np.inf:
-        raise ValueError(f"warmup must be non-negative and finite, got {warmup!r}")
+    _inputs.positive("fps", fps)
+    _inputs.non_negative("warmup", warmup)
     n_frames = len(collider_frames)
     if n_frames == 0:
         raise ValueError("the motion has no frames")

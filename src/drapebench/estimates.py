@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _inputs
 from .kinematics import MotionSequence, sequence_transforms
 
 CONVENTION_JOINTS = {"smpl24": 24, "h36m17": 17, "blaze33": 33}
@@ -35,8 +36,7 @@ class ExternalEstimate:
         object.__setattr__(self, "positions", p)
         if self.convention not in CONVENTION_JOINTS:
             raise ValueError(f"unknown convention {self.convention!r}")
-        if not 0 < self.fps < np.inf:
-            raise ValueError(f"fps must be finite and positive, got {self.fps!r}")
+        _inputs.positive("fps", self.fps)
         j = CONVENTION_JOINTS[self.convention]
         if p.ndim != 3 or p.shape[1] != j or p.shape[2] != 3:
             raise ValueError(
@@ -198,9 +198,7 @@ def normalize_estimate(est: ExternalEstimate, target_height: float = 1.70) -> No
     vertical extent over the mapped joints (the tallest frame stands in for
     the rest pose).
     """
-    # Written so that a NaN fails the check.
-    if not 0 < target_height < np.inf:
-        raise ValueError(f"target_height must be positive and finite, got {target_height!r}")
+    _inputs.positive("target_height", target_height)
     pairs, valid = BUILTIN_JOINT_MAPS[est.convention]
     p = est.positions
     mapped = np.where(valid[:, None], 0.5 * (p[:, pairs[:, 0]] + p[:, pairs[:, 1]]), 0.0)

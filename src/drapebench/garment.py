@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rotations as rot
+from . import _inputs, rotations as rot
 from .body import Capsule, SkinnedBody, _ray_capsule_exit, body_capsules
 from .mesh import (
     TriMesh, boundary_caps, cap_vertices, enclosed_volume, is_closed, merge_meshes, signed_volume,
@@ -385,9 +385,7 @@ def generate_garment(
     drape ratio is (summed garment volume - summed covered-body volume) /
     summed covered-body volume. Deterministic for identical inputs.
     """
-    # Written so that a NaN fails the check.
-    if not 0 < resolution_scale < np.inf:
-        raise ValueError(f"resolution_scale must be positive and finite, got {resolution_scale!r}")
+    _inputs.positive("resolution_scale", resolution_scale)
     unknown = [c for c in categories if c not in GARMENT_CATEGORIES]
     if unknown or not categories:
         raise ValueError(

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import rotations as rot
+from . import _inputs, rotations as rot
 
 MOTION_CLASSES = ("basic", "fast", "extreme")
 
@@ -158,8 +158,7 @@ class MotionSequence:
     motion_class: str = "basic"
 
     def __post_init__(self):
-        if not 0 < self.fps < np.inf:
-            raise ValueError(f"fps must be finite and positive, got {self.fps!r}")
+        _inputs.positive("fps", self.fps)
         if self.motion_class not in MOTION_CLASSES:
             raise ValueError(f"motion_class must be one of {MOTION_CLASSES}")
         root = np.asarray(self.root_translations, dtype=float)
@@ -232,18 +231,14 @@ def ride_joints(
 
 def default_skeleton(height: float = 1.70) -> Skeleton:
     """The built-in 24-joint body scaled so rest joint extent equals height."""
-    # Written so that a NaN fails it.
-    if not 0 < height < np.inf:
-        raise ValueError(f"height must be positive and finite, got {height!r}")
+    _inputs.positive("height", height)
     raw = Skeleton(SMPL_JOINT_NAMES, SMPL_PARENTS, _TEMPLATE_OFFSETS.copy())
     return raw.scaled(height / raw.rest_height())
 
 
 def rescale_to_height(seq: MotionSequence, target_height: float) -> MotionSequence:
     """Uniformly rescale offsets and root translations; rotations unchanged."""
-    # Written so that a NaN fails it.
-    if not 0 < target_height < np.inf:
-        raise ValueError(f"target_height must be positive and finite, got {target_height!r}")
+    _inputs.positive("target_height", target_height)
     current = seq.skeleton.rest_height()
     if current <= 0.0:
         raise ValueError("skeleton rest height is zero; cannot rescale")
@@ -256,6 +251,24 @@ def rescale_to_height(seq: MotionSequence, target_height: float) -> MotionSequen
 
 def _standing_root_height(skeleton: Skeleton) -> float:
     return float(-skeleton.rest_positions()[:, 1].min())
+
+
+def clip_frames(duration: float, fps: float) -> int:
+    """The frame count of a procedural clip: duration * fps, rounded.
+
+    A duration or rate that is not positive and finite is refused, and so is
+    a clip shorter than two frames rather than lengthened to two, so a row
+    never describes a longer clip than the one asked for.
+    """
+    _inputs.positive("duration", duration)
+    _inputs.positive("fps", fps)
+    _inputs.positive("duration * fps", duration * fps)  # finite factors can overflow
+    n_frames = int(round(duration * fps))
+    if n_frames < 2:
+        raise ValueError(
+            f"duration {duration!r} s at {fps!r} fps gives {n_frames} frames; a clip needs at least 2"
+        )
+    return n_frames
 
 
 def procedural_motion(
@@ -276,17 +289,12 @@ def procedural_motion(
     perpendicular to the child bone, so clips are pure-swing: marker-based
     reconstruction and swing angle recovery are exact on them.
     """
-    # Written so that a NaN fails each check.
-    if not 0 < duration < np.inf:
-        raise ValueError(f"duration must be positive and finite, got {duration!r}")
-    if not 0 < fps < np.inf:
-        raise ValueError(f"fps must be positive and finite, got {fps!r}")
+    n_frames = clip_frames(duration, fps)
     if motion_class not in MOTION_CLASSES:
         raise ValueError(f"unknown motion class {motion_class!r}")
     skeleton = skeleton if skeleton is not None else default_skeleton()
     names = {n: i for i, n in enumerate(skeleton.joint_names)}
     rng = np.random.default_rng(seed)
-    n_frames = max(2, int(round(duration * fps)))
     t = np.arange(n_frames) / fps
     root_y = _standing_root_height(skeleton)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _inputs
 from .body import SkinnedBody, skin_exits
 from .cloth import ClothState
 from .kinematics import MotionSequence, Skeleton, poses_from_joint_positions, ride_joints
@@ -140,9 +141,7 @@ def add_marker_noise(
     The per-axis sigma is rms_3d_m / sqrt(3) so the RMS 3D displacement of a
     marker equals rms_3d_m. rms_3d_m = 0 returns the input unchanged.
     """
-    # Written so that a NaN fails it.
-    if not 0 <= rms_3d_m < np.inf:
-        raise ValueError(f"rms_3d_m must be non-negative and finite, got {rms_3d_m!r}")
+    _inputs.non_negative("rms_3d_m", rms_3d_m)
     if rms_3d_m == 0.0:
         return traj
     rng = np.random.default_rng(seed)

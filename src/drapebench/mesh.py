@@ -18,15 +18,20 @@ class TriMesh:
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
-        f = np.ascontiguousarray(np.asarray(self.faces, dtype=np.int64))
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "faces", f)
+        f = np.asarray(self.faces)
+        # A cast to int64 truncates, so 1.7 would name vertex 1. Only a
+        # non-integer dtype pays for the check.
+        if f.dtype.kind not in "iu" and not (f.dtype.kind == "f" and np.array_equal(f, np.trunc(f))):
+            raise ValueError("face indices must be integers")
         if v.ndim != 2 or v.shape[1] != 3:
             raise ValueError("vertices must be (V, 3)")
         if f.ndim != 2 or f.shape[1] != 3:
             raise ValueError("faces must be (F, 3)")
         if len(f) and (f.min() < 0 or f.max() >= len(v)):
             raise ValueError("face index out of range")
+        f = np.ascontiguousarray(f, dtype=np.int64)
+        object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "faces", f)
         if not np.isfinite(v).all():
             bad = int(np.argmin(np.isfinite(v).all(axis=1)))
             raise ValueError(f"vertices must be finite; vertex {bad} is not")
@@ -316,7 +321,13 @@ def merge_meshes(meshes: list[TriMesh]) -> TriMesh:
 
 
 def load_obj(text: str) -> TriMesh:
-    """Parse Wavefront OBJ text (v/f records, triangles only, 1-based)."""
+    """Parse Wavefront OBJ text (v/f records, triangles only, 1-based).
+
+    A record that does not parse is refused with its 1-based line number: a
+    coordinate that is not a number, a face index that is not an integer, and
+    index 0 or a negative index reaching before the first vertex, which name
+    no vertex.
+    """
     verts = []
     faces = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -326,11 +337,21 @@ def load_obj(text: str) -> TriMesh:
         if parts[0] == "v":
             if len(parts) < 4:
                 raise ValueError(f"line {lineno}: vertex needs 3 coordinates")
-            verts.append([float(x) for x in parts[1:4]])
+            try:
+                verts.append([float(x) for x in parts[1:4]])
+            except ValueError:
+                raise ValueError(f"line {lineno}: vertex coordinates must be numbers, got {parts[1:4]}") from None
         elif parts[0] == "f":
-            ids = [int(p.split("/")[0]) for p in parts[1:]]
+            try:
+                ids = [int(p.split("/")[0]) for p in parts[1:]]
+            except ValueError:
+                raise ValueError(f"line {lineno}: face indices must be integers, got {parts[1:]}") from None
             if len(ids) != 3:
                 raise ValueError(f"line {lineno}: only triangular faces are supported")
+            if any(i == 0 or i < -len(verts) for i in ids):
+                raise ValueError(
+                    f"line {lineno}: face {ids} names no vertex; OBJ counts from 1, or back from -1"
+                )
             faces.append([i - 1 if i > 0 else len(verts) + i for i in ids])
     if not verts or not faces:
         raise ValueError("OBJ contains no usable geometry")

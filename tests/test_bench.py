@@ -224,6 +224,19 @@ def test_config_validation():
         ({"motions": [{"motion_class": "basic", "duration_s": True}]}, "motion duration_s must be positive and finite, got True"),
         ({"motions": [{"motion_class": "basic", "fps": True}]}, "motion fps must be positive and finite, got True"),
         ({"motions": [{"motion_class": "basic", "fps": "30"}]}, "motion fps must be positive and finite, got '30'"),
+        # JSON's true is not 1 m/s^2 of gravity nor a 1 kg vertex, and a flag
+        # is true or false: "no" would read as true.
+        ({"cloth": {"gravity": True}}, "gravity must be non-negative and finite, got True"),
+        ({"cloth": {"vertex_mass": True}}, "vertex_mass must be positive and finite, got True"),
+        ({"methods": [{"kind": "marker_based", "noise": "no"}]}, "method noise must be true or false, got 'no'"),
+        ({"methods": [{"kind": "marker_based", "noise": 1}]}, "method noise must be true or false, got 1"),
+        ({"export_bvh": "no"}, "export_bvh must be true or false, got 'no'"),
+        # A procedural clip shorter than two frames would run as two.
+        (
+            {"motions": [{"motion_class": "basic", "duration_s": 0.01}]},
+            "duration 0.01 s at 30.0 fps gives 0 frames; a clip needs at least 2",
+        ),
+        ({"motions": [{"motion_class": "basic", "duration_s": 1e308}]}, "duration * fps must be positive and finite, got inf"),
     ):
         for make in (lambda: BenchConfig(**doc), lambda: BenchConfig.from_json(json.dumps(doc))):
             with pytest.raises(ValueError, match=re.escape(want)):

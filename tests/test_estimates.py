@@ -51,9 +51,9 @@ def test_ingest_missing_field():
 @pytest.mark.parametrize("fps", ["NaN", "Infinity", "0", "-30"])
 def test_ingest_refuses_a_frame_rate_that_is_not_finite_and_positive(fps):
     text = '{"convention": "smpl24", "fps": %s, "frames": %s}' % (fps, json.dumps([[[0, 0, 0]] * 24]))
-    with pytest.raises(ValueError, match=rf"fps must be finite and positive, got {float(fps)!r}"):
+    with pytest.raises(ValueError, match=rf"fps must be positive and finite, got {float(fps)!r}"):
         ingest_estimates(text)
-    with pytest.raises(ValueError, match="fps must be finite and positive"):
+    with pytest.raises(ValueError, match="fps must be positive and finite"):
         ExternalEstimate("smpl24", float(fps), np.zeros((1, 24, 3)))
 
 

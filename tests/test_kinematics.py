@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation as R
@@ -122,6 +124,19 @@ def test_procedural_motion_refuses_a_bad_duration_or_rate_before_any_work(monkey
         procedural_motion("basic", seed=1, **kwargs)
 
 
+@pytest.mark.parametrize("duration, fps, frames", [(0.01, 30.0, 0), (0.04, 30.0, 1), (1.0, 1.4, 1)])
+def test_procedural_motion_refuses_a_clip_shorter_than_two_frames(skeleton, duration, fps, frames):
+    want = f"duration {duration!r} s at {fps!r} fps gives {frames} frames; a clip needs at least 2"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        procedural_motion("basic", duration, fps, 1, skeleton)
+    assert len(procedural_motion("basic", 0.05, 30.0, 1, skeleton).root_translations) == 2
+
+
+def test_procedural_motion_refuses_a_frame_count_that_overflows(skeleton):
+    with pytest.raises(ValueError, match=r"duration \* fps must be positive and finite, got inf"):
+        procedural_motion("basic", 1e308, 30.0, 1, skeleton)
+
+
 def test_rescale_identity(skeleton):
     seq = procedural_motion("basic", 1.0, 30, 5, skeleton)
     same = rescale_to_height(seq, 1.70)
@@ -201,7 +216,7 @@ def test_motion_sequence_validation(skeleton):
     rest = MotionSequence.rest(skeleton, num_frames=3)
     root, q = rest.root_translations, rest.local_rotations
     for fps in (0.0, -30.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match=f"fps must be finite and positive, got {fps!r}"):
+        with pytest.raises(ValueError, match=f"fps must be positive and finite, got {fps!r}"):
             MotionSequence(skeleton, fps, root, q)
     with pytest.raises(ValueError, match="at least one frame"):
         MotionSequence(skeleton, 30.0, root[:0], q[:0])

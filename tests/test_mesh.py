@@ -122,6 +122,35 @@ def test_non_finite_vertex_rejected(value):
         load_obj(text)
 
 
+@pytest.mark.parametrize(
+    "faces",
+    [[[0, 1.7, 2]], [[0, 1, np.nan]], [[True, False, True]], [["0", "1", "2"]]],
+    ids=["fraction", "nan", "bool", "string"],
+)
+def test_face_indices_must_be_integers(faces):
+    # A cast to int64 would read [0, 1.7, 2] as [0, 1, 2].
+    v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
+    with pytest.raises(ValueError, match="face indices must be integers"):
+        TriMesh(v, faces)
+    # A whole number stored as a float names its vertex.
+    assert TriMesh(v, np.array([[0.0, 1.0, 2.0]])).faces.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("v 1 0 x", r"line 4: vertex coordinates must be numbers, got \['1', '0', 'x'\]"),
+        ("f 1 2.5 3", r"line 4: face indices must be integers, got \['1', '2.5', '3'\]"),
+        ("f 0 1 2", r"line 4: face \[0, 1, 2\] names no vertex; OBJ counts from 1"),
+        ("f -4 -2 -1", r"line 4: face \[-4, -2, -1\] names no vertex"),
+    ],
+    ids=["coordinate", "fractional_index", "index_zero", "index_before_first"],
+)
+def test_obj_refusals_name_their_line(record, message):
+    with pytest.raises(ValueError, match=message):
+        load_obj(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{record}\nf 1 2 3\n")
+
+
 def test_face_index_range_checked():
     v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
     with pytest.raises(ValueError):
