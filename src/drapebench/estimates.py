@@ -158,10 +158,8 @@ def ingest_estimates(text_or_path: str) -> ExternalEstimate:
     positions = np.asarray(frames, dtype=float)
     if not np.isfinite(positions).all():
         raise ValueError("frames: contain non-finite values")
-    fps = doc["fps"]
-    if type(fps) not in (int, float):
-        raise ValueError(f"fps: must be a number, got {fps!r}")
-    return ExternalEstimate(convention, float(fps), positions, label)
+    _inputs.positive("fps", doc["fps"])
+    return ExternalEstimate(convention, float(doc["fps"]), positions, label)
 
 
 def export_estimate(est: ExternalEstimate) -> str:

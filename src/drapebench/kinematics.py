@@ -6,7 +6,8 @@ Local joint rotations are parent-relative unit quaternions (w, x, y, z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,18 +77,35 @@ _TEMPLATE_OFFSETS = np.array(
 )
 
 
+class Depth(NamedTuple):
+    """The joints one step further from the root than the previous depth's.
+
+    Only joints of shallower depths feed them, so a tree walk handles each
+    depth in one batched step.
+    """
+
+    joints: np.ndarray          # (K,) joints at this depth
+    parents: np.ndarray         # (K,) their parents
+    swing_joints: np.ndarray    # the joints here that have a primary child
+    swing_parents: np.ndarray   # their parents
+    swing_children: np.ndarray  # their primary children
+
+
 @dataclass(frozen=True)
 class Skeleton:
     """Joint hierarchy with fixed parent-frame rest offsets.
 
     The benchmark body is the 24-joint set from :func:`default_skeleton`;
     arbitrary joint counts are allowed so externally parsed hierarchies can be
-    represented too.
+    represented too. Construction also plans the tree walk: every joint's
+    primary child and the non-root joints grouped by depth.
     """
 
     joint_names: tuple[str, ...]
     parents: tuple[int, ...]
     rest_offsets: np.ndarray  # (J, 3)
+    primary_children: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+    depths: tuple[Depth, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         offsets = np.asarray(self.rest_offsets, dtype=float)
@@ -108,6 +126,25 @@ class Skeleton:
                 raise ValueError(f"parent of joint {i} must precede it (got {p})")
             if np.linalg.norm(offsets[i]) == 0.0:
                 raise ValueError(f"non-root joint {i} has zero rest offset")
+        # The primary child is the child with the longest rest bone, the
+        # first of equals; these lengths are np.linalg.norm's bits.
+        lengths = np.sqrt(rot.dot(offsets, offsets))
+        primary: list[int | None] = [None] * j
+        depth = [0] * j
+        for i, p in enumerate(self.parents[1:], start=1):
+            depth[i] = depth[p] + 1
+            if primary[p] is None or lengths[i] > lengths[primary[p]]:
+                primary[p] = i
+        levels = []
+        for d in range(1, max(depth) + 1):
+            joints = [i for i in range(j) if depth[i] == d]
+            swing = [i for i in joints if primary[i] is not None]
+            levels.append(Depth(*(np.array(a, dtype=np.int64) for a in (
+                joints, [self.parents[i] for i in joints],
+                swing, [self.parents[i] for i in swing], [primary[i] for i in swing],
+            ))))
+        object.__setattr__(self, "primary_children", tuple(primary))
+        object.__setattr__(self, "depths", tuple(levels))
 
     @property
     def num_joints(self) -> int:
@@ -118,21 +155,17 @@ class Skeleton:
 
     def primary_child(self, joint: int) -> int | None:
         """Child whose rest bone is longest; used for swing recovery."""
-        kids = self.children(joint)
-        if not kids:
-            return None
-        lengths = [np.linalg.norm(self.rest_offsets[c]) for c in kids]
-        return kids[int(np.argmax(lengths))]
+        return self.primary_children[joint]
 
     def rest_positions(self) -> np.ndarray:
         """Joint positions (J, 3) at the rest pose, root at the origin.
 
         Every rest orientation is the identity, so FK reduces to summing the
-        rest offsets down the chain.
+        rest offsets down the chain, one depth at a time.
         """
         pos = np.zeros((self.num_joints, 3))
-        for i in range(1, self.num_joints):
-            pos[i] = pos[self.parents[i]] + self.rest_offsets[i]
+        for level in self.depths:
+            pos[level.joints] = pos[level.parents] + self.rest_offsets[level.joints]
         return pos
 
     def rest_height(self) -> float:
@@ -201,8 +234,8 @@ def sequence_transforms(seq: MotionSequence) -> tuple[np.ndarray, np.ndarray]:
     """FK over all frames: positions (T, J, 3) and orientations (T, J, 4).
 
     Child position = parent position + parent orientation applied to the rest
-    offset; orientations compose down the chain. Loops over joints, each step
-    vectorised over frames.
+    offset; orientations compose down the chain. Walks the skeleton one depth
+    at a time, each step batched over that depth's joints and all frames.
     """
     sk = seq.skeleton
     q = seq.local_rotations
@@ -210,10 +243,12 @@ def sequence_transforms(seq: MotionSequence) -> tuple[np.ndarray, np.ndarray]:
     orientations = np.empty_like(q)
     positions[:, 0] = seq.root_translations
     orientations[:, 0] = q[:, 0]
-    for i in range(1, sk.num_joints):
-        p = sk.parents[i]
-        positions[:, i] = positions[:, p] + rot.rotate(orientations[:, p], sk.rest_offsets[i])
-        orientations[:, i] = rot.multiply(orientations[:, p], q[:, i])
+    for level in sk.depths:
+        parent_q = orientations[:, level.parents]
+        positions[:, level.joints] = positions[:, level.parents] + rot.rotate(
+            parent_q, sk.rest_offsets[level.joints]
+        )
+        orientations[:, level.joints] = rot.multiply(parent_q, q[:, level.joints])
     return positions, orientations
 
 
@@ -394,16 +429,16 @@ def poses_from_joint_positions(
     locals_q[..., 0] = 1.0
     observed = np.zeros((t_count, j_count), dtype=bool)
 
-    def usable_bones(j: int, children: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Bones j -> children per frame, (T, K, 3), and where each is usable."""
-        bones = positions[:, children] - positions[:, j, None]
-        ok = valid[:, j, None] & valid[:, children] & (np.sqrt(rot.dot(bones, bones)) > 1e-12)
+    def usable_bones(joints, children) -> tuple[np.ndarray, np.ndarray]:
+        """Bones joints[k] -> children[k] per frame, (T, K, 3), and where each is usable."""
+        bones = positions[:, children] - positions[:, joints]
+        ok = valid[:, joints] & valid[:, children] & (np.sqrt(rot.dot(bones, bones)) > 1e-12)
         return bones, ok
 
     # Root: all usable child bones vote for its orientation. Frames are
     # grouped by which child bones they can use.
     kids = skeleton.children(0)
-    bones, use = usable_bones(0, kids)
+    bones, use = usable_bones([0] * len(kids), kids)
     rest = skeleton.rest_offsets[kids]
     for pattern in np.unique(use, axis=0):
         if not pattern.any():
@@ -417,18 +452,18 @@ def poses_from_joint_positions(
                 rot.normalize(rest[pattern]), rot.normalize(bones[frames][:, pattern])
             )
         observed[frames, 0] = True
+    # Below the root, one depth at a time: each joint swings its primary
+    # bone, seen in its parent's frame, from rest to observed.
     globals_q = np.empty_like(locals_q)
     globals_q[:, 0] = locals_q[:, 0]
-    for j in range(1, j_count):
-        parent = skeleton.parents[j]
-        c = skeleton.primary_child(j)
-        if c is not None:
-            bone, ok = usable_bones(j, [c])
-            ok = ok[:, 0]
-            d_parent = rot.rotate(rot.conjugate(globals_q[ok, parent]), bone[ok, 0])
-            locals_q[ok, j] = rot.between(skeleton.rest_offsets[c], d_parent)
-            observed[ok, j] = True
-        globals_q[:, j] = rot.multiply(globals_q[:, parent], locals_q[:, j])
+    for level in skeleton.depths:
+        joints, children = level.swing_joints, level.swing_children
+        bones, ok = usable_bones(joints, children)
+        frames, k = np.nonzero(ok)
+        d_parent = rot.rotate(rot.conjugate(globals_q[frames, level.swing_parents[k]]), bones[frames, k])
+        locals_q[frames, joints[k]] = rot.between(skeleton.rest_offsets[children[k]], d_parent)
+        observed[frames, joints[k]] = True
+        globals_q[:, level.joints] = rot.multiply(globals_q[:, level.parents], locals_q[:, level.joints])
     root_translations = np.where(valid[:, :1], positions[:, 0], 0.0)
     return root_translations, locals_q, observed
 

@@ -47,6 +47,7 @@ class MarkerTrajectory:
     fps: float
 
     def __post_init__(self):
+        _inputs.positive("fps", self.fps)
         p = np.asarray(self.positions, dtype=float)
         object.__setattr__(self, "positions", p)
         if p.ndim != 3 or p.shape[2] != 3:
@@ -75,8 +76,7 @@ def place_markers(body: SkinnedBody, garment: TriMesh | None = None) -> MarkerPl
     inside the skin.
     """
     sk = body.skeleton
-    children = [sk.primary_child(j) for j in range(sk.num_joints)]
-    bones = sk.rest_offsets[[j if c is None else c for j, c in enumerate(children)]]
+    bones = sk.rest_offsets[[j if c is None else c for j, c in enumerate(sk.primary_children)]]
     joint = np.repeat(np.arange(sk.num_joints), 2)
     n = len(joint)
     origins = sk.rest_positions()[joint]

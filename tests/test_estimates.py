@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_ingest_missing_field():
 @pytest.mark.parametrize("fps", ["NaN", "Infinity", "0", "-30"])
 def test_ingest_refuses_a_frame_rate_that_is_not_finite_and_positive(fps):
     text = '{"convention": "smpl24", "fps": %s, "frames": %s}' % (fps, json.dumps([[[0, 0, 0]] * 24]))
-    with pytest.raises(ValueError, match=rf"fps must be positive and finite, got {float(fps)!r}"):
+    with pytest.raises(ValueError, match=rf"fps must be positive and finite, got {json.loads(fps)!r}"):
         ingest_estimates(text)
     with pytest.raises(ValueError, match="fps must be positive and finite"):
         ExternalEstimate("smpl24", float(fps), np.zeros((1, 24, 3)))
@@ -61,7 +62,8 @@ def test_ingest_refuses_a_frame_rate_that_is_not_finite_and_positive(fps):
 def test_ingest_refuses_a_frame_rate_that_is_not_a_number(fps):
     # JSON's true would read as 1.0 and a numeric string as its number.
     text = '{"convention": "smpl24", "fps": %s, "frames": %s}' % (fps, json.dumps([[[0, 0, 0]] * 24]))
-    with pytest.raises(ValueError, match=f"fps: must be a number, got {json.loads(fps)!r}"):
+    want = f"fps must be positive and finite, got {json.loads(fps)!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         ingest_estimates(text)
 
 

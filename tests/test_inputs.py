@@ -71,6 +71,7 @@ NUMBER_ENTRIES = [
     ("rescale_to_height.target_height", "target_height", POSITIVE, lambda v: rescale_to_height(REST, v), 2),
     ("procedural_motion.duration", "duration", POSITIVE, lambda v: procedural_motion("basic", v, 30, 1, SKELETON), 1),
     ("procedural_motion.fps", "fps", POSITIVE, lambda v: procedural_motion("basic", 1, v, 1, SKELETON), 30),
+    ("MarkerTrajectory.fps", "fps", POSITIVE, lambda v: MarkerTrajectory(np.zeros((2, 4, 3)), v), 30),
     ("add_marker_noise.rms_3d_m", "rms_3d_m", NON_NEGATIVE, lambda v: add_marker_noise(TRAJECTORY, 1, v), 0),
 ]
 NOT_NUMBERS = [True, False, "1", None, float("nan"), float("inf"), float("-inf")]

@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial.transform import Rotation as R
 
 from drapebench import kinematics, rotations as rot
+from drapebench.bvh import parse_bvh, write_bvh
 from drapebench.kinematics import (
     MotionSequence,
     Skeleton,
@@ -331,10 +332,32 @@ def _loop_swing_recovery(skeleton, positions, valid):
     return root, locals_q, observed
 
 
-def test_fk_matches_per_frame_loop_bit_for_bit(skeleton, rng):
-    seq = random_motion(skeleton, rng, 50)
-    for ours, loop in zip(sequence_transforms(seq), _loop_fk(seq)):
-        assert np.array_equal(ours, loop)
+def _depth_first_skeleton():
+    """The SMPL body with its joints in the depth-first order write_bvh writes."""
+    return parse_bvh(write_bvh(MotionSequence.rest(default_skeleton()))).skeleton
+
+
+def _chain_skeleton():
+    """Nine joints in one chain: one joint per depth."""
+    rng = np.random.default_rng(7)
+    offsets = rng.normal(0.0, 0.2, (9, 3))
+    offsets[0] = 0.0
+    return Skeleton(tuple(f"j{i}" for i in range(9)), (-1, *range(8)), offsets)
+
+
+TOPOLOGIES = {"smpl": default_skeleton, "depth_first": _depth_first_skeleton, "chain": _chain_skeleton}
+
+
+@pytest.fixture(params=list(TOPOLOGIES))
+def topology(request):
+    return TOPOLOGIES[request.param]()
+
+
+def test_fk_matches_per_frame_loop_bit_for_bit(rng):
+    for make in TOPOLOGIES.values():
+        seq = random_motion(make(), rng, 50)
+        for ours, loop in zip(sequence_transforms(seq), _loop_fk(seq)):
+            assert np.array_equal(ours, loop)
 
 
 def test_swing_recovery_matches_per_frame_loop_bit_for_bit(skeleton, rng):
@@ -345,3 +368,69 @@ def test_swing_recovery_matches_per_frame_loop_bit_for_bit(skeleton, rng):
     ours = poses_from_joint_positions(skeleton, positions, valid)
     for got, want in zip(ours, _loop_swing_recovery(skeleton, positions, valid)):
         assert np.array_equal(got, want)
+
+
+def test_swing_recovery_with_a_depth_masked_out_matches_per_frame_loop_bit_for_bit(topology, rng):
+    sk = topology
+    positions, _ = sequence_transforms(random_motion(sk, rng, 40))
+    positions = positions + rng.normal(0.0, 0.01, positions.shape)
+    valid = rng.uniform(size=positions.shape[:2]) > 0.2
+    # No bone from or to depth 3 is usable in any frame, so two depths find
+    # nothing to swing; depth 5 loses its joints in some frames only.
+    valid[:, sk.depths[2].joints] = False
+    valid[::3, sk.depths[4].joints] = False
+    ours = poses_from_joint_positions(sk, positions, valid)
+    for got, want in zip(ours, _loop_swing_recovery(sk, positions, valid)):
+        assert np.array_equal(got, want)
+    observed = ours[2]
+    assert not observed[:, sk.depths[1].swing_joints].any()
+    assert not observed[:, sk.depths[2].swing_joints].any()
+    assert observed[:, sk.depths[4].swing_joints].any()
+
+
+def test_depth_first_order_interleaves_depths(skeleton):
+    """SMPL numbers its joints depth by depth; the BVH order does not."""
+    def by_depth(sk):
+        return np.concatenate([level.joints for level in sk.depths])
+
+    assert (np.diff(by_depth(skeleton)) > 0).all()
+    assert (np.diff(by_depth(_depth_first_skeleton())) < 0).any()
+
+
+def test_tree_plan_matches_its_definition(topology):
+    sk = topology
+    for j in range(sk.num_joints):
+        kids = sk.children(j)
+        lengths = [np.linalg.norm(sk.rest_offsets[c]) for c in kids]
+        assert sk.primary_child(j) == (kids[int(np.argmax(lengths))] if kids else None)
+    order = np.concatenate([[0]] + [level.joints for level in sk.depths])
+    assert sorted(order.tolist()) == list(range(sk.num_joints))
+    rest = np.zeros((sk.num_joints, 3))
+    for i in range(1, sk.num_joints):
+        rest[i] = rest[sk.parents[i]] + sk.rest_offsets[i]
+    assert np.array_equal(sk.rest_positions(), rest)
+
+
+def test_primary_child_takes_the_first_of_equal_bones():
+    sk = Skeleton(("root", "a", "b", "c"), (-1, 0, 0, 0), [[0.0, 0, 0], [0, 1, 0], [0, 0, 2], [2, 0, 0]])
+    assert sk.primary_child(0) == 2
+    assert sk.primary_children == (2, None, None, None)
+
+
+def test_tree_walks_multiply_once_per_depth(skeleton, monkeypatch):
+    seq = procedural_motion("basic", 0.5, 30, 2, skeleton)
+    positions, _ = sequence_transforms(seq)
+    calls = []
+    multiply = rot.multiply
+
+    def counted(a, b):
+        calls.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(rot, "multiply", counted)
+    sequence_transforms(seq)
+    assert len(calls) == 8  # SMPL-24 is 8 joints deep below the root
+    calls.clear()
+    poses_from_joint_positions(skeleton, positions)
+    assert len(calls) == 8
+    assert len(skeleton.depths) == 8
