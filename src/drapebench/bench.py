@@ -305,7 +305,7 @@ def _once(make):
 
 def _run_group(
     config: BenchConfig, motion: MotionSpec, build: str, drape: int,
-    methods: tuple[MethodSpec, ...], artifacts_dir: str | None = None,
+    methods: tuple[MethodSpec, ...], bvh_dir: str | None = None,
 ) -> list[tuple[CellResult, float]]:
     """Run the `methods` cells of one (motion, build, drape) group, in order.
 
@@ -314,8 +314,10 @@ def _run_group(
     the garment, cloth simulation, marker placement and noiseless trajectory.
     No cell writes to a shared product, so each row equals the row of its
     cell run alone. A product that fails fails every cell that needs it with
-    its error; a cell's own failure fails that cell only. Returns each row
-    with its wall time, which counts the shared products it was first to need.
+    its error; a cell's own failure fails that cell only. Marker-based cells
+    write their reconstruction as BVH into `bvh_dir` if one is given. Returns
+    each row with its wall time, which counts the shared products it was
+    first to need.
     """
 
     @_once
@@ -349,14 +351,14 @@ def _run_group(
         tic = time.perf_counter()
         label = config.method_label(method)
         try:
-            cell = _score_cell(config, motion, build, drape, method, label, truth, markers, artifacts_dir)
+            cell = _score_cell(config, motion, build, drape, method, label, truth, markers, bvh_dir)
         except Exception as exc:  # cell isolation: a blow-up must not kill the sweep
             cell = CellResult(motion.motion_class, build, drape, label, status="error", error=f"{exc}")
         rows.append((cell, time.perf_counter() - tic))
     return rows
 
 
-def _score_cell(config, motion, build, drape, method, label, truth, markers, artifacts_dir) -> CellResult:
+def _score_cell(config, motion, build, drape, method, label, truth, markers, bvh_dir) -> CellResult:
     """Score one method against its group's shared products; raises on failure."""
     result = CellResult(motion.motion_class, build, drape, label)
     cell_seed = _derive_seed(config.seed, motion.motion_class, build, drape, label)
@@ -382,10 +384,10 @@ def _score_cell(config, motion, build, drape, method, label, truth, markers, art
                 ang_mask & cloth_joints[None, :],
             )
         result.source_label = "virtual_markers"
-        if config.export_bvh and artifacts_dir:
+        if bvh_dir:
             est_seq = reconstruct_pose_from_markers(traj, sk, seq.motion_class)
             name = cell_id(motion, build, drape, label).replace("/", "_") + ".bvh"
-            with open(os.path.join(artifacts_dir, name), "w") as fh:
+            with open(os.path.join(bvh_dir, name), "w") as fh:
                 fh.write(write_bvh(est_seq))
     else:
         if method.kind == "markerless_surrogate":
@@ -416,20 +418,18 @@ def _score_cell(config, motion, build, drape, method, label, truth, markers, art
     return result
 
 
-def run_cell(
-    config: BenchConfig, motion: MotionSpec, build: str, drape: int, method: MethodSpec,
-    artifacts_dir: str | None = None,
-) -> CellResult:
+def run_cell(config: BenchConfig, motion: MotionSpec, build: str, drape: int, method: MethodSpec) -> CellResult:
     """Execute one benchmark cell, a group of one; a failure comes back as its error row."""
-    return _run_group(config, motion, build, drape, (method,), artifacts_dir)[0][0]
+    return _run_group(config, motion, build, drape, (method,))[0][0]
 
 
-def run_benchmark(config: BenchConfig, artifacts_dir: str | None = None) -> BenchmarkReport:
+def run_benchmark(config: BenchConfig) -> BenchmarkReport:
     """Run every cell of the configured matrix.
 
     One job per (motion, build, drape) group runs all of the group's methods.
     Failures are recorded per cell and the sweep continues. Rows come back in
-    coordinate order, serial or parallel.
+    coordinate order, serial or parallel. With export_bvh set, marker-based
+    cells write their reconstruction as BVH into the output directory.
     """
     groups = [
         (motion, build, drape)
@@ -437,11 +437,10 @@ def run_benchmark(config: BenchConfig, artifacts_dir: str | None = None) -> Benc
         for build in config.builds
         for drape in config.drape_classes
     ]
-    if config.export_bvh and artifacts_dir is None:
-        artifacts_dir = config.output_dir
-    if artifacts_dir:
-        os.makedirs(artifacts_dir, exist_ok=True)
-    jobs = [(config, *group, config.methods, artifacts_dir) for group in groups]
+    bvh_dir = config.output_dir if config.export_bvh else None
+    if bvh_dir:
+        os.makedirs(bvh_dir, exist_ok=True)
+    jobs = [(config, *group, config.methods, bvh_dir) for group in groups]
     tic = time.perf_counter()
     workers = min(config.workers, len(groups))
     if workers > 1:

@@ -28,10 +28,7 @@ class Capsule:
 
     def __post_init__(self):
         for name in ("p0", "p1"):
-            end = np.asarray(getattr(self, name), dtype=float)
-            if end.shape != (3,) or not np.isfinite(end).all():
-                raise ValueError(f"capsule {name} must be a finite 3-vector, got {end.tolist()!r}")
-            object.__setattr__(self, name, end)
+            object.__setattr__(self, name, _inputs.array(f"capsule {name}", getattr(self, name), (3,)))
         _inputs.positive("capsule radius", self.radius)
 
 

@@ -334,14 +334,6 @@ def _capsule_arrays(colliders: list[Capsule]) -> tuple[np.ndarray, np.ndarray, n
     return p0, p1 - p0, radius
 
 
-def _shaped(name: str, array, expected: tuple) -> np.ndarray:
-    """array as floats, refused with a ValueError unless its shape is expected."""
-    array = np.asarray(array, dtype=float)
-    if array.shape != expected:
-        raise ValueError(f"{name} has shape {array.shape}, expected {expected}")
-    return array
-
-
 def _refuse_non_finite(columns: np.ndarray, what: str, substep: int) -> None:
     """Raise ClothSimulationError naming the first particle whose column is not finite."""
     if not np.isfinite(columns).all():
@@ -434,7 +426,7 @@ def simulate_sequence(
     pinned.flags.writeable = False
     if pinned.shape != (garment.num_vertices,):
         raise ValueError(f"pinned has shape {pinned.shape}, expected ({garment.num_vertices},)")
-    pin_frames = _shaped("pin_frames", pin_frames, (n_frames, int(pinned.sum()), 3))
+    pin_frames = _inputs.array("pin_frames", pin_frames, (n_frames, int(pinned.sum()), 3))
     if len({len(frame) for frame in collider_frames}) > 1:
         raise ValueError("collider frames disagree on capsule count")
     caps = [_capsule_arrays(frame) for frame in collider_frames]
@@ -448,7 +440,7 @@ def simulate_sequence(
     run = _Solver(build_spring_network(garment), params, pinned, dt)
     if initial_positions is None:
         initial_positions = garment.vertices
-    x = _shaped("initial_positions", initial_positions, (garment.num_vertices, 3)).T.copy()
+    x = _inputs.array("initial_positions", initial_positions, (garment.num_vertices, 3)).T.copy()
     x.put(run.pin_flat, pin_frames[0].T)
     v = np.zeros_like(x)
 

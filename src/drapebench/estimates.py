@@ -32,16 +32,11 @@ class ExternalEstimate:
     source_label: str = ""
 
     def __post_init__(self):
-        p = np.asarray(self.positions, dtype=float)
-        object.__setattr__(self, "positions", p)
         if self.convention not in CONVENTION_JOINTS:
             raise ValueError(f"unknown convention {self.convention!r}")
         _inputs.positive("fps", self.fps)
         j = CONVENTION_JOINTS[self.convention]
-        if p.ndim != 3 or p.shape[1] != j or p.shape[2] != 3:
-            raise ValueError(
-                f"positions must be (frames, {j}, 3) for {self.convention}, got {p.shape}"
-            )
+        object.__setattr__(self, "positions", _inputs.array("positions", self.positions, (None, j, 3)))
 
 
 # Per target (SMPL-24) joint, the source joint: an index, an index pair whose
@@ -155,11 +150,8 @@ def ingest_estimates(text_or_path: str) -> ExternalEstimate:
             # string as its number.
             if not all(type(c) in (int, float) for c in p):
                 raise ValueError(f"frames[{t}][{j}]: coordinates must be numbers, got {p!r}")
-    positions = np.asarray(frames, dtype=float)
-    if not np.isfinite(positions).all():
-        raise ValueError("frames: contain non-finite values")
     _inputs.positive("fps", doc["fps"])
-    return ExternalEstimate(convention, float(doc["fps"]), positions, label)
+    return ExternalEstimate(convention, float(doc["fps"]), frames, label)
 
 
 def export_estimate(est: ExternalEstimate) -> str:

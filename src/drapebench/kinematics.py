@@ -108,16 +108,14 @@ class Skeleton:
     depths: tuple[Depth, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        offsets = np.asarray(self.rest_offsets, dtype=float)
-        object.__setattr__(self, "rest_offsets", offsets)
         j = len(self.joint_names)
-        if len(self.parents) != j or offsets.shape != (j, 3):
-            raise ValueError("joint_names, parents and rest_offsets disagree on joint count")
+        offsets = _inputs.array("rest_offsets", self.rest_offsets, (j, 3))
+        object.__setattr__(self, "rest_offsets", offsets)
+        if len(self.parents) != j:
+            raise ValueError("joint_names and parents disagree on joint count")
         if len(set(self.joint_names)) != j:
             name = next(n for i, n in enumerate(self.joint_names) if n in self.joint_names[:i])
             raise ValueError(f"joint name {name!r} repeats; joints are looked up by name")
-        if not np.isfinite(offsets).all():
-            raise ValueError("rest_offsets must be finite")
         roots = [i for i, p in enumerate(self.parents) if p < 0]
         if roots != [0]:
             raise ValueError("joint 0 must be the unique root")
@@ -194,20 +192,12 @@ class MotionSequence:
         _inputs.positive("fps", self.fps)
         if self.motion_class not in MOTION_CLASSES:
             raise ValueError(f"motion_class must be one of {MOTION_CLASSES}")
-        root = np.asarray(self.root_translations, dtype=float)
-        q = np.asarray(self.local_rotations, dtype=float)
-        j = self.skeleton.num_joints
-        if q.ndim != 3 or q.shape[1:] != (j, 4):
-            raise ValueError(f"local rotations have shape {q.shape}, skeleton needs (frames, {j}, 4)")
+        q = _inputs.array("local_rotations", self.local_rotations, (None, self.skeleton.num_joints, 4))
         if len(q) < 1:
             raise ValueError("a motion sequence needs at least one frame")
-        if root.shape != (len(q), 3):
-            raise ValueError(f"root translations have shape {root.shape}, need ({len(q)}, 3)")
-        if not np.isfinite(root).all():
-            raise ValueError("root_translations must be finite")
-        # Written so that a NaN fails it.
+        root = _inputs.array("root_translations", self.root_translations, (len(q), 3))
         if not np.all(np.abs(np.linalg.norm(q, axis=-1) - 1.0) <= 1e-9):
-            raise ValueError("local_rotations must be finite unit quaternions (within 1e-9)")
+            raise ValueError("local_rotations must be unit quaternions (within 1e-9)")
         object.__setattr__(self, "root_translations", root)
         object.__setattr__(self, "local_rotations", q)
 

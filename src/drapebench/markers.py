@@ -48,12 +48,7 @@ class MarkerTrajectory:
 
     def __post_init__(self):
         _inputs.positive("fps", self.fps)
-        p = np.asarray(self.positions, dtype=float)
-        object.__setattr__(self, "positions", p)
-        if p.ndim != 3 or p.shape[2] != 3:
-            raise ValueError("positions must be (frames, markers, 3)")
-        if not np.isfinite(p).all():
-            raise ValueError("marker positions must be finite")
+        object.__setattr__(self, "positions", _inputs.array("marker positions", self.positions, (None, None, 3)))
 
     @property
     def num_markers(self) -> int:

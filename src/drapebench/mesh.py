@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rotations as rot
+from . import _inputs, rotations as rot
 
 
 @dataclass(frozen=True)
@@ -17,14 +17,12 @@ class TriMesh:
     faces: np.ndarray     # (F, 3) int
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
+        v = np.ascontiguousarray(_inputs.array("vertices", self.vertices, (None, 3)))
         f = np.asarray(self.faces)
         # A cast to int64 truncates, so 1.7 would name vertex 1. Only a
         # non-integer dtype pays for the check.
         if f.dtype.kind not in "iu" and not (f.dtype.kind == "f" and np.array_equal(f, np.trunc(f))):
             raise ValueError("face indices must be integers")
-        if v.ndim != 2 or v.shape[1] != 3:
-            raise ValueError("vertices must be (V, 3)")
         if f.ndim != 2 or f.shape[1] != 3:
             raise ValueError("faces must be (F, 3)")
         if len(f) and (f.min() < 0 or f.max() >= len(v)):
@@ -32,9 +30,6 @@ class TriMesh:
         f = np.ascontiguousarray(f, dtype=np.int64)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
-        if not np.isfinite(v).all():
-            bad = int(np.argmin(np.isfinite(v).all(axis=1)))
-            raise ValueError(f"vertices must be finite; vertex {bad} is not")
         areas = face_areas(v, f)
         if np.any(areas <= 0.0):
             bad = int(np.argmin(areas))
@@ -181,7 +176,7 @@ def surface_points(
     (N,) and barycentric (N, 3) locate N points. Returns (..., N, 3).
     """
     face = np.asarray(face)
-    barycentric = np.asarray(barycentric, dtype=float)
+    barycentric = _inputs.array("barycentric", barycentric, (len(face), 3))
     if len(face) and (face.min() < 0 or face.max() >= len(faces)):
         raise ValueError("face index out of range")
     if np.any(barycentric < -1e-12) or np.any(np.abs(barycentric.sum(axis=-1) - 1.0) > 1e-9):

@@ -186,17 +186,19 @@ def between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     u = u / nu[:, None]
     v = v / nv[:, None]
     d = dot(u, v)
-    q = np.empty((len(u), 4))
-    # Antipodal: rotate pi about any axis perpendicular to u.
-    anti = d < -1.0 + 1e-12
-    axis = cross(u[anti], [1.0, 0.0, 0.0])
-    near_x = np.sqrt(dot(axis, axis)) < 1e-8
-    axis[near_x] = cross(u[anti][near_x], [0.0, 1.0, 0.0])
-    q[anti] = from_axis_angle(axis, np.full(len(axis), np.pi))
-    swing = np.empty((len(u) - len(axis), 4))
-    swing[:, 0] = 1.0 + d[~anti]
-    swing[:, 1:] = cross(u[~anti], v[~anti])
-    q[~anti] = normalize(swing)
+    swing = np.empty((len(u), 4))
+    swing[:, 0] = 1.0 + d
+    swing[:, 1:] = cross(u, v)
+    # Antipodal: rotate pi about any axis perpendicular to u. The swing may be
+    # zero there, so it is set to the identity before normalizing.
+    anti = np.nonzero(d < -1.0 + 1e-12)[0]
+    swing[anti] = (1.0, 0.0, 0.0, 0.0)
+    q = normalize(swing)
+    if len(anti):
+        axis = cross(u[anti], [1.0, 0.0, 0.0])
+        near_x = np.sqrt(dot(axis, axis)) < 1e-8
+        axis[near_x] = cross(u[anti[near_x]], [0.0, 1.0, 0.0])
+        q[anti] = from_axis_angle(axis, np.full(len(anti), np.pi))
     return q.reshape(shape[:-1] + (4,))
 
 

@@ -76,6 +76,16 @@ def test_ingest_refuses_a_coordinate_that_is_not_a_number(value):
         ingest_estimates(text)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_ingest_refuses_a_coordinate_that_is_not_finite(value):
+    # Python's json reads NaN and Infinity as floats.
+    frames = [[[0.0, 0.1 * j, 0.0] for j in range(24)] for _ in range(3)]
+    frames[2][5][1] = value
+    text = json.dumps({"convention": "smpl24", "fps": 30, "frames": frames})
+    with pytest.raises(ValueError, match=rf"^positions must be finite; entry \[2, 5, 1\] is {value}$"):
+        ingest_estimates(text)
+
+
 @pytest.mark.parametrize("content", ["5", "[]", '"smpl24"', "null"])
 def test_ingest_refuses_a_file_that_is_not_a_json_object(tmp_path, content):
     path = tmp_path / "est.json"

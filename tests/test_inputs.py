@@ -1,8 +1,10 @@
-"""The one refusal rule for numbers, integers and flags from outside.
+"""The one refusal rule for numbers, integers, flags and arrays from outside.
 
 A number is a real other than a bool, and finite; an integer is a Python int
 other than a bool; a flag is True or False. Every entry point that takes such
 a value refuses the others with a ValueError naming the field and the value.
+An array holds integers or floats, has the expected shape and is finite, and
+comes back as float64; every other array is refused naming the field.
 """
 
 import os
@@ -19,12 +21,13 @@ from drapebench.estimates import ExternalEstimate, normalize_estimate
 from drapebench.garment import generate_garment
 from drapebench.kinematics import (
     MotionSequence,
+    Skeleton,
     default_skeleton,
     procedural_motion,
     rescale_to_height,
 )
 from drapebench.markers import MarkerTrajectory, add_marker_noise
-from drapebench.mesh import TriMesh
+from drapebench.mesh import TriMesh, surface_points
 
 SKELETON = default_skeleton()
 REST = MotionSequence.rest(SKELETON, num_frames=2)
@@ -33,9 +36,11 @@ ESTIMATE = ExternalEstimate("smpl24", 30.0, np.arange(72.0).reshape(1, 24, 3))
 TRAJECTORY = MarkerTrajectory(np.zeros((2, 4, 3)), 30.0)
 
 
-def _simulate(fps=30.0, warmup=0.0):
-    pinned = np.zeros(3, dtype=bool)
-    return simulate_sequence(TRIANGLE, pinned, np.zeros((1, 0, 3)), [[]], ClothParams(), fps, warmup)
+def _simulate(fps=30.0, warmup=0.0, pin_frames=TRIANGLE.vertices[None, :1], initial_positions=None):
+    pinned = np.array([True, False, False])
+    return simulate_sequence(
+        TRIANGLE, pinned, pin_frames, [[]], ClothParams(), fps, warmup, initial_positions
+    )
 
 
 # (id, field named in the message, rule, entry point taking the value, a valid value)
@@ -75,12 +80,89 @@ NUMBER_ENTRIES = [
     ("add_marker_noise.rms_3d_m", "rms_3d_m", NON_NEGATIVE, lambda v: add_marker_noise(TRAJECTORY, 1, v), 0),
 ]
 NOT_NUMBERS = [True, False, "1", None, float("nan"), float("inf"), float("-inf")]
-OUT_OF_RANGE = {POSITIVE: [0, -1.0], NON_NEGATIVE: [-1.0], INTEGER: [1.5]}
+# 10**400 is finite as an int but has no float.
+OUT_OF_RANGE = {POSITIVE: [0, -1.0, 10**400], NON_NEGATIVE: [-1.0, 10**400], INTEGER: [1.5]}
 
 FLAG_ENTRIES = [
     ("MethodSpec.noise", "method noise", lambda v: MethodSpec("marker_based", noise=v)),
     ("BenchConfig.export_bvh", "export_bvh", lambda v: BenchConfig(export_bvh=v)),
 ]
+
+
+# (id, field named in the message, entry point returning the array it keeps or
+# makes from the value, a valid value of whole numbers)
+ARRAY_ENTRIES = [
+    ("Capsule.p0", "capsule p0", lambda v: Capsule(v, np.ones(3), 1).p0, np.zeros(3)),
+    ("Capsule.p1", "capsule p1", lambda v: Capsule(np.zeros(3), v, 1).p1, np.ones(3)),
+    (
+        "Skeleton.rest_offsets", "rest_offsets",
+        lambda v: Skeleton(SKELETON.joint_names, SKELETON.parents, v).rest_offsets, np.ones((24, 3)),
+    ),
+    (
+        "MotionSequence.root_translations", "root_translations",
+        lambda v: MotionSequence(SKELETON, 30, v, REST.local_rotations).root_translations, np.zeros((2, 3)),
+    ),
+    (
+        "MotionSequence.local_rotations", "local_rotations",
+        lambda v: MotionSequence(SKELETON, 30, REST.root_translations, v).local_rotations,
+        REST.local_rotations,
+    ),
+    ("TriMesh.vertices", "vertices", lambda v: TriMesh(v, TRIANGLE.faces).vertices, TRIANGLE.vertices),
+    ("MarkerTrajectory.positions", "marker positions", lambda v: MarkerTrajectory(v, 30).positions, np.zeros((2, 4, 3))),
+    ("ExternalEstimate.positions", "positions", lambda v: ExternalEstimate("smpl24", 30, v).positions, np.zeros((1, 24, 3))),
+    ("simulate_sequence.pin_frames", "pin_frames", lambda v: _simulate(pin_frames=v)[0].positions, np.zeros((1, 1, 3))),
+    (
+        "simulate_sequence.initial_positions", "initial_positions",
+        lambda v: _simulate(initial_positions=v)[0].positions, TRIANGLE.vertices,
+    ),
+    (
+        "surface_points.barycentric", "barycentric",
+        lambda v: surface_points(TRIANGLE.vertices, TRIANGLE.faces, [0, 0], v), np.array([[1, 0, 0], [0, 0, 1]]),
+    ),
+]
+
+
+def _ragged(good):
+    return [good.tolist(), good.tolist()[:-1]]
+
+
+def _with_last(good, value):
+    bad = good.astype(float)
+    bad.flat[-1] = value
+    return bad
+
+
+@pytest.mark.parametrize("field, make, good", [pytest.param(*entry[1:], id=entry[0]) for entry in ARRAY_ENTRIES])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        pytest.param(lambda g: g.astype(bool), "must hold numbers, got bool entries", id="bool"),
+        pytest.param(lambda g: g.astype(int).astype(str), "must hold numbers, got <U21 entries", id="string"),
+        pytest.param(_ragged, "must hold numbers, got a ragged list", id="ragged"),
+        pytest.param(lambda g: g[..., :2], "has shape ", id="shape"),
+        pytest.param(lambda g: _with_last(g, np.nan), "must be finite; entry ", id="nan"),
+        pytest.param(lambda g: _with_last(g, np.inf), "must be finite; entry ", id="inf"),
+    ],
+)
+def test_an_array_that_is_not_finite_numbers_of_its_shape_is_refused_by_name(field, make, good, bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} {re.escape(message)}"):
+        make(bad(good))
+
+
+@pytest.mark.parametrize("field, make, good", [pytest.param(*entry[1:], id=entry[0]) for entry in ARRAY_ENTRIES])
+def test_a_refused_entry_is_named_by_its_index(field, make, good):
+    last = [int(i) for i in np.unravel_index(good.size - 1, good.shape)]
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be finite; entry {re.escape(str(last))} is {value}$"):
+            make(_with_last(good, value))
+
+
+@pytest.mark.parametrize("make, good", [pytest.param(*entry[2:], id=entry[0]) for entry in ARRAY_ENTRIES])
+def test_valid_arrays_load_as_float64(make, good):
+    want = make(good.astype(float))
+    for value in (good.astype(int), good.astype(np.float32), good.tolist()):
+        got = make(value)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(

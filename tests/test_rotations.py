@@ -181,6 +181,45 @@ def test_between_batched_matches_per_pair_bit_for_bit(rng):
     assert rot.between(u[0], v[0]).shape == (4,)
 
 
+def _between_masked(u, v):
+    """between as it was written with boolean masks, the antipodal turn on every call."""
+    shape = np.broadcast_shapes(u.shape, v.shape)
+    u = np.broadcast_to(u, shape).reshape(-1, 3)
+    v = np.broadcast_to(v, shape).reshape(-1, 3)
+    u = u / np.sqrt(rot.dot(u, u))[:, None]
+    v = v / np.sqrt(rot.dot(v, v))[:, None]
+    d = rot.dot(u, v)
+    q = np.empty((len(u), 4))
+    anti = d < -1.0 + 1e-12
+    axis = rot.cross(u[anti], [1.0, 0.0, 0.0])
+    near_x = np.sqrt(rot.dot(axis, axis)) < 1e-8
+    axis[near_x] = rot.cross(u[anti][near_x], [0.0, 1.0, 0.0])
+    q[anti] = rot.from_axis_angle(axis, np.full(len(axis), np.pi))
+    swing = np.empty((len(u) - len(axis), 4))
+    swing[:, 0] = 1.0 + d[~anti]
+    swing[:, 1:] = rot.cross(u[~anti], v[~anti])
+    q[~anti] = rot.normalize(swing)
+    return q.reshape(shape[:-1] + (4,))
+
+
+def test_between_matches_the_masked_form_bit_for_bit(rng, monkeypatch):
+    u = rng.normal(size=(500, 3))
+    v = rng.normal(size=(500, 3))
+    v[::7] = -u[::7] * 2.5  # antipodal
+    u[7], v[7] = [3.0, 0.0, 0.0], [-1.0, 0.0, 0.0]  # antipodal along x
+    plain = np.ones(500, dtype=bool)
+    plain[::7] = False
+    turns = []
+    monkeypatch.setattr(rot, "from_axis_angle", lambda *a, f=rot.from_axis_angle: turns.append(1) or f(*a))
+    for a, b, antipodal in [(u, v, True), (u[plain], v[plain], False), (u[:, None], v[None, :40], True)]:
+        want = _between_masked(a, b)
+        turns.clear()
+        ours = rot.between(a, b)
+        assert ours.shape == want.shape and np.array_equal(ours.view(np.int64), want.view(np.int64))
+        # The antipodal turn runs when a row needs it, and only then.
+        assert len(turns) == antipodal
+
+
 def test_between_rejects_zero_direction():
     with pytest.raises(ValueError):
         rot.between(np.array([[1.0, 0, 0], [0.0, 0, 0]]), np.array([0.0, 1.0, 0]))
