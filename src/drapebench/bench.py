@@ -9,15 +9,16 @@ coordinates, or that names an unknown build or a drape class outside 1..6,
 is refused.
 
 The unit of work is a (motion, build, drape class) group: one job builds the
-body, clip, FK and ground-truth swing angles once, and the garment, cloth
-simulation and noiseless marker trajectory once if a marker_based method
-needs them, then scores every configured method against them. Shared
-products are pure functions of the config and no method writes to them, so
-a row does not depend on which other methods share its group. A failing
-shared product fails exactly the cells that need it, with its error. The
-report's `cell_wall_times_s` keeps one entry per cell; each counts the
-shared products that cell was first to need, so the entries add up to the
-sweep's work.
+body, clip and FK once, and the garment, cloth simulation and noiseless
+marker trajectory once if a marker_based method needs them. Every configured
+method then makes its estimate, the group recovers the swing angles of the
+ground truth and of every estimate in one walk, and each method is scored
+against the ground truth. Shared products are pure functions of the config
+and no method writes to them, so a row does not depend on which other
+methods share its group. A failing shared product fails exactly the cells
+that need it, with its error. The report's `cell_wall_times_s` keeps one
+entry per cell; each counts the shared products that cell was first to
+need, so the entries add up to the sweep's work.
 """
 
 from __future__ import annotations
@@ -276,31 +277,34 @@ def _simulate_garment(config, body, garment: Garment, seq, joint_pos, joint_orie
     )
 
 
-def _metric_row(gt_pos, est_pos, pos_valid, gt_ang, est_ang, ang_valid) -> dict:
-    value, degrees = crmse(gt_ang, est_ang, ang_valid)
-    return {
-        "mpjpe_m": mpjpe(gt_pos, est_pos, pos_valid),
-        "crmse": value,
-        "crmse_deg": degrees,
-    }
-
-
 def _once(make):
-    """`make`, called at most once: later calls return its value, or raise its error again."""
+    """`make`, called at most once: later calls return its value, or raise its
+    error again with the traceback of its first raise."""
     memo = []
 
     def get():
         if not memo:
             try:
-                memo.append((make(), None))
+                memo.append((make(), None, None))
             except Exception as exc:
-                memo.append((None, exc))
-        value, exc = memo[0]
+                memo.append((None, exc, exc.__traceback__))
+        value, exc, tb = memo[0]
         if exc is not None:
-            raise exc
+            raise exc.with_traceback(tb)
         return value
 
     return get
+
+
+@dataclass
+class _Estimate:
+    """One method's estimate of its group's clip, waiting for its swing angles."""
+
+    cell: CellResult
+    positions: np.ndarray  # (T, J, 3), the joints its swing angles come from
+    valid: np.ndarray  # (T, J)
+    # variant -> (true joints, estimated joints, joint mask or None)
+    variants: dict
 
 
 def _run_group(
@@ -309,27 +313,36 @@ def _run_group(
 ) -> list[tuple[CellResult, float]]:
     """Run the `methods` cells of one (motion, build, drape) group, in order.
 
+    It works in three steps. Each method makes its estimate of the clip's
+    joints: the marker pair midpoints (and the BVH export), or the normalised
+    surrogate or ingested joints. One swing recovery then walks the ground
+    truth's frames and those of every estimate made, stacked; it treats each
+    frame on its own, so every clip gets the bits it would get alone. Last,
+    each cell scores its slice of the angles against the ground truth's.
+
     The cells share products made once, when the first cell needs them: the
-    body, clip, FK and ground-truth swing angles; and for marker_based cells
-    the garment, cloth simulation, marker placement and noiseless trajectory.
-    No cell writes to a shared product, so each row equals the row of its
-    cell run alone. A product that fails fails every cell that needs it with
-    its error; a cell's own failure fails that cell only. Marker-based cells
-    write their reconstruction as BVH into `bvh_dir` if one is given. Returns
-    each row with its wall time, which counts the shared products it was
-    first to need.
+    body, clip and FK; for marker_based cells the garment, cloth simulation,
+    marker placement and noiseless trajectory; and the stacked swing
+    recovery. No cell writes to a shared product, so each row equals the row
+    of its cell run alone. A product that fails fails every cell that needs
+    it with its error. A method whose estimate fails fails that cell only and
+    stays out of the stack. The stack holds only estimates already checked
+    and normalised, so the recovery should not raise; if it does, every cell
+    in the stack fails with its message. Marker-based cells write their
+    reconstruction as BVH into `bvh_dir` if one is given. Returns each row
+    with its wall time, which counts the shared products it was first to
+    need; the stacked recovery counts towards the first cell that scores.
     """
 
     @_once
     def truth():
         body = build_parametric_body(build)
         seq = _load_motion(config, motion, body.skeleton)
-        joint_pos, joint_orient = sequence_transforms(seq)
-        return body, seq, joint_pos, joint_orient, *angles_from_positions(body.skeleton, joint_pos)
+        return body, seq, *sequence_transforms(seq)
 
     @_once
     def markers():
-        body, seq, joint_pos, joint_orient, *_ = truth()
+        body, seq, joint_pos, joint_orient = truth()
         drape_ratio = 0.0
         if config.garment_categories:
             garment = generate_garment(body, config.garment_categories, drape, config.resolution_scale)
@@ -346,76 +359,108 @@ def _run_group(
         cloth_joints = np.isin(np.arange(body.skeleton.num_joints), placement.joint[placement.on_cloth])
         return traj, cloth_joints, drape_ratio
 
-    rows = []
+    def failed(label, exc):
+        return CellResult(motion.motion_class, build, drape, label, status="error", error=f"{exc}")
+
+    # 1. Each method makes its estimate; one that fails is its cell's alone.
+    rows, made = [], []
     for method in methods:
         tic = time.perf_counter()
         label = config.method_label(method)
         try:
-            cell = _score_cell(config, motion, build, drape, method, label, truth, markers, bvh_dir)
+            est = _estimate(config, motion, build, drape, method, label, truth, markers, bvh_dir)
+            made.append((len(rows), est))
+            cell = est.cell
         except Exception as exc:  # cell isolation: a blow-up must not kill the sweep
-            cell = CellResult(motion.motion_class, build, drape, label, status="error", error=f"{exc}")
-        rows.append((cell, time.perf_counter() - tic))
-    return rows
+            cell = failed(label, exc)
+        rows.append([cell, time.perf_counter() - tic])
+
+    # 2. One swing recovery over the ground truth's frames and every estimate's.
+    @_once
+    def swing():
+        body, _, joint_pos, _ = truth()
+        clips = [joint_pos] + [est.positions for _, est in made]
+        valid = [np.ones(joint_pos.shape[:2], dtype=bool)] + [est.valid for _, est in made]
+        angles, observed = angles_from_positions(body.skeleton, np.concatenate(clips), np.concatenate(valid))
+        return np.split(angles, len(clips)), np.split(observed, len(clips))
+
+    # 3. Each cell scores its slice against the ground truth's; the first
+    #    to score runs the recovery and counts its time.
+    for k, (i, est) in enumerate(made, start=1):
+        tic = time.perf_counter()
+        try:
+            angles, observed = swing()
+            _score(est, angles[0], observed[0], angles[k], observed[k])
+        except Exception as exc:
+            rows[i][0] = failed(est.cell.method, exc)
+        rows[i][1] += time.perf_counter() - tic
+    return [tuple(row) for row in rows]
 
 
-def _score_cell(config, motion, build, drape, method, label, truth, markers, bvh_dir) -> CellResult:
-    """Score one method against its group's shared products; raises on failure."""
-    result = CellResult(motion.motion_class, build, drape, label)
+def _estimate(config, motion, build, drape, method, label, truth, markers, bvh_dir) -> _Estimate:
+    """One method's estimate of its group's clip; raises on failure."""
+    cell = CellResult(motion.motion_class, build, drape, label)
     cell_seed = _derive_seed(config.seed, motion.motion_class, build, drape, label)
-    body, seq, joint_pos, _, gt_ang, gt_ang_mask = truth()
-    sk = body.skeleton
-    result.frames = seq.num_frames
+    body, seq, joint_pos, _ = truth()
+    cell.frames = seq.num_frames
 
     if method.kind == "marker_based":
-        traj, cloth_joints, result.drape_ratio = markers()
+        traj, cloth_joints, cell.drape_ratio = markers()
         if method.noise and config.noise_rms_m > 0:
             traj = add_marker_noise(traj, cell_seed, config.noise_rms_m)
         # Joint position estimates are the pair midpoints; the hierarchical
         # swing fit (bone lengths constrained) provides angles and BVH export.
         est_pos = marker_pair_midpoints(traj)
-        est_ang, est_ang_mask = angles_from_positions(sk, est_pos)
-        ang_mask = gt_ang_mask & est_ang_mask
-        result.variants["all_markers"] = _metric_row(
-            joint_pos, est_pos, None, gt_ang, est_ang, ang_mask
-        )
+        variants = {"all_markers": (joint_pos, est_pos, None)}
         if cloth_joints.any():
-            result.variants["cloth_only"] = _metric_row(
-                joint_pos, est_pos, cloth_joints[None, :], gt_ang, est_ang,
-                ang_mask & cloth_joints[None, :],
-            )
-        result.source_label = "virtual_markers"
+            variants["cloth_only"] = (joint_pos, est_pos, cloth_joints[None, :])
+        cell.source_label = "virtual_markers"
         if bvh_dir:
-            est_seq = reconstruct_pose_from_markers(traj, sk, seq.motion_class)
+            est_seq = reconstruct_pose_from_markers(traj, body.skeleton, seq.motion_class)
             name = cell_id(motion, build, drape, label).replace("/", "_") + ".bvh"
             with open(os.path.join(bvh_dir, name), "w") as fh:
                 fh.write(write_bvh(est_seq))
+        return _Estimate(cell, est_pos, np.ones(est_pos.shape[:2], dtype=bool), variants)
+
+    if method.kind == "markerless_surrogate":
+        profile = method.profile
+        if profile == "auto":
+            profile = _AUTO_PROFILE[motion.motion_class]
+        est = surrogate_estimator(joint_pos, seq.fps, profile, cell_seed)
     else:
-        if method.kind == "markerless_surrogate":
-            profile = method.profile
-            if profile == "auto":
-                profile = _AUTO_PROFILE[motion.motion_class]
-            est = surrogate_estimator(joint_pos, seq.fps, profile, cell_seed)
-        else:
-            est = ingest_estimates(method.path)
-            if abs(est.fps - seq.fps) > 1e-9:
-                raise ValueError(
-                    f"estimate fps {est.fps} does not match motion fps {seq.fps}"
-                )
-            if len(est.positions) != seq.num_frames:
-                raise ValueError(
-                    f"estimate has {len(est.positions)} frames, motion has {seq.num_frames}"
-                )
-        norm = normalize_estimate(est, target_height=BUILD_CATALOG[build].height)
-        est_ang, est_ang_mask = angles_from_positions(sk, norm.absolute, norm.valid)
-        ang_mask = gt_ang_mask & est_ang_mask
-        result.variants["absolute"] = _metric_row(
-            joint_pos, norm.absolute, norm.valid, gt_ang, est_ang, ang_mask
-        )
-        result.variants["root_aligned"] = _metric_row(
-            joint_pos - joint_pos[:, :1], norm.root_aligned, norm.valid, gt_ang, est_ang, ang_mask
-        )
-        result.source_label = est.source_label
-    return result
+        est = ingest_estimates(method.path)
+        if abs(est.fps - seq.fps) > 1e-9:
+            raise ValueError(
+                f"estimate fps {est.fps} does not match motion fps {seq.fps}"
+            )
+        if len(est.positions) != seq.num_frames:
+            raise ValueError(
+                f"estimate has {len(est.positions)} frames, motion has {seq.num_frames}"
+            )
+    norm = normalize_estimate(est, target_height=BUILD_CATALOG[build].height)
+    cell.source_label = est.source_label
+    valid = np.broadcast_to(norm.valid, norm.absolute.shape[:2])
+    return _Estimate(cell, norm.absolute, valid, {
+        "absolute": (joint_pos, norm.absolute, norm.valid),
+        "root_aligned": (joint_pos - joint_pos[:, :1], norm.root_aligned, norm.valid),
+    })
+
+
+def _score(est: _Estimate, gt_ang, gt_observed, est_ang, est_observed) -> None:
+    """Fill the estimate's cell with one metric row per variant; raises on failure.
+
+    A variant's joint mask limits both metrics. An angle is observed only
+    where the estimate's joints are valid, so on a markerless estimate's
+    angles the mask changes nothing.
+    """
+    observed = gt_observed & est_observed
+    for name, (gt_pos, est_pos, joints) in est.variants.items():
+        value, degrees = crmse(gt_ang, est_ang, observed if joints is None else observed & joints)
+        est.cell.variants[name] = {
+            "mpjpe_m": mpjpe(gt_pos, est_pos, joints),
+            "crmse": value,
+            "crmse_deg": degrees,
+        }
 
 
 def run_cell(config: BenchConfig, motion: MotionSpec, build: str, drape: int, method: MethodSpec) -> CellResult:

@@ -151,10 +151,6 @@ class Skeleton:
     def children(self, joint: int) -> list[int]:
         return [i for i, p in enumerate(self.parents) if p == joint]
 
-    def primary_child(self, joint: int) -> int | None:
-        """Child whose rest bone is longest; used for swing recovery."""
-        return self.primary_children[joint]
-
     def rest_positions(self) -> np.ndarray:
         """Joint positions (J, 3) at the rest pose, root at the origin.
 
@@ -403,9 +399,11 @@ def poses_from_joint_positions(
     equivariant under rigid motions of the input.
 
     A bone is usable in a frame when both of its joints are valid and it is
-    longer than 1e-12. Returns root translations (T, 3), local rotations
-    (T, J, 4) and a (T, J) mask of joints whose rotation was actually
-    observed (invalid or leaf joints fall back to identity).
+    longer than 1e-12. Every frame is recovered on its own, so clips stacked
+    along the frame axis each get the bits they get alone. Returns root
+    translations (T, 3), local rotations (T, J, 4) and a (T, J) mask of
+    joints whose rotation was actually observed (invalid or leaf joints fall
+    back to identity).
     """
     positions = np.asarray(positions, dtype=float)
     t_count, j_count = positions.shape[0], positions.shape[1]

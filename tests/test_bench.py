@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from drapebench.bench import (
     write_report,
 )
 from drapebench.cli import main as cli_main
+from drapebench.estimates import ingest_estimates
 
 from conftest import open_cylinder
 
@@ -150,13 +152,41 @@ def test_unclothed_noise_off_cell_is_closed_loop_identity():
     assert "cloth_only" not in cell.variants  # no garment, no cloth markers
 
 
-def test_cell_failure_is_isolated():
-    cfg = tiny_config(methods=(MethodSpec("markerless_ingest", path="/nonexistent.json"),
-                               MethodSpec("markerless_surrogate")), drape_classes=(1,))
+def test_cell_failure_is_isolated(tmp_path):
+    # The failing estimate sits between two that work: it stays out of the
+    # group's stacked swing recovery, and the rows around it keep their bits.
+    missing = str(tmp_path / "missing.json")
+    cfg = tiny_config(
+        methods=(MethodSpec("marker_based"), MethodSpec("markerless_ingest", path=missing),
+                 MethodSpec("markerless_surrogate")),
+        drape_classes=(1,), garment_categories=(),
+    )
     report = run_benchmark(cfg)
-    statuses = {c.method: c.status for c in report.cells}
-    assert statuses["markerless_ingest"] == "error"
-    assert statuses["markerless_surrogate"] == "ok"
+    rows = {c.method: c for c in report.cells}
+    with pytest.raises(OSError) as refused:
+        ingest_estimates(missing)
+    assert rows["markerless_ingest"].status == "error"
+    assert rows["markerless_ingest"].error == str(refused.value)
+    for method in (cfg.methods[0], cfg.methods[2]):
+        cell = rows[cfg.method_label(method)]
+        assert cell.status == "ok"
+        alone = run_cell(cfg, cfg.motions[0], "female_average", 1, method)
+        assert json.dumps(alone.to_dict(), sort_keys=True) == json.dumps(cell.to_dict(), sort_keys=True)
+
+
+def test_a_shared_products_error_keeps_its_first_traceback():
+    from drapebench.bench import _once
+
+    @_once
+    def product():
+        raise ValueError("boom")
+
+    lengths = []
+    for _ in range(4):
+        with pytest.raises(ValueError, match="boom") as raised:
+            product()
+        lengths.append(len(traceback.extract_tb(raised.value.__traceback__)))
+    assert lengths == [lengths[0]] * 4
 
 
 def test_config_json_round_trip():
@@ -471,7 +501,6 @@ def test_ingest_refuses_frame_count_mismatch(tmp_path):
 def test_ingest_of_an_estimate_file_without_json_extension(tmp_path):
     from drapebench.bench import _load_motion
     from drapebench.body import body_skeleton
-    from drapebench.estimates import ingest_estimates
 
     cfg = _unclothed()
     seq = _load_motion(cfg, cfg.motions[0], body_skeleton("female_average"))
@@ -631,7 +660,7 @@ def test_group_makes_clip_ground_truth_and_cloth_once(counted_trio):
     assert counts == {
         "procedural_motion": groups,
         "simulate_sequence": groups,
-        "angles_from_positions": groups + cells,  # ground truth per group, estimate per cell
+        "angles_from_positions": groups,  # the ground truth and every estimate of a group, stacked
     }
     labels = ["marker_based[noise]", "marker_based[no_noise]", "markerless_surrogate"]
     assert [c.key() for c in report.cells] == [

@@ -269,7 +269,7 @@ def test_swing_recovery_masks_unusable_bones(skeleton, rng):
     unobserved = local_rotations[~observed]
     assert np.array_equal(unobserved, np.tile([1.0, 0.0, 0.0, 0.0], (len(unobserved), 1)))
     for j in range(1, skeleton.num_joints):
-        c = skeleton.primary_child(j)
+        c = skeleton.primary_children[j]
         want = np.zeros(len(valid), dtype=bool) if c is None else valid[:, j] & valid[:, c]
         if j == hip:
             want[3] = False
@@ -321,7 +321,7 @@ def _loop_swing_recovery(skeleton, positions, valid):
         globals_q = np.empty((j_count, 4))
         globals_q[0] = locals_q[t, 0]
         for j in range(1, j_count):
-            parent, c = skeleton.parents[j], skeleton.primary_child(j)
+            parent, c = skeleton.parents[j], skeleton.primary_children[j]
             if c is not None and ok[j] and ok[c] and np.linalg.norm(p[c] - p[j]) > 1e-12:
                 d_parent = rot.rotate(rot.conjugate(globals_q[parent]), p[c] - p[j])
                 locals_q[t, j] = rot.between(skeleton.rest_offsets[c], d_parent)
@@ -388,6 +388,46 @@ def test_swing_recovery_with_a_depth_masked_out_matches_per_frame_loop_bit_for_b
     assert observed[:, sk.depths[4].swing_joints].any()
 
 
+def test_swing_recovery_of_stacked_clips_matches_each_clip_alone_bit_for_bit(skeleton, rng):
+    """Frames are recovered on their own, so a stack of clips gives each clip its own bits."""
+    seq = procedural_motion("extreme", 1.0, 30, 5, skeleton)
+    clean, _ = sequence_transforms(seq)
+    noisy = clean + rng.normal(0.0, 0.01, clean.shape)
+    # Invalid joints: every fourth frame leaves the root one usable child
+    # bone, so it falls back from the Procrustes fit to a single swing.
+    masked = clean + rng.normal(0.0, 0.01, clean.shape)
+    masked_valid = rng.uniform(size=clean.shape[:2]) > 0.2
+    kids = skeleton.children(0)
+    masked_valid[::4, [0, kids[0]]] = True
+    masked_valid[::4, kids[1:]] = False
+    # A bone antipodal to its rest direction: the left elbow's, in frame 2
+    # of a clip at rest.
+    antipodal = np.repeat(skeleton.rest_positions()[None], 6, axis=0)
+    elbow = skeleton.joint_names.index("left_elbow")
+    wrist = skeleton.primary_children[elbow]
+    antipodal[2, wrist] = antipodal[2, elbow] - skeleton.rest_offsets[wrist]
+    clips = [
+        (noisy, np.ones(clean.shape[:2], dtype=bool)),
+        (masked, masked_valid),
+        (antipodal, np.ones(antipodal.shape[:2], dtype=bool)),
+    ]
+    stacked = poses_from_joint_positions(
+        skeleton, np.concatenate([p for p, _ in clips]), np.concatenate([v for _, v in clips])
+    )
+    start = 0
+    for positions, valid in clips:
+        alone = poses_from_joint_positions(skeleton, positions, valid)
+        for got, want in zip(stacked, alone):
+            assert np.array_equal(got[start:start + len(positions)], want)
+        start += len(positions)
+    assert start == len(stacked[0])
+    _, local_rotations, observed = poses_from_joint_positions(skeleton, masked, masked_valid)
+    assert ((masked_valid[:, :1] & masked_valid[:, kids]).sum(axis=1) == 1).sum() >= 8
+    assert observed[::4, 0].all()
+    _, local_rotations, _ = poses_from_joint_positions(skeleton, antipodal)
+    assert abs(rot.angle_of(local_rotations[2, elbow]) - np.pi) < 1e-9
+
+
 def test_depth_first_order_interleaves_depths(skeleton):
     """SMPL numbers its joints depth by depth; the BVH order does not."""
     def by_depth(sk):
@@ -402,7 +442,7 @@ def test_tree_plan_matches_its_definition(topology):
     for j in range(sk.num_joints):
         kids = sk.children(j)
         lengths = [np.linalg.norm(sk.rest_offsets[c]) for c in kids]
-        assert sk.primary_child(j) == (kids[int(np.argmax(lengths))] if kids else None)
+        assert sk.primary_children[j] == (kids[int(np.argmax(lengths))] if kids else None)
     order = np.concatenate([[0]] + [level.joints for level in sk.depths])
     assert sorted(order.tolist()) == list(range(sk.num_joints))
     rest = np.zeros((sk.num_joints, 3))
@@ -413,7 +453,7 @@ def test_tree_plan_matches_its_definition(topology):
 
 def test_primary_child_takes_the_first_of_equal_bones():
     sk = Skeleton(("root", "a", "b", "c"), (-1, 0, 0, 0), [[0.0, 0, 0], [0, 1, 0], [0, 0, 2], [2, 0, 0]])
-    assert sk.primary_child(0) == 2
+    assert sk.primary_children[0] == 2
     assert sk.primary_children == (2, None, None, None)
 
 

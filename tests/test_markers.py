@@ -118,7 +118,7 @@ def _reference_rays(body):
     sk = body.skeleton
     rays = []
     for j in range(sk.num_joints):
-        c = sk.primary_child(j)
+        c = sk.primary_children[j]
         bone = sk.rest_offsets[c] if c is not None else sk.rest_offsets[j]
         lateral = _reference_lateral_axis(bone)
         for sign in (1.0, -1.0):
