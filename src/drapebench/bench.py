@@ -116,17 +116,15 @@ class BenchConfig:
         if not (self.motions and self.builds and self.drape_classes and self.methods):
             raise ValueError("motions, builds, drape_classes and methods must be non-empty")
         object.__setattr__(self, "motions", tuple(
-            m if isinstance(m, MotionSpec) else MotionSpec(**m) for m in self.motions
+            m if isinstance(m, MotionSpec) else MotionSpec(**_known("motion", m, MotionSpec)) for m in self.motions
         ))
         object.__setattr__(self, "methods", tuple(
-            m if isinstance(m, MethodSpec) else MethodSpec(**m) for m in self.methods
+            m if isinstance(m, MethodSpec) else MethodSpec(**_known("method", m, MethodSpec)) for m in self.methods
         ))
         object.__setattr__(self, "builds", tuple(self.builds))
         object.__setattr__(self, "drape_classes", tuple(self.drape_classes))
         object.__setattr__(self, "garment_categories", tuple(self.garment_categories))
-        unknown = sorted(set(self.cloth) - {f.name for f in fields(ClothParams)})
-        if unknown:
-            raise ValueError(f"unknown cloth key {', '.join(map(repr, unknown))}")
+        _known("cloth", self.cloth, ClothParams)
         self.cloth_params()  # ClothParams refuses an out-of-range value, naming its key
         unknown = [b for b in self.builds if b not in BUILD_CATALOG]
         if unknown:
@@ -183,7 +181,7 @@ class BenchConfig:
 
     @staticmethod
     def from_json(text: str) -> "BenchConfig":
-        return BenchConfig(**json.loads(text))
+        return BenchConfig(**_known("config", json.loads(text), BenchConfig))
 
     @staticmethod
     def load(path: str) -> "BenchConfig":
@@ -192,6 +190,14 @@ class BenchConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
+
+
+def _known(what: str, given: dict, cls) -> dict:
+    """given, once each of its keys names a field of the dataclass cls."""
+    known = [f.name for f in fields(cls)]
+    if unknown := sorted(set(given) - set(known)):
+        raise ValueError(f"unknown {what} key {', '.join(map(repr, unknown))}; choose from {known}")
+    return given
 
 
 def cell_coordinates(config: BenchConfig) -> list[tuple[MotionSpec, str, int, MethodSpec]]:

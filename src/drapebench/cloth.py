@@ -97,10 +97,11 @@ class SpringNetwork:
     bend_rest: np.ndarray
 
     def __post_init__(self):
-        for name in ("structural_rest", "shear_rest", "bend_rest"):
-            rest = getattr(self, name)
-            if len(rest) and rest.min() <= 0:
-                raise ValueError(f"{name} must be positive")
+        for kind in ("structural", "shear", "bend"):
+            rest = _inputs.array(f"{kind}_rest", getattr(self, f"{kind}_rest"), (len(getattr(self, kind)),))
+            if not (rest > 0).all():
+                raise ValueError(f"{kind}_rest must be positive")
+            object.__setattr__(self, f"{kind}_rest", rest)
 
 
 @dataclass
@@ -183,15 +184,13 @@ class _Solver:
             (net.shear, net.shear_rest, params.stiffness_shear, params.damping_shear),
             (net.bend, net.bend_rest, params.stiffness_bending, params.damping_bending),
         )
-        pairs = np.concatenate([g[0] for g in groups])
         # The substep gathers with mode="clip", which would clamp a bad index
-        # silently, so every spring end is checked here once.
-        outside = np.flatnonzero(((pairs < 0) | (pairs >= num_particles)).any(axis=1))
-        if len(outside):
-            bad = int(outside[0])
-            raise ValueError(
-                f"spring {bad} joins particles {pairs[bad].tolist()}, outside [0, {num_particles})"
-            )
+        # silently, so every spring end is checked here once, per group
+        # before the concatenation can turn a bool into an index.
+        pairs = np.concatenate([
+            _inputs.indices(f"{kind} springs", g[0], num_particles, (None, 2))
+            for kind, g in zip(("structural", "shear", "bend"), groups)
+        ])
         self.ei, self.ej = pairs.T.copy()
         self.rest = np.concatenate([g[1] for g in groups])
         sizes = [len(g[0]) for g in groups]
@@ -422,10 +421,8 @@ def simulate_sequence(
     if n_frames == 0:
         raise ValueError("the motion has no frames")
     # One read-only copy of the mask, shared by every recorded state.
-    pinned = np.array(pinned, dtype=bool)
+    pinned = _inputs.mask("pinned", pinned, (garment.num_vertices,)).copy()
     pinned.flags.writeable = False
-    if pinned.shape != (garment.num_vertices,):
-        raise ValueError(f"pinned has shape {pinned.shape}, expected ({garment.num_vertices},)")
     pin_frames = _inputs.array("pin_frames", pin_frames, (n_frames, int(pinned.sum()), 3))
     if len({len(frame) for frame in collider_frames}) > 1:
         raise ValueError("collider frames disagree on capsule count")

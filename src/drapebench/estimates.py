@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _inputs
-from .kinematics import MotionSequence, sequence_transforms
 
 CONVENTION_JOINTS = {"smpl24": 24, "h36m17": 17, "blaze33": 33}
 
@@ -32,8 +31,8 @@ class ExternalEstimate:
     source_label: str = ""
 
     def __post_init__(self):
-        if self.convention not in CONVENTION_JOINTS:
-            raise ValueError(f"unknown convention {self.convention!r}")
+        if not (isinstance(self.convention, str) and self.convention in CONVENTION_JOINTS):
+            raise ValueError(f"unknown convention {self.convention!r}; choose from {sorted(CONVENTION_JOINTS)}")
         _inputs.positive("fps", self.fps)
         j = CONVENTION_JOINTS[self.convention]
         object.__setattr__(self, "positions", _inputs.array("positions", self.positions, (None, j, 3)))
@@ -128,45 +127,9 @@ def ingest_estimates(text_or_path: str) -> ExternalEstimate:
     for key in ("convention", "fps", "frames"):
         if key not in doc:
             raise ValueError(f"estimate file missing required field '{key}'")
-    convention = doc["convention"]
-    if convention not in CONVENTION_JOINTS:
-        raise ValueError(
-            f"convention: unknown value {convention!r}, expected one of {sorted(CONVENTION_JOINTS)}"
-        )
-    j_expect = CONVENTION_JOINTS[convention]
-    frames = doc["frames"]
-    if not isinstance(frames, list) or not frames:
-        raise ValueError("frames: must be a non-empty list")
-    for t, frame in enumerate(frames):
-        if not isinstance(frame, list) or len(frame) != j_expect:
-            raise ValueError(
-                f"frames[{t}]: has {len(frame) if isinstance(frame, list) else 'non-list'} joints, "
-                f"expected {j_expect} for convention '{convention}'"
-            )
-        for j, p in enumerate(frame):
-            if not isinstance(p, list) or len(p) != 3:
-                raise ValueError(f"frames[{t}][{j}]: joint must be [x, y, z]")
-            # JSON's true and false would read as 1.0 and 0.0, and a numeric
-            # string as its number.
-            if not all(type(c) in (int, float) for c in p):
-                raise ValueError(f"frames[{t}][{j}]: coordinates must be numbers, got {p!r}")
     _inputs.positive("fps", doc["fps"])
-    return ExternalEstimate(convention, float(doc["fps"]), frames, label)
-
-
-def export_estimate(est: ExternalEstimate) -> str:
-    doc = {
-        "convention": est.convention,
-        "fps": est.fps,
-        "frames": est.positions.tolist(),
-    }
-    return json.dumps(doc)
-
-
-def estimate_from_sequence(seq: MotionSequence, source_label: str = "ground_truth") -> ExternalEstimate:
-    """Ground-truth FK joints packaged in the estimate schema (smpl24)."""
-    positions, _ = sequence_transforms(seq)
-    return ExternalEstimate("smpl24", seq.fps, positions, source_label)
+    frames = _inputs.array("frames", doc["frames"], (None, None, 3))
+    return ExternalEstimate(doc["convention"], float(doc["fps"]), frames, label)
 
 
 @dataclass(frozen=True)

@@ -208,7 +208,7 @@ class MotionSequence:
         """A clip that holds the rest pose for num_frames frames."""
         q = np.zeros((num_frames, skeleton.num_joints, 4))
         q[..., 0] = 1.0
-        root = np.tile(np.asarray(root_translation, dtype=float), (num_frames, 1))
+        root = np.tile(_inputs.array("root_translation", root_translation, (3,)), (num_frames, 1))
         return MotionSequence(skeleton, fps, root, q, motion_class)
 
     @property
@@ -405,14 +405,9 @@ def poses_from_joint_positions(
     joints whose rotation was actually observed (invalid or leaf joints fall
     back to identity).
     """
-    positions = np.asarray(positions, dtype=float)
-    t_count, j_count = positions.shape[0], positions.shape[1]
-    if j_count != skeleton.num_joints:
-        raise ValueError("positions do not match the skeleton's joint count")
-    if valid is None:
-        valid = np.ones((t_count, j_count), dtype=bool)
-    else:
-        valid = np.broadcast_to(np.asarray(valid, dtype=bool), (t_count, j_count))
+    positions = _inputs.array("positions", positions, (None, skeleton.num_joints, 3))
+    t_count, j_count = positions.shape[:2]
+    valid = np.broadcast_to(_inputs.mask("valid", True if valid is None else valid), (t_count, j_count))
     locals_q = np.zeros((t_count, j_count, 4))
     locals_q[..., 0] = 1.0
     observed = np.zeros((t_count, j_count), dtype=bool)

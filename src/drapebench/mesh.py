@@ -18,16 +18,7 @@ class TriMesh:
 
     def __post_init__(self):
         v = np.ascontiguousarray(_inputs.array("vertices", self.vertices, (None, 3)))
-        f = np.asarray(self.faces)
-        # A cast to int64 truncates, so 1.7 would name vertex 1. Only a
-        # non-integer dtype pays for the check.
-        if f.dtype.kind not in "iu" and not (f.dtype.kind == "f" and np.array_equal(f, np.trunc(f))):
-            raise ValueError("face indices must be integers")
-        if f.ndim != 2 or f.shape[1] != 3:
-            raise ValueError("faces must be (F, 3)")
-        if len(f) and (f.min() < 0 or f.max() >= len(v)):
-            raise ValueError("face index out of range")
-        f = np.ascontiguousarray(f, dtype=np.int64)
+        f = np.ascontiguousarray(_inputs.indices("faces", self.faces, len(v), (None, 3)))
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
         areas = face_areas(v, f)
@@ -42,12 +33,6 @@ class TriMesh:
     @property
     def is_watertight(self) -> bool:
         return is_closed(self.faces)
-
-    def translated(self, offset) -> "TriMesh":
-        return TriMesh(self.vertices + np.asarray(offset, dtype=float), self.faces)
-
-    def with_vertices(self, vertices: np.ndarray) -> "TriMesh":
-        return TriMesh(vertices, self.faces)
 
 
 def face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -175,10 +160,8 @@ def surface_points(
     positions is one vertex set (V, 3) or a stack of them (..., V, 3); face
     (N,) and barycentric (N, 3) locate N points. Returns (..., N, 3).
     """
-    face = np.asarray(face)
+    face = _inputs.indices("face", face, len(faces), (None,))
     barycentric = _inputs.array("barycentric", barycentric, (len(face), 3))
-    if len(face) and (face.min() < 0 or face.max() >= len(faces)):
-        raise ValueError("face index out of range")
     if np.any(barycentric < -1e-12) or np.any(np.abs(barycentric.sum(axis=-1) - 1.0) > 1e-9):
         raise ValueError("barycentric weights must be non-negative and sum to 1")
     return (barycentric[:, None, :] @ positions[..., faces[face], :])[..., 0, :]
@@ -200,8 +183,6 @@ def _ray_hits(
     its edges e1, e2 to the other two, vectorized. u, v are barycentric
     coordinates of the 2nd and 3rd face vertices.
     """
-    origin = np.asarray(origin, dtype=float)
-    direction = np.asarray(direction, dtype=float)
     pvec = rot.cross(direction, e2)
     det = rot.rowdot(e1, pvec)
     ok = np.abs(det) > _RAY_EPS
@@ -282,8 +263,10 @@ def ray_union_exits(origins, directions, mesh: TriMesh) -> tuple[np.ndarray, np.
     (hit (N,), face (N,), barycentric (N, 3)); a ray whose origin is outside
     every component (the point is not covered) has hit False, face 0 and
     weights (1, 0, 0). The face edges and component labels are derived once
-    for all rays.
+    for all rays. origins and directions are (N, 3).
     """
+    origins = _inputs.array("origins", origins, (None, 3))
+    directions = _inputs.array("directions", directions, (len(origins), 3))
     v0 = mesh.vertices[mesh.faces[:, 0]]
     e1 = mesh.vertices[mesh.faces[:, 1]] - v0
     e2 = mesh.vertices[mesh.faces[:, 2]] - v0

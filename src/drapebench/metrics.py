@@ -9,20 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import rotations as rot
+from . import _inputs, rotations as rot
 from .kinematics import Skeleton, poses_from_joint_positions
 
 
 def _mask_pair(gt: np.ndarray, est: np.ndarray, valid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    gt = np.asarray(gt, dtype=float)
-    est = np.asarray(est, dtype=float)
-    if gt.shape != est.shape:
-        raise ValueError(f"shape mismatch: gt {gt.shape} vs est {est.shape}")
-    if valid is None:
-        valid = np.ones(gt.shape[:2], dtype=bool)
-    else:
-        valid = np.broadcast_to(np.asarray(valid, dtype=bool), gt.shape[:2])
-    return gt, est, valid
+    gt = _inputs.array("gt", gt, None)
+    est = _inputs.array("est", est, gt.shape)
+    return gt, est, np.broadcast_to(_inputs.mask("valid", True if valid is None else valid), gt.shape[:2])
 
 
 def mpjpe(gt: np.ndarray, est: np.ndarray, valid: np.ndarray | None = None) -> float:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,10 @@ def rng():
 
 
 # --- mesh primitives for oracles ------------------------------------------
+
+
+def translated(mesh: TriMesh, offset) -> TriMesh:
+    return TriMesh(mesh.vertices + np.asarray(offset, dtype=float), mesh.faces)
 
 
 def unit_cube() -> TriMesh:
@@ -99,3 +105,11 @@ def open_cylinder(radius: float, height: float, n_theta: int = 48, n_rings: int 
     ys = np.linspace(0.0, height, n_rings)
     rings = np.stack([circle + y * t for y in ys])
     return TriMesh(rings.reshape(-1, 3), _grid_tube_faces(n_rings, n_theta))
+
+
+# --- estimate files -----------------------------------------------------------
+
+
+def estimate_text(positions, fps, convention="smpl24") -> str:
+    """Joint positions (T, J, 3) written in the estimate file schema."""
+    return json.dumps({"convention": convention, "fps": fps, "frames": np.asarray(positions).tolist()})

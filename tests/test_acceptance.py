@@ -26,7 +26,7 @@ from drapebench.cloth import (
     max_capsule_penetration,
     simulate_sequence,
 )
-from drapebench.estimates import estimate_from_sequence, export_estimate, ingest_estimates
+from drapebench.estimates import ingest_estimates
 from drapebench.garment import generate_garment, measure_drape
 from drapebench.kinematics import (
     MotionSequence,
@@ -43,7 +43,7 @@ from drapebench.markers import (
 from drapebench.mesh import cap_boundaries, enclosed_volume
 from drapebench.metrics import angles_from_positions, crmse, mpjpe
 
-from conftest import icosphere, open_cylinder, unit_cube
+from conftest import estimate_text, icosphere, open_cylinder, unit_cube
 
 
 def _ok(n, text):
@@ -257,9 +257,9 @@ def test_criterion_10_interchange_and_sweep():
     eb = rot.to_euler_zxy(twice.local_rotations, degrees=True)
     assert np.abs(ea - eb).max() < 1e-4
 
-    est = estimate_from_sequence(seq)
-    back = ingest_estimates(export_estimate(est))
-    assert np.abs(back.positions - est.positions).max() < 1e-6
+    joints, _ = sequence_transforms(seq)
+    back = ingest_estimates(estimate_text(joints, seq.fps))
+    assert np.abs(back.positions - joints).max() < 1e-6
 
     cfg = BenchConfig(
         seed=1,

@@ -23,7 +23,7 @@ from drapebench.bench import (
 from drapebench.cli import main as cli_main
 from drapebench.estimates import ingest_estimates
 
-from conftest import open_cylinder
+from conftest import estimate_text, open_cylinder
 
 
 def tiny_config(**overrides):
@@ -292,7 +292,7 @@ def test_motion_refuses_non_finite_values(field, value):
 def test_ingest_method_round_trip(tmp_path, skeleton):
     # Export the ground truth itself as an estimate file: near-zero error.
     from drapebench.bench import _load_motion
-    from drapebench.estimates import estimate_from_sequence, export_estimate
+    from drapebench.kinematics import sequence_transforms
 
     cfg = tiny_config(drape_classes=(1,), methods=(MethodSpec("marker_based"),))
     from drapebench.body import body_skeleton
@@ -300,7 +300,7 @@ def test_ingest_method_round_trip(tmp_path, skeleton):
     sk = body_skeleton("female_average")
     seq = _load_motion(cfg, cfg.motions[0], sk)
     path = tmp_path / "gt.json"
-    path.write_text(export_estimate(estimate_from_sequence(seq)))
+    path.write_text(estimate_text(sequence_transforms(seq)[0], seq.fps))
     cfg2 = tiny_config(
         drape_classes=(1,), methods=(MethodSpec("markerless_ingest", path=str(path)),)
     )
@@ -422,6 +422,26 @@ def test_config_refuses_unknown_or_out_of_range_cloth_keys():
     assert tiny_config(cloth={"stiffness_structural": 12.0}).cloth_params().stiffness_structural == 12.0
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param('{"sed": 7}', "unknown config key 'sed'; choose from ['seed', ", id="config"),
+        pytest.param(
+            '{"motions": [{"motion_class": "basic", "durations": 1}]}',
+            "unknown motion key 'durations'; choose from ['motion_class', 'source', 'duration_s', 'fps']", id="motion",
+        ),
+        pytest.param(
+            '{"methods": [{"kind": "marker_based", "nosie": false}]}',
+            "unknown method key 'nosie'; choose from ['kind', 'noise', 'profile', 'path']", id="method",
+        ),
+    ],
+)
+def test_config_refuses_a_misspelled_key_by_name(text, message):
+    # A dataclass would raise a TypeError about an unexpected keyword.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        BenchConfig.from_json(text)
+
+
 def test_config_refuses_a_repeated_garment_category():
     with pytest.raises(ValueError, match="garment_categories repeat tshirt"):
         tiny_config(garment_categories=("tshirt", "trousers", "tshirt"))
@@ -476,12 +496,11 @@ def test_cli_simulate_selects_a_labelled_cell(tmp_path, capsys):
 
 
 def _ground_truth_estimate(tmp_path, seq, fps, frames=None, name="estimate.json"):
-    from drapebench.estimates import ExternalEstimate, export_estimate
     from drapebench.kinematics import sequence_transforms
 
     joints, _ = sequence_transforms(seq)
     path = tmp_path / name
-    path.write_text(export_estimate(ExternalEstimate("smpl24", fps, joints[:frames])))
+    path.write_text(estimate_text(joints[:frames], fps))
     return str(path)
 
 

@@ -14,7 +14,7 @@ from drapebench.garment import (
     generate_garment,
     measure_drape,
 )
-from drapebench.mesh import cap_boundaries, enclosed_volume, merge_meshes, signed_volume
+from drapebench.mesh import TriMesh, cap_boundaries, enclosed_volume, merge_meshes, signed_volume
 
 from conftest import open_cylinder
 
@@ -53,8 +53,8 @@ def test_drape_rigid_motion_invariant(rng):
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
     t = rng.normal(size=3)
-    body2 = body.with_vertices(rot.rotate(q, body.vertices) + t)
-    shell2 = shell.with_vertices(rot.rotate(q, shell.vertices) + t)
+    body2 = TriMesh(rot.rotate(q, body.vertices) + t, body.faces)
+    shell2 = TriMesh(rot.rotate(q, shell.vertices) + t, shell.faces)
     assert abs(measure_drape(shell2, body2) - base) < 1e-9
 
 

@@ -4,7 +4,9 @@ A number is a real other than a bool, and finite; an integer is a Python int
 other than a bool; a flag is True or False. Every entry point that takes such
 a value refuses the others with a ValueError naming the field and the value.
 An array holds integers or floats, has the expected shape and is finite, and
-comes back as float64; every other array is refused naming the field.
+comes back as float64; an index array holds whole numbers below its bound
+and comes back as int64; a mask holds booleans. Every other array is refused
+naming the field and, where one entry is at fault, that entry's index.
 """
 
 import os
@@ -16,28 +18,34 @@ import pytest
 
 from drapebench.bench import BenchConfig, MethodSpec, MotionSpec
 from drapebench.body import Capsule, build_parametric_body
-from drapebench.cloth import ClothParams, simulate_sequence
+from drapebench.cloth import ClothParams, SpringNetwork, _Solver, simulate_sequence
 from drapebench.estimates import ExternalEstimate, normalize_estimate
 from drapebench.garment import generate_garment
 from drapebench.kinematics import (
     MotionSequence,
     Skeleton,
     default_skeleton,
+    poses_from_joint_positions,
     procedural_motion,
     rescale_to_height,
+    sequence_transforms,
 )
 from drapebench.markers import MarkerTrajectory, add_marker_noise
 from drapebench.mesh import TriMesh, surface_points
+from drapebench.metrics import mpjpe
 
 SKELETON = default_skeleton()
 REST = MotionSequence.rest(SKELETON, num_frames=2)
 TRIANGLE = TriMesh(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], float), np.array([[0, 1, 2]]))
+SQUARE = TriMesh(np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], float), np.array([[0, 1, 2], [0, 2, 3]]))
 ESTIMATE = ExternalEstimate("smpl24", 30.0, np.arange(72.0).reshape(1, 24, 3))
 TRAJECTORY = MarkerTrajectory(np.zeros((2, 4, 3)), 30.0)
+NO_SPRINGS = np.zeros((0, 2), dtype=np.int64)
 
 
-def _simulate(fps=30.0, warmup=0.0, pin_frames=TRIANGLE.vertices[None, :1], initial_positions=None):
-    pinned = np.array([True, False, False])
+def _simulate(
+    fps=30.0, warmup=0.0, pin_frames=TRIANGLE.vertices[None, :1], initial_positions=None, pinned=(True, False, False)
+):
     return simulate_sequence(
         TRIANGLE, pinned, pin_frames, [[]], ClothParams(), fps, warmup, initial_positions
     )
@@ -116,6 +124,11 @@ ARRAY_ENTRIES = [
         lambda v: _simulate(initial_positions=v)[0].positions, TRIANGLE.vertices,
     ),
     (
+        "SpringNetwork.structural_rest", "structural_rest",
+        lambda v: SpringNetwork([[0, 1], [1, 2], [0, 2]], v, NO_SPRINGS, [], NO_SPRINGS, []).structural_rest,
+        np.ones(3),
+    ),
+    (
         "surface_points.barycentric", "barycentric",
         lambda v: surface_points(TRIANGLE.vertices, TRIANGLE.faces, [0, 0], v), np.array([[1, 0, 0], [0, 0, 1]]),
     ),
@@ -132,12 +145,24 @@ def _with_last(good, value):
     return bad
 
 
+def _listed_with_last(good, value):
+    """good as a nested list whose last entry is value."""
+    bad = np.asarray(good).astype(object)
+    bad.flat[-1] = value
+    return bad.tolist()
+
+
+def _index_of_last(good):
+    return re.escape(str([int(i) for i in np.unravel_index(np.size(good) - 1, np.shape(good))]))
+
+
 @pytest.mark.parametrize("field, make, good", [pytest.param(*entry[1:], id=entry[0]) for entry in ARRAY_ENTRIES])
 @pytest.mark.parametrize(
     "bad, message",
     [
-        pytest.param(lambda g: g.astype(bool), "must hold numbers, got bool entries", id="bool"),
-        pytest.param(lambda g: g.astype(int).astype(str), "must hold numbers, got <U21 entries", id="string"),
+        pytest.param(lambda g: g.astype(bool), "must hold numbers; entry [0", id="bool"),
+        pytest.param(lambda g: _listed_with_last(g, True), "must hold numbers; entry [", id="bool_in_list"),
+        pytest.param(lambda g: g.astype(int).astype(str), "must hold numbers; entry [0", id="string"),
         pytest.param(_ragged, "must hold numbers, got a ragged list", id="ragged"),
         pytest.param(lambda g: g[..., :2], "has shape ", id="shape"),
         pytest.param(lambda g: _with_last(g, np.nan), "must be finite; entry ", id="nan"),
@@ -157,12 +182,153 @@ def test_a_refused_entry_is_named_by_its_index(field, make, good):
             make(_with_last(good, value))
 
 
+@pytest.mark.parametrize("field, make, good", [pytest.param(*entry[1:], id=entry[0]) for entry in ARRAY_ENTRIES])
+def test_an_entry_of_a_list_that_is_not_a_number_is_named_by_its_index(field, make, good):
+    # np.asarray would read True as 1 among integers, a numeric string as
+    # text and None as an object; the list is scanned before it converts.
+    for value in (True, np.True_, None, "1"):
+        want = rf"^{re.escape(field)} must hold numbers; entry {_index_of_last(good)} is {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=want):
+            make(_listed_with_last(good, value))
+
+
+@pytest.mark.parametrize("field, make, good", [pytest.param(*entry[1:], id=entry[0]) for entry in ARRAY_ENTRIES])
+def test_a_ragged_list_is_named_by_its_first_uneven_entry(field, make, good):
+    want = rf"got a ragged list; entry \[1\] has length {len(good) - 1} where entry \[0\] has length {len(good)}$"
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must hold numbers, {want}"):
+        make(_ragged(good))
+
+
 @pytest.mark.parametrize("make, good", [pytest.param(*entry[2:], id=entry[0]) for entry in ARRAY_ENTRIES])
 def test_valid_arrays_load_as_float64(make, good):
     want = make(good.astype(float))
     for value in (good.astype(int), good.astype(np.float32), good.tolist()):
         got = make(value)
         assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
+def test_a_spring_rest_length_is_positive():
+    for rest in (0, -0.1):
+        with pytest.raises(ValueError, match="^shear_rest must be positive$"):
+            SpringNetwork(NO_SPRINGS, [], [[0, 1]], [rest], NO_SPRINGS, [])
+
+
+def _springs(structural):
+    """A solver over three particles joined by the given structural springs."""
+    net = SpringNetwork(structural, np.full(len(structural), 0.1), NO_SPRINGS, [], NO_SPRINGS, [])
+    return _Solver(net, ClothParams(), np.zeros(3, dtype=bool), 1.0 / 60.0)
+
+
+# (id, field named in the message, entry point taking the index array, a
+# valid value, the bound the indices stay below)
+INDEX_ENTRIES = [
+    ("TriMesh.faces", "faces", lambda v: TriMesh(TRIANGLE.vertices, v), [[0, 1, 2]], 3),
+    (
+        "surface_points.face", "face",
+        lambda v: surface_points(TRIANGLE.vertices, TRIANGLE.faces, v, [[1, 0, 0], [0, 0, 1]]), [0, 0], 1,
+    ),
+    ("SpringNetwork.structural", "structural springs", _springs, [[0, 1]], 3),
+]
+
+
+def _index_cases(good, bound):
+    """(id, a bad value, the tail of its message) for each way an index array goes wrong.
+
+    A bool is refused by its type, before a cast could read it as 0 or 1; a
+    number by its value. Either way the entry is named.
+    """
+    last = _index_of_last(good)
+    fraction = np.ravel(good)[-1] + 0.5
+    in_range = rf" in \[0, {bound}\); entry {last} is"
+    return [
+        ("bool_in_list", _listed_with_last(good, True), f"; entry {last} is True"),
+        ("bool_array", np.ones(np.shape(good), dtype=bool), f"; entry {re.escape(str([0] * np.ndim(good)))} is True"),
+        ("fraction", _with_last(np.array(good), fraction), f"{in_range} {fraction}"),
+        ("negative", _listed_with_last(good, -1), f"{in_range} -1"),
+        ("too_large", _listed_with_last(good, bound), f"{in_range} {bound}"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "field, make, bad, tail",
+    [
+        pytest.param(field, make, bad, tail, id=f"{case}-{name}")
+        for name, field, make, good, bound in INDEX_ENTRIES
+        for case, bad, tail in _index_cases(good, bound)
+    ],
+)
+def test_an_index_that_is_not_a_whole_number_in_range_is_refused_by_name(field, make, bad, tail):
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must hold integers{tail}$"):
+        make(bad)
+
+
+@pytest.mark.parametrize("make, good", [pytest.param(*e[2:4], id=e[0]) for e in INDEX_ENTRIES])
+def test_valid_indices_load(make, good):
+    # A whole number stored as a float names its entry, as an integer does.
+    for value in (good, np.array(good), np.array(good, dtype=float)):
+        make(value)
+
+
+REST_JOINTS = sequence_transforms(REST)[0]
+
+# (id, field named in the message, entry point taking the mask, a valid mask)
+MASK_ENTRIES = [
+    ("simulate_sequence.pinned", "pinned", lambda v: _simulate(pinned=v), [True, False, False]),
+    (
+        "poses_from_joint_positions.valid", "valid",
+        lambda v: poses_from_joint_positions(SKELETON, REST_JOINTS, v), np.ones((2, 24), dtype=bool).tolist(),
+    ),
+    ("mpjpe.valid", "valid", lambda v: mpjpe(np.zeros((2, 4, 3)), np.zeros((2, 4, 3)), v), [[True] * 4, [False] * 4]),
+]
+
+
+@pytest.mark.parametrize("field, make, good", [pytest.param(*e[1:], id=e[0]) for e in MASK_ENTRIES])
+@pytest.mark.parametrize("value", [0.5, 1, "yes"])
+def test_a_mask_entry_that_is_not_a_boolean_is_refused_by_name(field, make, good, value):
+    # np.asarray(..., dtype=bool) would read 0.5, 1 and "yes" as True.
+    want = rf"^{re.escape(field)} must hold booleans; entry {_index_of_last(good)} is {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=want):
+        make(_listed_with_last(good, value))
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must hold booleans, got {re.escape(repr(value))}$"):
+        make(value)
+
+
+@pytest.mark.parametrize("make, good", [pytest.param(*e[2:], id=e[0]) for e in MASK_ENTRIES])
+def test_valid_masks_load(make, good):
+    for value in (good, np.array(good), list(np.array(good))):
+        make(value)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(
+            lambda: Capsule([0, True, 0], [0, 1, 0], 0.1), "capsule p0 must hold numbers; entry [1] is True",
+            id="capsule_end",
+        ),
+        pytest.param(
+            lambda: Skeleton(SKELETON.joint_names, SKELETON.parents, [[0, 0, 0]] + [[0, True, 0]] * 23),
+            "rest_offsets must hold numbers; entry [1, 1] is True", id="rest_offset",
+        ),
+        pytest.param(
+            lambda: TriMesh(TRIANGLE.vertices, [[0, True, 2]]), "faces must hold integers; entry [0, 1] is True",
+            id="face",
+        ),
+        pytest.param(
+            lambda: surface_points(SQUARE.vertices, SQUARE.faces, np.array([True, False]), [[1, 0, 0]] * 2),
+            "face must hold integers; entry [0] is True", id="surface_point_face",
+        ),
+        pytest.param(
+            lambda: _simulate(pinned=[0.5, 0, 0]), "pinned must hold booleans; entry [0] is 0.5", id="pin_mask",
+        ),
+    ],
+)
+def test_a_value_a_cast_would_misread_is_refused_by_name(make, message):
+    # Each of these once loaded: True as 1 among numbers or indices, a bool
+    # array as a mask of faces (two points on the square's first face), and
+    # 0.5 as a pinned vertex.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 @pytest.mark.parametrize(

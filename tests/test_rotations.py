@@ -5,7 +5,7 @@ from scipy.spatial.transform import Rotation as R
 from drapebench import rotations as rot
 from drapebench.mesh import merge_meshes
 
-from conftest import icosphere
+from conftest import icosphere, translated
 
 
 def _random_quats(rng, n):
@@ -158,7 +158,7 @@ def test_cross_matches_np_cross_bit_for_bit(rng):
     assert same_bits(rot.cross(a[0], b[0]), np.cross(a[0], b[0]))
     # The mesh call sites: a mesh's edge vectors against each other, and a
     # ray direction against every face edge.
-    spheres = merge_meshes([icosphere(0.1 + 0.02 * k, 2).translated((0.15 * k, 0.0, 0.0)) for k in range(5)])
+    spheres = merge_meshes([translated(icosphere(0.1 + 0.02 * k, 2), (0.15 * k, 0.0, 0.0)) for k in range(5)])
     v0, v1, v2 = (spheres.vertices[spheres.faces[:, k]] for k in range(3))
     assert same_bits(rot.cross(v1 - v0, v2 - v0), np.cross(v1 - v0, v2 - v0))
     direction = rng.normal(size=3)
